@@ -18,7 +18,7 @@ from .lattices import lattice_points_in_box
 from .linalg import Vec3, rat, rat_str
 from .spectral import leg_ft, leg_measure, zero_set_member
 from .structure import classify, intersection_property
-from .tiling import SlabChoice, translate_multiplicity, verify_level
+from .tiling import SlabChoice, translate_families, translate_multiplicity, verify_level
 from .weird import build_construction, build_weird, construction_from_indices
 from .zonotope import Zonotope
 
@@ -126,12 +126,11 @@ def _cmd_weird_gen(args) -> int:
     }
     if args.materialize:
         lo, hi = _parse_window(args.window)
-        cand: list[Vec3] = []
-        for u in lam.s_offsets + lam.t_offsets:
-            for p in lattice_points_in_box(lam.gamma, u, lo, hi):
+        cand: set[Vec3] = set()
+        for lat, u, _ in translate_families(lam):
+            for p in lattice_points_in_box(lat, u, lo, hi):
                 if lo.x <= p.x <= hi.x and lo.y <= p.y <= hi.y and lo.z <= p.z <= hi.z:
-                    if p not in cand:
-                        cand.append(p)
+                    cand.add(p)
         points = []
         for p in sorted(cand):
             m = translate_multiplicity(lam, p)

@@ -6,6 +6,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .linalg import (
     Vec3,
     VEC_ZERO,
@@ -188,6 +190,8 @@ class CosetEnumeration:
             for i in range(3)
         ]
         self.gamma1 = self.rep(self.torsion_order)
+        # |index| <= _bound * max |coordinate|
+        self._bound = max(sum(map(abs, row)) for row in u) * (self.torsion_order + 1)
 
     def _from_snf_coords(self, y: Sequence[int]) -> Vec3:
         x = [sum(self._u_inv[i][k] * y[k] for k in range(3)) for i in range(3)]
@@ -199,12 +203,18 @@ class CosetEnumeration:
         r1, r2 = divmod(r, d2)
         return self._from_snf_coords((r1, r2, q))
 
-    def index_of_coords(self, x: Sequence[int]) -> int:
-        """Coset index from gamma-basis coordinates (integer arithmetic only)."""
-        y = [sum(self._u[i][k] * x[k] for k in range(3)) for i in range(3)]
+    def index_of_coords(self, x: Sequence[int] | np.ndarray) -> int | np.ndarray:
+        """Coset index from gamma-basis coordinates (integer arithmetic only).
+
+        One coordinate triple gives an int, an (N, 3) array an (N,) array.
+        """
+        a = np.asarray(x)
+        if a.dtype != object and int(np.abs(a).max(initial=0)) * self._bound >= 2**62:
+            a = a.astype(object)  # int64 could overflow: use Python ints
+        y = a @ np.array(self._u, dtype=a.dtype).T
         d1, d2 = self.d
-        r1, r2, q = y[0] % d1, y[1] % d2, y[2]
-        return q * self.torsion_order + (r1 * d2 + r2)
+        j = y[..., 2] * self.torsion_order + (y[..., 0] % d1) * d2 + y[..., 1] % d2
+        return j if a.ndim == 2 else int(j)
 
     def index_of(self, p: Vec3) -> int:
         """Index of the coset of p; p must be a point of gamma."""

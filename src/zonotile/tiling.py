@@ -2,9 +2,14 @@
 
 Two descriptions of a translate multiset are supported: a weighted finite
 union of shifted full-rank lattices, and a choice system that picks, per coset
-of a rank-2 sublattice, one of two finite offset families. Coverage of a point
-is counted exactly; points hitting a body boundary raise BoundaryHit so the
-caller can resample.
+of a rank-2 sublattice, one of two finite offset families. Both are read as
+translate families: a shifted lattice with a multiplicity per lattice point.
+
+``coverage`` counts one point in exact Fractions. ``verify_level`` counts all
+samples at once with an integer kernel: in each family's lattice coordinates
+the body's facets become small integer thresholds, so membership is exact at
+any coordinate scale. Points on a contributing translate's boundary raise
+BoundaryHit in ``coverage`` and are resampled by ``verify_level``.
 """
 
 from __future__ import annotations
@@ -13,13 +18,16 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import partial
+from itertools import product
+from math import floor, lcm
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
 from .lattices import CosetEnumeration, Lattice, lattice_points_in_box
 from .linalg import Vec3
-from .zonotope import _MARGIN, Location, Zonotope
+from .zonotope import BoundaryHit, Location, Zonotope
 
 __all__ = [
     "LatticeComponent",
@@ -28,8 +36,16 @@ __all__ = [
     "CoverageReport",
     "density",
     "coverage",
+    "translate_families",
     "verify_level",
 ]
+
+# kernel arrays stay int64 while every entry is below this
+_INT64_SAFE = 2**62
+# sample x candidate x facet cells compared in one broadcast
+_CHUNK = 1 << 20
+# boundary resample rounds before a window is given up
+_RESAMPLE_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -104,32 +120,38 @@ def density(lam: LatticeUnion | SlabChoice) -> Fraction:
     return Fraction(len(lam.s_offsets)) / lam.gamma.covolume()
 
 
-def _coverage_union(z: Zonotope, lam: LatticeUnion, x: Vec3) -> int:
-    lo_p, hi_p = z.bounding_box()
-    lo, hi = x - hi_p, x - lo_p
-    total = 0
-    for comp in lam.components:
-        pts = lattice_points_in_box(comp.lattice, comp.offset, lo, hi)
-        total += comp.weight * z.count_interior([x - p for p in pts])
-    return total
+Multiplicity = Callable[[np.ndarray], np.ndarray]
 
 
-def _coverage_slab(z: Zonotope, lam: SlabChoice, x: Vec3) -> int:
-    lo_p, hi_p = z.bounding_box()
-    total = 0
-    seen: list[Vec3] = []
-    for u in lam.s_offsets + lam.t_offsets:
-        if u in seen:
-            continue
-        seen.append(u)
-        pts = lattice_points_in_box(lam.gamma, u, x - hi_p, x - lo_p)
-        mask = z.interior_mask([x - p for p in pts])
-        for p, inside in zip(pts, mask):
-            if not inside:
-                continue
-            j = lam.cosets.index_of(p - u)
-            total += lam.offsets_for(j).count(u)
-    return total
+def translate_families(
+    lam: LatticeUnion | SlabChoice,
+) -> Iterator[tuple[Lattice, Vec3, Multiplicity]]:
+    """(lattice, shift, multiplicity) per family shift + lattice of translates.
+
+    multiplicity maps an (N, 3) array of lattice coordinates to how often each
+    translate occurs: a union component's weight, or for a slab choice how
+    often the shift occurs in the offset family its coset chose.
+    """
+    if isinstance(lam, LatticeUnion):
+        for comp in lam.components:
+            yield comp.lattice, comp.offset, lambda c, w=comp.weight: np.full(len(c), w)
+    else:
+        for u in dict.fromkeys(lam.s_offsets + lam.t_offsets):
+            yield lam.gamma, u, partial(_coset_multiplicity, lam, u)
+
+
+def _coset_multiplicity(lam: SlabChoice, u: Vec3, coords: np.ndarray) -> np.ndarray:
+    keys, inverse = np.unique(lam.cosets.index_of_coords(coords), return_inverse=True)
+    per_key = [lam.offsets_for(int(j)).count(u) for j in keys]
+    return np.array(per_key, dtype=np.int64)[inverse]
+
+
+def _family_count(lat: Lattice, shift: Vec3, mult: Multiplicity, p: Vec3) -> int:
+    """How often the translate p occurs in one family (0 if off the lattice)."""
+    c = lat.coords(p - shift)
+    if any(t.denominator != 1 for t in c):
+        return 0
+    return int(mult(np.array([[int(t) for t in c]]))[0])
 
 
 def coverage(z: Zonotope, lam: LatticeUnion | SlabChoice, x: Vec3) -> int:
@@ -138,127 +160,80 @@ def coverage(z: Zonotope, lam: LatticeUnion | SlabChoice, x: Vec3) -> int:
     Raises BoundaryHit when x lies on the boundary of a contributing
     translate, since interior counts are ill-defined there.
     """
-    if isinstance(lam, LatticeUnion):
-        return _coverage_union(z, lam, x)
-    return _coverage_slab(z, lam, x)
+    lo_p, hi_p = z.bounding_box()
+    total = 0
+    for lat, shift, mult in translate_families(lam):
+        for p in lattice_points_in_box(lat, shift, x - hi_p, x - lo_p):
+            loc = z.contains(x - p)
+            if loc is Location.OUTSIDE or not (m := _family_count(lat, shift, mult, p)):
+                continue
+            if loc is Location.BOUNDARY:
+                raise BoundaryHit(x)
+            total += m
+    return total
 
 
 def translate_multiplicity(lam: LatticeUnion | SlabChoice, point: Vec3) -> int:
     """How many times the point itself occurs in the translate multiset."""
-    if isinstance(lam, LatticeUnion):
-        return sum(
-            c.weight for c in lam.components if c.lattice.contains(point - c.offset)
-        )
-    total = 0
-    seen: list[Vec3] = []
-    for u in lam.s_offsets + lam.t_offsets:
-        if u in seen:
-            continue
-        seen.append(u)
-        gpt = point - u
-        if lam.gamma.contains(gpt):
-            j = lam.cosets.index_of(gpt)
-            total += lam.offsets_for(j).count(u)
-    return total
+    return sum(_family_count(*family, point) for family in translate_families(lam))
 
 
-def _sample_point(rng: random.Random, lo: Vec3, hi: Vec3) -> Vec3:
-    coords = []
-    for a, b in zip(lo, hi):
-        t = Fraction(rng.getrandbits(62), 2**62)
-        coords.append(a + (b - a) * t)
-    return Vec3(*coords)
-
-
-def _coeff_grid(lat: Lattice, shift: Vec3, lo_f, hi_f):
-    """Integer coefficient grid covering a float box, with float positions.
-
-    Complete superset of the lattice translate inside the box (1e-6 widening
-    absorbs float rounding); positions are exact coefficients times a float
-    basis, so downstream interior tests stay within the prefilter margin.
-    """
-    rows_f = np.array([r.as_floats() for r in lat._coord_rows])
-    basis_f = np.array([b.as_floats() for b in lat.basis])
-    shift_f = np.array(shift.as_floats())
-    corners = np.array(
-        [[x, y, zc] for x in (lo_f[0], hi_f[0]) for y in (lo_f[1], hi_f[1]) for zc in (lo_f[2], hi_f[2])]
-    )
-    vals = (corners - shift_f) @ rows_f.T
-    lo_c = np.floor(vals.min(axis=0) - 1e-6).astype(int)
-    hi_c = np.ceil(vals.max(axis=0) + 1e-6).astype(int)
-    axes = [np.arange(lo_c[i], hi_c[i] + 1) for i in range(3)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    return grid, grid @ basis_f + shift_f
-
-
-def _batch_counts(
-    z: Zonotope, lam: LatticeUnion | SlabChoice, xs: Sequence[Vec3]
+def _kernel_counts(
+    z: Zonotope, lam: LatticeUnion | SlabChoice, nums, den: int
 ) -> tuple[list[int | None], list[int]]:
-    """Exact coverage counts for many samples at once.
+    """Exact coverage counts at the points nums / den (one numerator triple each).
 
-    Float prefilter against every candidate translate; only sample/translate
-    pairs inside the margin band are resolved with exact arithmetic. Samples
-    landing on a translate boundary come back as None along with their index
-    so the caller can resample them.
+    Points on a contributing translate's boundary come back as None, their
+    indices listed. Per family, with lattice coordinates y of x, the translate
+    at lattice point floor(y) - k covers x iff k + frac(y) satisfies every
+    facet G_f . w < h_f of the body's image, G_f = basis^T n_f; only the k of
+    the image's bounding box can. Scaled to integers per facet: interior iff
+    G_f . k < thr, closed iff G_f . k <= q, q = floor(h_f - G_f . frac(y)) and
+    thr = q + 1 unless that floor is exact.
     """
-    if not xs:
-        return [], []
-    arr = np.array([x.as_floats() for x in xs])
-    lo_p, hi_p = z.bounding_box()
-    lo_f = arr.min(axis=0) - np.array(hi_p.as_floats()) - 1e-9
-    hi_f = arr.max(axis=0) - np.array(lo_p.as_floats()) + 1e-9
-    normals = z._normals_f
-    supports = z._supports_f
-    proj = arr @ normals.T - supports  # (S, F)
-    counts: list[int | None] = [0] * len(xs)
-    boundary: set[int] = set()
-    if isinstance(lam, LatticeUnion):
-        groups = [(c.lattice, c.offset, None, c.weight) for c in lam.components]
-    else:
-        groups = []
-        seen: list[Vec3] = []
-        for u in lam.s_offsets + lam.t_offsets:
-            if u not in seen:
-                seen.append(u)
-                groups.append((lam.gamma, u, u, None))
-    for lat, shift, u, weight in groups:
-        coeffs, pos_f = _coeff_grid(lat, shift, lo_f, hi_f)
-        if u is None:
-            mult = np.full(len(coeffs), weight)
-        else:
-            mult = np.array(
-                [
-                    lam.offsets_for(lam.cosets.index_of_coords(c)).count(u)
-                    for c in coeffs.tolist()
-                ]
-            )
-        tproj = pos_f @ normals.T  # (K, F)
-        chunk = max(1, min(len(xs), 4_000_000 // max(1, len(coeffs))))
-        for a in range(0, len(xs), chunk):
-            b = min(a + chunk, len(xs))
-            mx = None
-            for f in range(normals.shape[0]):
-                exc = np.subtract.outer(proj[a:b, f], tproj[:, f])
-                mx = exc if mx is None else np.maximum(mx, exc)
-            inside = mx < -_MARGIN
-            add = inside @ mult
-            for i in range(b - a):
-                counts[a + i] += int(add[i])
-            for si, ki in zip(*np.nonzero(np.abs(mx) <= _MARGIN)):
-                if mult[ki] == 0:
-                    continue
-                c1, c2, c3 = (int(t) for t in coeffs[ki])
-                t_exact = (
-                    shift + c1 * lat.basis[0] + c2 * lat.basis[1] + c3 * lat.basis[2]
-                )
-                loc = z.contains(xs[a + si] - t_exact)
-                if loc is Location.BOUNDARY:
-                    boundary.add(a + si)
-                elif loc is Location.INTERIOR:
-                    counts[a + si] += int(mult[ki])
-    for i in boundary:
-        counts[i] = None
-    return counts, sorted(boundary)
+    nums = np.array(nums, dtype=object).reshape(-1, 3)
+    counts = np.zeros(len(nums), dtype=np.int64)
+    border = np.zeros(len(nums), dtype=bool)
+    for lat, shift, mult in translate_families(lam):
+        rows = lat._coord_rows
+        rden = lcm(*(t.denominator for r in rows for t in (*r, r.dot(shift))))
+        big = den * rden
+        a = np.array([[int(t * rden) for t in r] for r in rows], dtype=object)
+        off = np.array([int(r.dot(shift) * rden) * den for r in rows], dtype=object)
+        y = nums @ a.T - off
+        fl = y // big
+        g, h = [], []
+        for f in z.facets:
+            gf = [f.normal.dot(b) for b in lat.basis]
+            scale = lcm(f.support.denominator, *(t.denominator for t in gf))
+            g.append([int(t * scale) for t in gf])
+            h.append(int(f.support * scale))
+        g = np.array(g, dtype=object)
+        side = np.array(h, dtype=object) * big - (y - fl * big) @ g.T
+        q = side // big
+        thr = q + (side - q * big != 0)
+        ranges = [range(floor(-z.support_value(-r)), floor(z.support_value(r)) + 1)
+                  for r in rows]
+        ks = np.array(list(product(*ranges)), dtype=object)
+        gk = ks @ g.T
+        if all(np.abs(t).max(initial=0) < _INT64_SAFE for t in (thr, gk, ks, fl)):
+            q, thr, gk, ks, fl = (t.astype(np.int64) for t in (q, thr, gk, ks, fl))
+        step = max(1, _CHUNK // gk.size)
+        for s0 in range(0, len(nums), step):
+            si, ki = np.nonzero((gk[None] <= q[s0 : s0 + step, None]).all(axis=2))
+            si += s0
+            inside = (gk[ki] < thr[si]).all(axis=1)
+            m = mult(fl[si] - ks[ki])
+            np.add.at(counts, si[inside], m[inside])
+            border[si[~inside & (m > 0)]] = True
+    got = [None if b else c for c, b in zip(counts.tolist(), border.tolist())]
+    return got, np.flatnonzero(border).tolist()
+
+
+def _check_window(window: tuple[Vec3, Vec3]) -> None:
+    lo, hi = window
+    if not all(a < b for a, b in zip(lo, hi)):
+        raise ValueError("window needs lo < hi in every coordinate")
 
 
 def verify_level(
@@ -271,35 +246,51 @@ def verify_level(
     """Sample coverage at random window points and report the observed level.
 
     level is the common count when all samples agree, else None with the
-    off-mode samples listed as violations. Boundary hits are resampled.
-    density_consistent compares density * volume against the observed level.
+    off-mode samples listed as violations. Boundary hits are resampled, for
+    at most _RESAMPLE_LIMIT rounds. density_consistent compares
+    density * volume against the observed level.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = random.Random(seed)
+    _check_window(window)
     lo, hi = window
-    points: list[Vec3] = [_sample_point(rng, lo, hi) for _ in range(samples)]
-    found: list[int | None] = [None] * samples
+    # coordinate lo + (hi - lo) * r / 2^62 as an integer numerator over den
+    w = lcm(*(t.denominator for t in (*lo, *hi)))
+    base = np.array([int(a * w) << 62 for a in lo], dtype=object)
+    width = np.array([int((b - a) * w) for a, b in zip(lo, hi)], dtype=object)
+    den = w << 62
+    rng = random.Random(seed)
+
+    def draw(n: int) -> np.ndarray:
+        bits = np.array([rng.getrandbits(62) for _ in range(3 * n)], dtype=object)
+        return bits.reshape(n, 3) * width + base
+
+    nums = draw(samples)
+    counts = [0] * samples
     pending = list(range(samples))
-    while pending:
-        got, border = _batch_counts(z, lam, [points[i] for i in pending])
+    for _ in range(_RESAMPLE_LIMIT):
+        got, border = _kernel_counts(z, lam, nums[pending], den)
         for slot, c in zip(pending, got):
-            if c is not None:
-                found[slot] = c
-        retry = [pending[i] for i in border]
-        for slot in retry:
-            points[slot] = _sample_point(rng, lo, hi)
-        pending = retry
-    results = [(points[i], found[i]) for i in range(samples)]
-    counts = Counter(c for _, c in results)
+            counts[slot] = c  # None on a boundary, replaced next round
+        pending = [pending[i] for i in border]
+        if not pending:
+            break
+        nums[pending] = draw(len(pending))
+    else:
+        raise ValueError(f"still on boundaries after {_RESAMPLE_LIMIT} resample rounds")
+    hist = Counter(counts)
     dens = density(lam)
-    if len(counts) == 1:
-        level = next(iter(counts))
+    if len(hist) == 1:
+        level = counts[0]
         violations: tuple[tuple[Vec3, int], ...] = ()
         consistent = dens * z.volume() == level
     else:
         level = None
-        mode = counts.most_common(1)[0][0]
-        violations = tuple((x, c) for x, c in results if c != mode)
+        mode = hist.most_common(1)[0][0]
+        violations = tuple(
+            (Vec3(*(Fraction(t, den) for t in nums[i])), c)
+            for i, c in enumerate(counts)
+            if c != mode
+        )
         consistent = None
     return CoverageReport(level, samples, violations, dens, consistent, window, seed)

@@ -29,7 +29,7 @@ from .lattices import (
 )
 from .linalg import VEC_ZERO, Vec3, primitive, rank_of, rat
 from .structure import TwoFlatVerdict, two_flat
-from .tiling import SlabChoice, translate_multiplicity
+from .tiling import _RESAMPLE_LIMIT, SlabChoice, _check_window, translate_multiplicity
 from .zonotope import BoundaryHit, Zonotope
 
 __all__ = [
@@ -208,17 +208,19 @@ def slab_identity_check(
 
     Both offset families, convolved with the body indicator and the group,
     must give identical functions; each sample point is counted against both
-    and any disagreement is reported. Boundary hits are resampled.
+    and any disagreement is reported. Boundary hits are resampled, at most
+    _RESAMPLE_LIMIT times per sample.
     """
     rng = random.Random(seed)
     if window is None:
         lo, hi = c.zonotope.bounding_box()
         pad = Vec3.of(1, 1, 1)
         window = (lo - pad, hi + pad)
+    _check_window(window)
     lo, hi = window
     mismatches = []
     for _ in range(samples):
-        while True:
+        for _ in range(_RESAMPLE_LIMIT):
             coords = [
                 a + (b - a) * Fraction(rng.getrandbits(62), 2**62)
                 for a, b in zip(lo, hi)
@@ -230,6 +232,8 @@ def slab_identity_check(
             except BoundaryHit:
                 continue
             break
+        else:
+            raise ValueError(f"{_RESAMPLE_LIMIT} resamples in a row hit boundaries")
         if s_count != t_count:
             mismatches.append((x, s_count, t_count))
     return SlabIdentityReport(not mismatches, samples, tuple(mismatches), seed)

@@ -2,8 +2,9 @@
 
 A zonotope is a Minkowski sum of segments [0, v_i] plus a translate. All
 derived structure here (facet planes, the two-opposite-edges frames, the
-parallelepiped paving) is computed in exact rational arithmetic; floats only
-appear as a prefilter that conservatively skips work.
+parallelepiped paving) is computed in exact rational arithmetic, and batch
+membership clears denominators and compares integers. No float takes part in
+a membership verdict.
 """
 
 from __future__ import annotations
@@ -11,16 +12,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .linalg import Vec3, VEC_ZERO, det3, inverse_rows, primitive, rank_of, rat
-
-# float prefilter band: true values farther than this from zero are decided by
-# the float path alone. Generator and sample magnitudes in this package keep
-# the actual float error below 1e-10, so the band is safely conservative.
-_MARGIN = 1e-6
 
 
 class Location(enum.Enum):
@@ -144,10 +139,11 @@ class Zonotope:
         self.center = translate + sum((v for v in gens), VEC_ZERO) * half
         self.direction_classes = self._direction_classes()
         self.facets = self._build_facets()
-        self._normals_f = np.array(
-            [f.normal.as_floats() for f in self.facets], dtype=float
+        # <x, n> < h iff <X, n * h_den> < h_num * d, for x = X / d
+        self._facet_ints = tuple(
+            (*(int(c) * f.support.denominator for c in f.normal), f.support.numerator)
+            for f in self.facets
         )
-        self._supports_f = np.array([float(f.support) for f in self.facets])
         self._frames: tuple[Frame, ...] | None = None
         self._degenerate_frames: tuple[Frame, ...] | None = None
         self._paving: Paving | None = None
@@ -233,24 +229,23 @@ class Zonotope:
         return Vec3(*lo_c), Vec3(*hi_c)
 
     def interior_mask(self, points: Sequence[Vec3]) -> list[bool]:
-        """Per-point strict-interior flags, exact; raises BoundaryHit.
-
-        Float prefilter with exact confirmation inside the +-_MARGIN band.
-        """
-        if not points:
-            return []
-        arr = np.array([p.as_floats() for p in points])
-        excess = arr @ self._normals_f.T - self._supports_f
-        mx = excess.max(axis=1)
-        mask = list(mx < -_MARGIN)
-        for i in np.nonzero(mx >= -_MARGIN)[0]:
-            if mx[i] > _MARGIN:
-                continue
-            loc = self.contains(points[i])
-            if loc is Location.BOUNDARY:
-                raise BoundaryHit(points[i])
-            mask[i] = loc is Location.INTERIOR
-        return [bool(m) for m in mask]
+        """Per-point strict-interior flags, exact in integers; raises BoundaryHit."""
+        mask = []
+        for p in points:
+            d = lcm(*(t.denominator for t in p))
+            x1, x2, x3 = (t.numerator * (d // t.denominator) for t in p)
+            on = False
+            for n1, n2, n3, h in self._facet_ints:
+                excess = n1 * x1 + n2 * x2 + n3 * x3 - h * d
+                if excess > 0:
+                    mask.append(False)
+                    break
+                on = on or excess == 0
+            else:
+                if on:
+                    raise BoundaryHit(p)
+                mask.append(True)
+        return mask
 
     def count_interior(self, points: Sequence[Vec3]) -> int:
         """Number of points strictly inside, exact; raises BoundaryHit."""

@@ -2,6 +2,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from zonotile.lattices import (
@@ -107,6 +108,19 @@ def test_index_of_coords_matches_index_of():
     for _ in range(30):
         c = [rng.randint(-6, 6) for _ in range(3)]
         assert ce.index_of_coords(c) == ce.index_of(gamma.point(c))
+
+
+def test_index_of_coords_array_matches_scalar():
+    gamma = lattice_from_vectors([Vec3(1, 1, 0), Vec3(0, 2, 1), Vec3(1, 0, 3)])
+    sub = lattice_from_vectors([gamma.basis[0] * 2, gamma.basis[1]])
+    ce = coset_reps(gamma, sub)
+    rng = random.Random(5)
+    # small coordinates stay int64; ones near 2^62 and 1e30 go through Python ints
+    for span in (6, 2**62, 10**30):
+        coords = [[rng.randint(-span, span) for _ in range(3)] for _ in range(40)]
+        got = ce.index_of_coords(np.array(coords))
+        assert list(got) == [ce.index_of_coords(c) for c in coords]
+    assert len(ce.index_of_coords(np.zeros((0, 3), dtype=np.int64))) == 0
 
 
 def test_coset_enumeration_rejects_non_sublattice():

@@ -1,15 +1,20 @@
 """Coverage counting, level verification, and density."""
 import random
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from zonotile import tiling
 from zonotile.lattices import lattice_from_vectors
-from zonotile.linalg import Vec3
+from zonotile.linalg import Vec3, rank_of
 from zonotile.tiling import (
     LatticeComponent,
     LatticeUnion,
-    _batch_counts,
+    SlabChoice,
+    _kernel_counts,
     coverage,
     density,
     translate_multiplicity,
@@ -26,6 +31,12 @@ W6 = (Vec3(-3, -3, -3), Vec3(3, 3, 3))
 
 def z3():
     return lattice_from_vectors([E1, E2, E3])
+
+
+def kernel_counts(z, lam, xs):
+    """The batch kernel on Vec3 points, put over one common denominator."""
+    den = lcm(*(t.denominator for x in xs for t in x))
+    return _kernel_counts(z, lam, [[int(t * den) for t in x] for x in xs], den)
 
 
 def test_component_validation():
@@ -122,7 +133,7 @@ def test_batch_counts_agree_with_single_point_coverage(cube):
                 Fraction(rng.getrandbits(40), 2**40) * 6 - 3,
             )
             xs.append(x)
-        got, border = _batch_counts(cube, lam, xs)
+        got, border = kernel_counts(cube, lam, xs)
         assert not border
         for x, c in zip(xs, got):
             assert c == coverage(cube, lam, x)
@@ -130,7 +141,7 @@ def test_batch_counts_agree_with_single_point_coverage(cube):
 
 def test_batch_counts_flags_boundary_points(cube, z3_union):
     xs = [Vec3(HALF, HALF, HALF), Vec3(0, HALF, HALF), Vec3(1, HALF, HALF)]
-    got, border = _batch_counts(cube, z3_union, xs)
+    got, border = kernel_counts(cube, z3_union, xs)
     assert got == [1, None, None]
     assert border == [1, 2]
 
@@ -192,3 +203,137 @@ def test_verify_level_random_bodies_against_their_own_lattice():
         rep = verify_level(z, lam, W6, samples=150, seed=rng.randint(0, 10**6))
         assert rep.level == z.volume()
         assert rep.density_consistent is True
+
+
+THIRD = Fraction(1, 3)
+
+
+def thin_tiling(offset):
+    """A 1/3-thin box and its own lattice, shifted by offset."""
+    lat = lattice_from_vectors([E1 * THIRD, E2, E3])
+    return Zonotope(lat.basis), LatticeUnion((LatticeComponent(lat, offset),))
+
+
+@pytest.mark.parametrize("big", [10**11, 10**25])
+@pytest.mark.parametrize("far_shift", [False, True])
+def test_kernel_exact_near_faces_far_from_origin(big, far_shift):
+    # faces at x = 1/7 + k/3; points within 4e-6 of the face x = big + 1/7,
+    # reached by a far lattice point or by a far shift. The body tiles, so
+    # every point off the faces is covered exactly once.
+    shift = Vec3(Fraction(1, 7), Fraction(2, 7), THIRD)
+    if far_shift:
+        shift = shift + Vec3(big, big, -big)
+    body, lam = thin_tiling(shift)
+    face = big + Fraction(1, 7)
+    rng = random.Random(big % 1000)
+    xs = [
+        Vec3(
+            face + Fraction(rng.randint(-4000, 4000) or 1, 10**9) / 7,
+            big + Fraction(rng.getrandbits(40), 2**40),
+            -big + Fraction(rng.getrandbits(40), 2**40),
+        )
+        for _ in range(600)
+    ]
+    got, border = kernel_counts(body, lam, xs)
+    assert not border and got == [1] * len(xs)
+    for x in xs[:10]:
+        assert coverage(body, lam, x) == 1
+    eps = Fraction(4, 10**6)
+    window = (Vec3(face - eps, big, -big), Vec3(face + eps, big + 1, -big + 1))
+    rep = verify_level(body, lam, window, samples=1200, seed=7)
+    assert rep.level == 1 and rep.violations == () and rep.density_consistent is True
+
+
+def test_kernel_exact_for_a_body_translated_far():
+    # a body near 1e25 puts its facet thresholds beyond int64
+    big = 10**25
+    _, lam = thin_tiling(Vec3(0, 0, Fraction(1, 5)))
+    body = Zonotope((E1 * THIRD, E2, E3), Vec3(big + Fraction(1, 7), -big, THIRD))
+    rng = random.Random(25)
+    xs = [
+        Vec3(
+            Fraction(rng.randint(-10**6, 10**6), 3 * 10**5),
+            Fraction(rng.getrandbits(40), 2**40),
+            Fraction(rng.randint(-10**6, 10**6), 7 * 10**5),
+        )
+        for _ in range(200)
+    ]
+    got, border = kernel_counts(body, lam, xs)
+    assert not border and got == [1] * len(xs)
+    for x in xs[:10]:
+        assert coverage(body, lam, x) == 1
+
+
+def test_verify_level_rejects_flat_window_fast(cube, z3_union):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        verify_level(cube, z3_union, (Vec3(0, 0, 0), Vec3(1, 1, 0)))
+    assert time.perf_counter() - start < 1
+
+
+def test_verify_level_caps_boundary_resamples(cube, z3_union, monkeypatch):
+    class Stuck(random.Random):
+        def getrandbits(self, k):
+            return 0  # every sample is the window corner, a cube vertex
+
+    monkeypatch.setattr(tiling.random, "Random", Stuck)
+    with pytest.raises(ValueError, match="resample"):
+        verify_level(cube, z3_union, (Vec3(0, 0, 0), Vec3(1, 1, 1)), samples=20)
+
+
+# -- property: kernel counts against single-point exact coverage -------------
+
+small_rat = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 7]))
+rat_vec = st.builds(Vec3, small_rat, small_rat, small_rat)
+int_vec = st.builds(Vec3, *[st.integers(-1, 1)] * 3).filter(lambda v: not v.is_zero())
+points = st.lists(rat_vec, min_size=1, max_size=8)
+generators = st.lists(int_vec, min_size=3, max_size=4).filter(lambda g: rank_of(g) == 3)
+
+
+def assert_kernel_matches_coverage(z, lam, xs):
+    got, border = kernel_counts(z, lam, xs)
+    for i, x in enumerate(xs):
+        try:
+            want = coverage(z, lam, x)
+        except BoundaryHit:
+            want = None
+        assert got[i] == want
+        assert (i in border) == (want is None)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(gens=generators, offset=rat_vec, xs=points)
+def test_kernel_matches_coverage_own_lattice(gens, offset, xs):
+    lam = LatticeUnion((LatticeComponent(lattice_from_vectors(gens), offset),))
+    assert_kernel_matches_coverage(Zonotope(gens), lam, xs)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(gens=generators, a=rat_vec, b=rat_vec, weight=st.integers(1, 3), xs=points)
+def test_kernel_matches_coverage_two_component_union(gens, a, b, weight, xs):
+    lam = LatticeUnion(
+        (
+            LatticeComponent(z3(), a),
+            LatticeComponent(lattice_from_vectors([E1 * 2, E2 + E3 * THIRD, E3]), b, weight),
+        )
+    )
+    assert_kernel_matches_coverage(Zonotope(gens), lam, xs)
+
+
+_CUBE_CONSTRUCTION = build_construction(Zonotope((E1, E2, E3)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    choice=st.dictionaries(st.integers(-6, 6), st.sampled_from("ST"), max_size=6),
+    families=st.none() | st.lists(rat_vec, min_size=4, max_size=4),
+    xs=points,
+)
+def test_kernel_matches_coverage_slab_choice(choice, families, xs):
+    # the construction's own offset families, or drawn ones whose boundaries
+    # need not match, so translates of zero multiplicity matter
+    lam = build_weird(_CUBE_CONSTRUCTION, choice)
+    if families is not None:
+        s_off, t_off = tuple(families[:2]), tuple(families[2:])
+        lam = SlabChoice(lam.gamma, lam.sub, lam.cosets, s_off, t_off, choice)
+    assert_kernel_matches_coverage(_CUBE_CONSTRUCTION.zonotope, lam, xs)

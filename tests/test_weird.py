@@ -163,3 +163,9 @@ def test_irregularity_certificate_cube(cube):
     for ell, color, mult in rep.entries:
         assert mult == (1 if color == RED else 0)
         assert color == col.color_of(ell)
+
+
+def test_slab_identity_check_rejects_flat_window(cube):
+    c = build_construction(cube)
+    with pytest.raises(ValueError):
+        slab_identity_check(c, window=(Vec3(0, 0, 0), Vec3(1, 0, 1)), samples=4)

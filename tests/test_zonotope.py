@@ -106,6 +106,30 @@ def test_count_interior_and_mask(cube):
         cube.count_interior([Vec3(0, 0, 0)])
 
 
+def test_interior_mask_exact_far_from_origin():
+    # the facet x + y = h of a body near (1e11, -1e11): a float x + y is off
+    # by about 1e-5 there, so points within 1e-6 of the facet need exact sums
+    big = 10**11
+    corner = Vec3(big + Fraction(1, 7), -big + Fraction(2, 7), 0)
+    body = Zonotope((Vec3(1, -1, 0), E3, Vec3(1, 1, 0)), corner)
+    (h,) = [f.support for f in body.facets if f.normal == Vec3(1, 1, 0)]
+    rng = random.Random(1)
+    pts = []
+    for _ in range(200):
+        x = corner.x + 1 + Fraction(rng.getrandbits(30) + 1, 2**31)
+        d = Fraction(rng.randint(-50, 50) or 1, 7 * 10**7)
+        pts.append(Vec3(x + d, h - x, Fraction(1, 2)))
+    assert body.interior_mask(pts) == [body.contains(p) is Location.INTERIOR for p in pts]
+    from zonotile.zonotope import BoundaryHit
+
+    on_facet = corner.x + Fraction(3, 2)
+    with pytest.raises(BoundaryHit):
+        body.interior_mask([Vec3(on_facet, h - on_facet, Fraction(1, 2))])
+    # on the facet's plane but outside the body: outside, not a boundary hit
+    off_facet = corner.x + Fraction(1, 2)
+    assert body.interior_mask([Vec3(off_facet, h - off_facet, Fraction(1, 2))]) == [False]
+
+
 def test_bounding_box(rd4):
     lo, hi = rd4.bounding_box()
     assert lo == Vec3(0, 0, 0)
