@@ -185,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, window_default=None):
+    def common(sp):
         sp.add_argument("--out", help="write the report here instead of stdout")
         return sp
 
@@ -243,7 +243,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, KeyError, IndexError, OSError) as exc:
+    except (ValueError, ArithmeticError, KeyError, IndexError, OSError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,14 +5,16 @@ only at the origin: for every nonzero direction u, some frame has no member
 orthogonal to u. When it holds, the spectrum of any tiling translate set is
 forced to be discrete, which guarantees quasi-periodicity. When it fails the
 witness line must be explained by a two-flat generator split, and ``classify``
-cross-checks exactly that implication.
+cross-checks exactly that implication. Both deciders work on primitive integer
+triples with exact integer dot and cross products, at any coordinate scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
-from .linalg import Vec3, det3, primitive, rank_of
+from .linalg import Vec3, primitive, rank_of
 from .zonotope import Frame, Zonotope
 
 _AXES = (Vec3.of(1, 0, 0), Vec3.of(0, 1, 0), Vec3.of(0, 0, 1))
@@ -38,9 +40,9 @@ class TwoFlatVerdict:
 
 @dataclass(frozen=True)
 class Classification:
-    verdict: str  # NotTwoFlat | TwoFlatRationalDiscrete | TwoFlatOther
+    verdict: str  # NotTwoFlat | TwoFlatRationalDiscrete
     quasi_periodic_guarantee: bool
-    weird_tiling_available: bool | None  # None means unknown
+    weird_tiling_available: bool
     two_flat: TwoFlatVerdict
     intersection: IntersectionVerdict
 
@@ -76,36 +78,32 @@ def intersection_property(frames: tuple[Frame, ...]) -> IntersectionVerdict:
     one direction d (then any vector orthogonal to d is a witness) or
     containing two independent members a, b (then u is parallel to a x b), so
     scanning single directions and cross products of frame-vector pairs is
-    exhaustive.
+    exhaustive. Frame vectors are reduced once to primitive integer triples;
+    candidates are their integer cross products, tested by integer dot products.
     """
     if not frames:
         raise ValueError("no frames")
-    dirs: list[Vec3] = []
-    for fr in frames:
-        for v in fr.vectors():
-            d = primitive(v)
-            if d not in dirs:
-                dirs.append(d)
-
-    def fails_with(u: Vec3) -> bool:
-        return all(any(v.dot(u) == 0 for v in fr.vectors()) for fr in frames)
-
+    vecs = dict.fromkeys(v for fr in frames for v in fr.vectors())
+    ints = {v: tuple(c.numerator for c in primitive(v)) for v in vecs}
+    trios = list(dict.fromkeys(tuple(ints[v] for v in fr.vectors()) for fr in frames))
+    dirs = list(dict.fromkeys(d for trio in trios for d in trio))
     for d in dirs:
-        if all(any(primitive(v) == d for v in fr.vectors()) for fr in frames):
-            u = canonical_perp(d)
+        if all(d in trio for trio in trios):
+            u = canonical_perp(Vec3.of(*d))
             return IntersectionVerdict(False, u, _satisfied_indices(frames, u))
-    tried: list[Vec3] = []
-    for i in range(len(dirs)):
-        for j in range(i + 1, len(dirs)):
-            n = dirs[i].cross(dirs[j])
-            if n.is_zero():
-                continue
-            u = primitive(n)
+    tried: set[tuple[int, int, int]] = set()
+    for i, (a0, a1, a2) in enumerate(dirs):
+        for b0, b1, b2 in dirs[i + 1 :]:
+            # distinct sign-canonical primitive directions are never parallel
+            x, y, z = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+            g = gcd(x, y, z) if (x or y or z) > 0 else -gcd(x, y, z)
+            u0, u1, u2 = u = (x // g, y // g, z // g)
             if u in tried:
                 continue
-            tried.append(u)
-            if fails_with(u):
-                return IntersectionVerdict(False, u, _satisfied_indices(frames, u))
+            tried.add(u)
+            if all(any(v0 * u0 + v1 * u1 + v2 * u2 == 0 for v0, v1, v2 in t) for t in trios):
+                w = Vec3.of(*u)
+                return IntersectionVerdict(False, w, _satisfied_indices(frames, w))
     return IntersectionVerdict(True)
 
 
@@ -119,6 +117,7 @@ def two_flat(z: Zonotope) -> TwoFlatVerdict:
     """
     classes = z.direction_classes
     dirs = [d for d, _ in classes]
+    ints = [tuple(c.numerator for c in d) for d in dirs]  # already primitive
 
     def verdict(h1_cls: list[int]) -> TwoFlatVerdict:
         h2_cls = [k for k in range(len(classes)) if k not in h1_cls]
@@ -136,9 +135,11 @@ def two_flat(z: Zonotope) -> TwoFlatVerdict:
 
     if len(classes) <= 4:
         return verdict([0, 1])
-    for i in range(len(classes)):
+    for i, (a0, a1, a2) in enumerate(ints):
         for j in range(i + 1, len(classes)):
-            h1 = [k for k in range(len(classes)) if det3(dirs[i], dirs[j], dirs[k]) == 0]
+            b0, b1, b2 = ints[j]
+            n0, n1, n2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+            h1 = [k for k, (c0, c1, c2) in enumerate(ints) if n0 * c0 + n1 * c1 + n2 * c2 == 0]
             rest = [dirs[k] for k in range(len(classes)) if k not in h1]
             if not rest or rank_of(rest) <= 2:
                 return verdict(h1)
@@ -153,10 +154,9 @@ def classify(z: Zonotope) -> Classification:
     """Structural verdict for a zonotope.
 
     With exact rational generators the group they generate is always discrete,
-    so a two-flat body always lands in TwoFlatRationalDiscrete; the
-    TwoFlatOther verdict exists for API completeness but needs irrational
-    data to arise. A failing intersection property must be explained by a
-    two-flat split; anything else is an implementation bug, not a verdict.
+    so a two-flat body always lands in TwoFlatRationalDiscrete. A failing
+    intersection property must be explained by a two-flat split; anything
+    else is an implementation bug, not a verdict.
     """
     tf = two_flat(z)
     iv = intersection_property(z.frames())

@@ -16,6 +16,7 @@ from zonotile.io import (
 )
 from zonotile.lattices import lattice_from_vectors
 from zonotile.linalg import Vec3
+from zonotile.structure import TwoFlatVerdict
 from zonotile.tiling import LatticeComponent, LatticeUnion
 from zonotile.weird import build_weird, construction_from_indices
 from zonotile.zonotope import Zonotope
@@ -223,6 +224,17 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     assert main(["verify-tiling", z, lam]) == 2
     assert main(["verify-tiling", z, lam, "--window", "1 -1 0 1 0 1"]) == 2
     assert main(["classify", str(tmp_path / "missing.json")]) == 2
+
+
+def test_cli_theorem_contradiction_exits_2(tmp_path, capsys, monkeypatch):
+    # the cube fails the intersection property; a decider that denies its
+    # two-flat split contradicts the structure theorem inside classify
+    monkeypatch.setattr("zonotile.structure.two_flat", lambda z: TwoFlatVerdict(False))
+    z = write(tmp_path, "z.json", CUBE_JSON)
+    assert main(["classify", z]) == 2
+    captured = capsys.readouterr()
+    assert "theorem contradiction" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_cli_output_is_canonical_json(tmp_path, capsys):

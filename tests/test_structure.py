@@ -1,8 +1,12 @@
 """Structural deciders checked against brute-force oracles."""
 import itertools
 import random
+from fractions import Fraction
 
-from zonotile.linalg import Vec3, rank_of
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from zonotile.linalg import Vec3, primitive, rank_of
 from zonotile.structure import classify, intersection_property, two_flat
 from zonotile.zonotope import Zonotope
 
@@ -21,7 +25,7 @@ def oracle_intersection_property(frames) -> bool:
     for d in trios[0]:
         if all(any(d.parallel_to(m) for m in trio) for trio in trios):
             return False
-    vecs = [m for trio in trios for m in trio]
+    vecs = list(dict.fromkeys(m for trio in trios for m in trio))
     for a, b in itertools.combinations(vecs, 2):
         u = a.cross(b)
         if u.is_zero():
@@ -136,3 +140,94 @@ def test_classify_never_contradicts_structure_theorem():
         c = classify(z)  # raises AssertionError on contradiction
         if not c.intersection.holds:
             assert c.two_flat.is_two_flat
+
+
+# -- pinned scan order -----------------------------------------------------
+# the reported witness is the first failing candidate in scan order, so exact
+# witnesses, satisfied indices and splits pin that order, not just validity
+
+CUBE_ROWS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+RD4_ROWS = CUBE_ROWS + ((1, 1, 1),)
+TWO_FLAT_12 = (
+    (-1, -2, 0), (-2, -2, -2), (-1, -1, -1), (0, 1, -1), (0, 1, -1), (-2, -2, -2),
+    (2, -2, -5), (-4, 0, 2), (-2, -2, -3), (4, -2, -6), (-4, -1, 0), (4, 1, 0),
+)
+NOT_TWO_FLAT_12 = (
+    (1, -2, 1), (-1, 2, 0), (2, 2, -1), (-2, 2, -1), (2, -2, 1), (2, 1, 2),
+    (1, 1, 2), (1, 2, -2), (-2, -1, 0), (0, 0, 1), (0, -2, 0), (-1, 0, 0),
+)
+PINNED = {
+    "cube": (CUBE_ROWS, (0, 0, 1), "000101", ((0, 1), (2,), (0, 0, 1), (0, 1, 0))),
+    "rd4": (RD4_ROWS, (0, 0, 1), "000101010122", ((0, 1), (2, 3), (0, 0, 1), (1, -1, 0))),
+    "two_flat_12": (
+        TWO_FLAT_12,
+        (2, -1, -1),
+        "00001010101010101010101010101010122222",
+        ((0, 1, 2, 3, 4, 5), (6, 7, 8, 9, 10, 11), (2, -1, -1), (1, -4, 2)),
+    ),
+    "not_two_flat_12": (NOT_TWO_FLAT_12, None, "", ((), (), None, None)),
+}
+
+
+def body(rows, scale=1) -> Zonotope:
+    return Zonotope(tuple(Vec3(*(Fraction(c) * scale for c in row)) for row in rows))
+
+
+def vec_or_none(t):
+    return None if t is None else Vec3(*t)
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_classify_pinned_witness_and_split(name):
+    rows, witness, indices, (h1, h2, n1, n2) = PINNED[name]
+    c = classify(body(rows))
+    assert c.intersection.holds == (witness is None)
+    assert c.intersection.witness == vec_or_none(witness)
+    assert "".join(map(str, c.intersection.satisfied_indices or ())) == indices
+    tf = c.two_flat
+    assert (tf.h1_indices, tf.h2_indices) == (h1, h2)
+    assert (tf.h1_normal, tf.h2_normal) == (vec_or_none(n1), vec_or_none(n2))
+
+
+@pytest.mark.parametrize("scale", [Fraction(10**30), Fraction(1, 7**20)], ids=["1e30", "7^-20"])
+@pytest.mark.parametrize("name", PINNED)
+def test_classify_is_scale_invariant(name, scale):
+    rows = PINNED[name][0]
+    assert classify(body(rows, scale)) == classify(body(rows))
+
+
+@pytest.mark.parametrize("name", ["rd4", "two_flat_12", "not_two_flat_12"])
+def test_classify_exact_beyond_int64(name):
+    # uniform scaling leaves the primitive triples small; stretching the axes
+    # by 10^30 and 7^-20 makes those off the axes, and their cross products,
+    # exceed int64. An invertible linear map keeps the verdicts and the split
+    stretch = (Fraction(10**30), Fraction(1), Fraction(1, 7**20))
+    rows = PINNED[name][0]
+    z = Zonotope(tuple(Vec3(*(s * c for s, c in zip(stretch, row))) for row in rows))
+    c, ref = classify(z), classify(body(rows))
+    assert max(abs(t) for fr in z.frames() for v in fr.vectors() for t in primitive(v)) > 2**63
+    assert c.verdict == ref.verdict and c.intersection.holds == ref.intersection.holds
+    if not c.intersection.holds:
+        check_witness(z, c.intersection)
+    assert (c.two_flat.h1_indices, c.two_flat.h2_indices) == (
+        ref.two_flat.h1_indices,
+        ref.two_flat.h2_indices,
+    )
+
+
+# -- property: deciders against the oracles on rational bodies -------------
+
+small_rat = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 5))
+rat_gen = st.builds(Vec3, small_rat, small_rat, small_rat).filter(lambda v: not v.is_zero())
+rat_bodies = st.lists(rat_gen, min_size=3, max_size=9).filter(lambda g: rank_of(g) == 3)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(gens=rat_bodies)
+def test_deciders_match_oracles_on_rational_bodies(gens):
+    z = Zonotope(gens)
+    iv = intersection_property(z.frames())
+    assert iv.holds == oracle_intersection_property(z.frames())
+    if not iv.holds:
+        check_witness(z, iv)
+    assert two_flat(z).is_two_flat == oracle_two_flat(z)
