@@ -51,16 +51,29 @@ def vec_from_json(arr) -> Vec3:
 
 
 def _rat_field(value) -> Fraction:
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"not a rational value: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"malformed rational string: {value!r}") from exc
-    raise ValueError(f"not a rational value: {value!r}")
+    try:
+        return rat(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed rational string: {value!r}") from exc
+
+
+def _int_field(value) -> int:
+    if not isinstance(value, (int, str)):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
+def _shaped(value, kind: type, what: str):
+    """value itself, after checking it is a JSON array (list) or object (dict)."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {'array' if kind is list else 'object'}")
+    return value
+
+
+def _vecs(obj: dict, key: str) -> tuple[Vec3, ...]:
+    return tuple(vec_from_json(v) for v in _shaped(obj[key], list, key))
 
 
 def zonotope_to_json(z: Zonotope) -> dict[str, Any]:
@@ -73,7 +86,7 @@ def zonotope_to_json(z: Zonotope) -> dict[str, Any]:
 def zonotope_from_json(obj) -> Zonotope:
     if not isinstance(obj, dict) or "generators" not in obj:
         raise ValueError("zonotope object needs a 'generators' field")
-    gens = [vec_from_json(g) for g in obj["generators"]]
+    gens = _vecs(obj, "generators")
     translate = vec_from_json(obj.get("translate", ["0", "0", "0"]))
     return Zonotope(gens, translate)
 
@@ -85,7 +98,7 @@ def lattice_to_json(lat: Lattice) -> dict[str, Any]:
 def lattice_from_json(obj) -> Lattice:
     if not isinstance(obj, dict) or "basis" not in obj:
         raise ValueError("lattice object needs a 'basis' field")
-    return Lattice([vec_from_json(b) for b in obj["basis"]])
+    return Lattice(_vecs(obj, "basis"))
 
 
 def translate_set_to_json(lam: LatticeUnion | SlabChoice) -> dict[str, Any]:
@@ -118,28 +131,27 @@ def translate_set_from_json(obj) -> LatticeUnion | SlabChoice:
     kind = obj["kind"]
     if kind == "lattice_union":
         comps = []
-        for c in obj["components"]:
+        for c in _shaped(obj["components"], list, "components"):
             comps.append(
                 LatticeComponent(
-                    Lattice([vec_from_json(b) for b in c["basis"]]),
+                    lattice_from_json(c),  # checks that c is an object first
                     vec_from_json(c.get("offset", ["0", "0", "0"])),
-                    int(c.get("weight", 1)),
+                    _int_field(c.get("weight", 1)),
                 )
             )
         return LatticeUnion(tuple(comps))
     if kind == "slab_choice":
-        gamma = Lattice([vec_from_json(b) for b in obj["gamma"]])
-        sub = Lattice([vec_from_json(b) for b in obj["sub"]])
-        choice = {int(j): v for j, v in obj.get("choice", {}).items()}
+        gamma, sub = (Lattice(_vecs(obj, key)) for key in ("gamma", "sub"))
+        choice = {int(j): v for j, v in _shaped(obj.get("choice", {}), dict, "choice").items()}
         level = obj.get("expected_level")
         return SlabChoice(
             gamma=gamma,
             sub=sub,
             cosets=coset_reps(gamma, sub),
-            s_offsets=tuple(vec_from_json(u) for u in obj["s_offsets"]),
-            t_offsets=tuple(vec_from_json(u) for u in obj["t_offsets"]),
+            s_offsets=_vecs(obj, "s_offsets"),
+            t_offsets=_vecs(obj, "t_offsets"),
             choice=choice,
-            expected_level=None if level is None else int(level),
+            expected_level=None if level is None else _int_field(level),
         )
     raise ValueError(f"unknown translate set kind: {kind!r}")
 

@@ -14,6 +14,7 @@ from .linalg import (
     det3,
     det_int,
     hermite_row_basis,
+    int_row,
     inverse_rows,
     rank_of,
     smith_normal_form,
@@ -110,12 +111,8 @@ def lattice_from_vectors(vectors: Iterable[Vec3]) -> Lattice:
     vecs = [v for v in vectors if not v.is_zero()]
     if not vecs:
         raise ValueError("no nonzero generators")
-    den = 1
-    for v in vecs:
-        for c in v:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    rows = [[int(c * den) for c in v] for v in vecs]
-    basis_rows = hermite_row_basis(rows)
+    flat, den = int_row(c for v in vecs for c in v)
+    basis_rows = hermite_row_basis([flat[i : i + 3] for i in range(0, len(flat), 3)])
     return Lattice(Vec3.of(*r) * Fraction(1, den) for r in basis_rows)
 
 
@@ -130,11 +127,7 @@ def plane_section(lat: Lattice, normal: Vec3) -> Lattice:
         raise ValueError("full-rank lattice required")
     if normal.is_zero():
         raise ValueError("zero normal")
-    dots = [b.dot(normal) for b in lat.basis]
-    den = 1
-    for d in dots:
-        den = den * d.denominator // math.gcd(den, d.denominator)
-    row = [int(d * den) for d in dots]
+    row, _ = int_row(b.dot(normal) for b in lat.basis)
     _, s, v = smith_normal_form([row])
     if s[0][0] == 0:
         raise ValueError("normal orthogonal to the whole lattice")

@@ -1,18 +1,26 @@
 """Exact rational 3-vectors, small determinants, and integer normal forms.
 
 Every geometric predicate downstream (incidence, membership, independence)
-reduces to Fraction arithmetic in this module, so verdicts are exact rather
-than correct up to a floating tolerance.
+reduces to exact arithmetic in this module, so verdicts are exact rather than
+correct up to a floating tolerance. ``int_row`` clears a row of rationals to
+integers over their least common denominator; membership in a body or a
+paving cell is then an integer half-space test n . X <= h * d for x = X / d.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 RationalLike = Fraction | int | str
+
+# a larger decimal exponent makes Fraction build a huge power of ten; the
+# bound mirrors Python's default int digit limit
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -22,8 +30,19 @@ def rat(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        m = _EXPONENT.search(value)
+        digits = m.group(1).replace("_", "").lstrip("0") if m else ""
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+            raise ValueError(f"decimal exponent above {_MAX_EXPONENT} in {value!r}")
         return Fraction(value)
     raise TypeError(f"not a rational value: {value!r}")
+
+
+def int_row(values: Iterable[Fraction | int]) -> tuple[list[int], int]:
+    """(numerators, den): the values as integers over their least common denominator."""
+    vals = tuple(values)
+    den = lcm(*(t.denominator for t in vals))
+    return [t.numerator * (den // t.denominator) for t in vals], den
 
 
 def rat_str(value: Fraction) -> str:
@@ -102,20 +121,11 @@ def primitive(v: Vec3) -> Vec3:
     """Integer primitive vector parallel to v with first nonzero coordinate > 0."""
     if v.is_zero():
         raise ValueError("primitive vector of zero")
-    den = 1
-    for c in v:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in v]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    ints = [c // g for c in ints]
-    for c in ints:
-        if c:
-            if c < 0:
-                ints = [-t for t in ints]
-            break
-    return Vec3.of(*ints)
+    ints, _ = int_row(v)
+    g = gcd(*ints)
+    if next(c for c in ints if c) < 0:
+        g = -g
+    return Vec3.of(*(c // g for c in ints))
 
 
 def det3(a: Vec3, b: Vec3, c: Vec3) -> Fraction:
@@ -160,13 +170,6 @@ def inverse_rows(b1: Vec3, b2: Vec3, b3: Vec3) -> tuple[Vec3, Vec3, Vec3]:
 
 def _identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
 
 
 def det_int(m: Sequence[Sequence[int]]) -> int:

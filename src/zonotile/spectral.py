@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .lattices import lattice_points_in_box
-from .linalg import Vec3, rat
+from .lattices import dual_lattice, lattice_points_in_box
+from .linalg import VEC_ZERO, Vec3, int_row, rat
 from .tiling import LatticeUnion
 from .zonotope import Frame, Zonotope
 
@@ -185,13 +185,10 @@ def rou_sum_is_zero(terms: Sequence[tuple[Fraction, Fraction]]) -> bool:
     (q the lcm of phase denominators) and reduces modulo the q-th cyclotomic
     polynomial; the sum is zero iff the remainder is the zero polynomial.
     """
-    q = 1
-    for _, phase in terms:
-        q = q * phase.denominator // math.gcd(q, phase.denominator)
+    nums, q = int_row(phase for _, phase in terms)
     coeffs = [Fraction(0)] * q
-    for coeff, phase in terms:
-        e = (-phase.numerator * (q // phase.denominator)) % q
-        coeffs[e] += coeff
+    for (coeff, _), num in zip(terms, nums):
+        coeffs[-num % q] += coeff
     phi = _cyclotomic(q)
     deg = len(phi) - 1
     for i in range(q - 1, deg - 1, -1):
@@ -238,14 +235,12 @@ def support_bound_check(z: Zonotope, lam: LatticeUnion, radius) -> SupportReport
     if r <= 0:
         raise ValueError("radius must be positive")
     corner = Vec3.of(r, r, r)
-    cands: list[Vec3] = []
-    from .lattices import dual_lattice
-
-    for comp in lam.components:
-        dual = dual_lattice(comp.lattice)
-        for p in lattice_points_in_box(dual, Vec3.of(0, 0, 0), -corner, corner):
-            if p.norm_sq() <= r * r and p not in cands:
-                cands.append(p)
+    cands = list(dict.fromkeys(
+        p
+        for comp in lam.components
+        for p in lattice_points_in_box(dual_lattice(comp.lattice), VEC_ZERO, -corner, corner)
+        if p.norm_sq() <= r * r
+    ))
     frames = z.frames()
     violations: list[Vec3] = []
     cancelled: list[Vec3] = []

@@ -20,13 +20,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import floor, lcm
+from math import floor
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
 from .lattices import CosetEnumeration, Lattice, lattice_points_in_box
-from .linalg import Vec3
+from .linalg import Vec3, int_row
 from .zonotope import BoundaryHit, Location, Zonotope
 
 __all__ = [
@@ -196,20 +196,17 @@ def _kernel_counts(
     border = np.zeros(len(nums), dtype=bool)
     for lat, shift, mult in translate_families(lam):
         rows = lat._coord_rows
-        rden = lcm(*(t.denominator for r in rows for t in (*r, r.dot(shift))))
+        a, rden = int_row(t for r in rows for t in (*r, r.dot(shift)))
+        a = np.array(a, dtype=object).reshape(3, 4)  # row i: r_i, r_i . shift; times rden
         big = den * rden
-        a = np.array([[int(t * rden) for t in r] for r in rows], dtype=object)
-        off = np.array([int(r.dot(shift) * rden) * den for r in rows], dtype=object)
-        y = nums @ a.T - off
+        y = nums @ a[:, :3].T - a[:, 3] * den
         fl = y // big
-        g, h = [], []
-        for f in z.facets:
-            gf = [f.normal.dot(b) for b in lat.basis]
-            scale = lcm(f.support.denominator, *(t.denominator for t in gf))
-            g.append([int(t * scale) for t in gf])
-            h.append(int(f.support * scale))
-        g = np.array(g, dtype=object)
-        side = np.array(h, dtype=object) * big - (y - fl * big) @ g.T
+        gh = np.array(
+            [int_row((*(f.normal.dot(b) for b in lat.basis), f.support))[0] for f in z.facets],
+            dtype=object,
+        )
+        g = gh[:, :3]
+        side = gh[:, 3] * big - (y - fl * big) @ g.T
         q = side // big
         thr = q + (side - q * big != 0)
         ranges = [range(floor(-z.support_value(-r)), floor(z.support_value(r)) + 1)
@@ -255,9 +252,9 @@ def verify_level(
     _check_window(window)
     lo, hi = window
     # coordinate lo + (hi - lo) * r / 2^62 as an integer numerator over den
-    w = lcm(*(t.denominator for t in (*lo, *hi)))
-    base = np.array([int(a * w) << 62 for a in lo], dtype=object)
-    width = np.array([int((b - a) * w) for a, b in zip(lo, hi)], dtype=object)
+    ends, w = int_row((*lo, *hi))
+    base = np.array([a << 62 for a in ends[:3]], dtype=object)
+    width = np.array([b - a for a, b in zip(ends[:3], ends[3:])], dtype=object)
     den = w << 62
     rng = random.Random(seed)
 

@@ -195,7 +195,7 @@ def _group_count(c: WeirdConstruction, x: Vec3, u: Vec3) -> int:
     lo_p, hi_p = z.bounding_box()
     y = x - u
     pts = lattice_points_in_box(c.g, VEC_ZERO, y - hi_p, y - lo_p)
-    return z.count_interior([y - p for p in pts])
+    return sum(z.interior_mask([y - p for p in pts]))
 
 
 def slab_identity_check(

@@ -2,9 +2,11 @@
 
 A zonotope is a Minkowski sum of segments [0, v_i] plus a translate. All
 derived structure here (facet planes, the two-opposite-edges frames, the
-parallelepiped paving) is computed in exact rational arithmetic, and batch
-membership clears denominators and compares integers. No float takes part in
-a membership verdict.
+parallelepiped paving) is computed in exact rational arithmetic. Membership in
+the body and in a paving cell is one integer half-space test: each facet or
+cell face is cleared to integers n, h, each point to X / d, and the point's
+excess n . X - h * d is compared with 0. No float takes part in a membership
+verdict.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
-from .linalg import Vec3, VEC_ZERO, det3, inverse_rows, primitive, rank_of, rat
+from .linalg import Vec3, VEC_ZERO, det3, int_row, inverse_rows, primitive, rank_of
 
 
 class Location(enum.Enum):
@@ -70,36 +71,36 @@ class Frame:
 
 @dataclass(frozen=True)
 class PavingCell:
-    """Half-open parallelepiped anchor + {t1 e1 + t2 e2 + t3 e3}.
+    """Half-open parallelepiped anchor + {t1 e1 + t2 e2 + t3 e3 : 0 <= t_i <= 1}.
 
     include_zero_face[i] tells whether the face t_i = 0 belongs to the cell
-    (then t_i = 1 does not), so the paving is an exact partition.
+    (then t_i = 1 does not), so the paving is an exact partition. Each face
+    is kept as an integer half-space (n, h, closed).
     """
 
     anchor: Vec3
     edges: tuple[Vec3, Vec3, Vec3]
     include_zero_face: tuple[bool, bool, bool]
-    _coord_rows: tuple[Vec3, Vec3, Vec3] = field(init=False, repr=False, compare=False)
+    _faces: tuple[tuple[int, int, int, int, bool], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        object.__setattr__(self, "_coord_rows", inverse_rows(*self.edges))
+        faces = []
+        for r, inc in zip(inverse_rows(*self.edges), self.include_zero_face):
+            # t_i = r . (x - anchor) = (a . x - c) / s
+            (a1, a2, a3, c), s = int_row((*r, r.dot(self.anchor)))
+            faces += [(-a1, -a2, -a3, -c, inc), (a1, a2, a3, c + s, not inc)]
+        object.__setattr__(self, "_faces", tuple(faces))
 
     def volume(self) -> Fraction:
         return abs(det3(*self.edges))
 
-    def coords(self, x: Vec3) -> tuple[Fraction, Fraction, Fraction]:
-        d = x - self.anchor
-        return tuple(r.dot(d) for r in self._coord_rows)
-
     def contains(self, x: Vec3) -> bool:
-        for t, inc in zip(self.coords(x), self.include_zero_face):
-            if t == 0:
-                if not inc:
-                    return False
-            elif t == 1:
-                if inc:
-                    return False
-            elif not 0 < t < 1:
+        (x1, x2, x3), d = int_row(x)
+        for n1, n2, n3, h, closed in self._faces:
+            excess = n1 * x1 + n2 * x2 + n3 * x3 - h * d
+            if excess > 0 or (excess == 0 and not closed):
                 return False
         return True
 
@@ -139,11 +140,8 @@ class Zonotope:
         self.center = translate + sum((v for v in gens), VEC_ZERO) * half
         self.direction_classes = self._direction_classes()
         self.facets = self._build_facets()
-        # <x, n> < h iff <X, n * h_den> < h_num * d, for x = X / d
-        self._facet_ints = tuple(
-            (*(int(c) * f.support.denominator for c in f.normal), f.support.numerator)
-            for f in self.facets
-        )
+        # <x, n> < h iff n' . X < h' * d for x = X / d; (n', h') clears (n, h)
+        self._facet_ints = tuple(int_row((*f.normal, f.support))[0] for f in self.facets)
         self._frames: tuple[Frame, ...] | None = None
         self._degenerate_frames: tuple[Frame, ...] | None = None
         self._paving: Paving | None = None
@@ -151,29 +149,20 @@ class Zonotope:
     # -- construction helpers ------------------------------------------------
 
     def _direction_classes(self) -> tuple[tuple[Vec3, tuple[int, ...]], ...]:
-        classes: list[tuple[Vec3, list[int]]] = []
+        classes: dict[Vec3, list[int]] = {}
         for i, v in enumerate(self.generators):
-            d = primitive(v)
-            for dc, members in classes:
-                if dc == d:
-                    members.append(i)
-                    break
-            else:
-                classes.append((d, [i]))
-        return tuple((d, tuple(m)) for d, m in classes)
+            classes.setdefault(primitive(v), []).append(i)
+        return tuple((d, tuple(m)) for d, m in classes.items())
 
     def _build_facets(self) -> tuple[Facet, ...]:
-        normals: list[Vec3] = []
+        normals: dict[Vec3, None] = {}
         for a in range(len(self.direction_classes)):
             for b in range(a + 1, len(self.direction_classes)):
                 da = self.direction_classes[a][0]
                 db = self.direction_classes[b][0]
                 n = da.cross(db)
-                if n.is_zero():
-                    continue
-                n = primitive(n)
-                if n not in normals:
-                    normals.append(n)
+                if not n.is_zero():
+                    normals[primitive(n)] = None
         facets: list[Facet] = []
         for n0 in normals:
             base_idx = len(facets)
@@ -208,13 +197,14 @@ class Zonotope:
         return h
 
     def contains(self, x: Vec3) -> Location:
+        """OUTSIDE if x is beyond a facet's plane, else BOUNDARY if on one."""
+        (x1, x2, x3), d = int_row(x)
         on_boundary = False
-        for f in self.facets:
-            s = x.dot(f.normal)
-            if s > f.support:
+        for n1, n2, n3, h in self._facet_ints:
+            excess = n1 * x1 + n2 * x2 + n3 * x3 - h * d
+            if excess > 0:
                 return Location.OUTSIDE
-            if s == f.support:
-                on_boundary = True
+            on_boundary = on_boundary or excess == 0
         return Location.BOUNDARY if on_boundary else Location.INTERIOR
 
     def bounding_box(self) -> tuple[Vec3, Vec3]:
@@ -229,27 +219,14 @@ class Zonotope:
         return Vec3(*lo_c), Vec3(*hi_c)
 
     def interior_mask(self, points: Sequence[Vec3]) -> list[bool]:
-        """Per-point strict-interior flags, exact in integers; raises BoundaryHit."""
+        """Per-point strict-interior flags; raises BoundaryHit."""
         mask = []
         for p in points:
-            d = lcm(*(t.denominator for t in p))
-            x1, x2, x3 = (t.numerator * (d // t.denominator) for t in p)
-            on = False
-            for n1, n2, n3, h in self._facet_ints:
-                excess = n1 * x1 + n2 * x2 + n3 * x3 - h * d
-                if excess > 0:
-                    mask.append(False)
-                    break
-                on = on or excess == 0
-            else:
-                if on:
-                    raise BoundaryHit(p)
-                mask.append(True)
+            loc = self.contains(p)
+            if loc is Location.BOUNDARY:
+                raise BoundaryHit(p)
+            mask.append(loc is Location.INTERIOR)
         return mask
-
-    def count_interior(self, points: Sequence[Vec3]) -> int:
-        """Number of points strictly inside, exact; raises BoundaryHit."""
-        return sum(self.interior_mask(points))
 
     # -- volume and paving -----------------------------------------------------
 
@@ -368,12 +345,7 @@ class Zonotope:
         return verts
 
     def vertex_set(self) -> list[Vec3]:
-        seen: list[Vec3] = []
-        for i in range(len(self.facets)):
-            for v in self.facet_polygon(i):
-                if v not in seen:
-                    seen.append(v)
-        return sorted(seen)
+        return sorted({v for i in range(len(self.facets)) for v in self.facet_polygon(i)})
 
     # -- frames ----------------------------------------------------------------
 
@@ -442,11 +414,3 @@ class _AngleKey:
 
     def __lt__(self, other) -> bool:
         return self.a * other.b - self.b * other.a > 0
-
-
-def zonotope_from_rows(
-    generators: Sequence[Sequence], translate: Sequence | None = None
-) -> Zonotope:
-    gens = [Vec3.of(*map(rat, row)) for row in generators]
-    tr = Vec3.of(*map(rat, translate)) if translate is not None else VEC_ZERO
-    return Zonotope(gens, tr)

@@ -244,3 +244,43 @@ def test_cli_output_is_canonical_json(tmp_path, capsys):
     assert out.endswith("\n")
     obj = json.loads(out)
     assert json.dumps(obj, indent=2, ensure_ascii=False) + "\n" == out
+
+
+def assert_input_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_generators_not_an_array_exits_2(tmp_path, capsys):
+    bad = write(tmp_path, "z.json", '{"generators": 5}')
+    assert_input_error(capsys, ["classify", bad])
+
+
+@pytest.mark.parametrize(
+    "component",
+    ["1", '{"basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "weight": [1]}'],
+    ids=["not-an-object", "weight-not-an-integer"],
+)
+def test_cli_malformed_component_exits_2(tmp_path, capsys, component):
+    z = write(tmp_path, "z.json", CUBE_JSON)
+    text = f'{{"kind": "lattice_union", "components": [{component}]}}'
+    assert_input_error(capsys, ["verify-tiling", z, write(tmp_path, "lam.json", text)])
+
+
+def test_cli_slab_choice_not_an_object_exits_2(tmp_path, capsys, cube):
+    z = write(tmp_path, "z.json", CUBE_JSON)
+    con = construction_from_indices(cube, [0, 1], coefficients=(HALF, HALF))
+    obj = translate_set_to_json(build_weird(con))
+    obj["choice"] = [1]
+    lam = write(tmp_path, "lam.json", json.dumps(obj))
+    assert_input_error(capsys, ["verify-tiling", z, lam])
+
+
+def test_cli_huge_decimal_exponent_exits_2(tmp_path, capsys):
+    huge = CUBE_JSON.replace('"1"', '"1e5000"', 1)
+    assert_input_error(capsys, ["classify", write(tmp_path, "huge.json", huge)])
+    z = write(tmp_path, "z.json", CUBE_JSON)
+    union = LatticeUnion((LatticeComponent(lattice_from_vectors([E1, E2, E3]), ZERO),))
+    lam = write(tmp_path, "lam.json", dumps(translate_set_to_json(union)))
+    assert_input_error(capsys, ["verify-tiling", z, lam, "--window", "0 1e5000 0 1 0 1"])

@@ -9,14 +9,21 @@ from zonotile.linalg import (
     det3,
     det_int,
     hermite_row_basis,
+    int_row,
     inverse_rows,
-    mat_mul,
     primitive,
     rank_of,
     rat,
     rat_str,
     smith_normal_form,
 )
+
+
+def mat_mul(a, b):
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
 
 
 def test_rat_accepts_int_str_fraction():
@@ -117,3 +124,21 @@ def test_hermite_row_basis_spans_same_row_lattice():
         assert lat.contains(Vec3(*r))
     for b in basis:
         assert other.contains(Vec3(*b))
+
+
+def test_int_row_clears_to_the_least_common_denominator():
+    assert int_row([Fraction(1, 6), Fraction(-3, 4), 2]) == ([2, -9, 24], 12)
+    assert int_row(Vec3(Fraction(5, 7), 0, Fraction(2, 7))) == ([5, 0, 2], 7)
+    assert int_row([]) == ([], 1)
+    # far from the origin: the numerators are exact Python ints
+    big = 10**25
+    assert int_row([big + Fraction(1, 7), Fraction(-2, 3)]) == ([21 * big + 3, -14], 21)
+
+
+def test_rat_bounds_decimal_exponents():
+    assert rat("1e4300") == 10**4300
+    assert rat("2.5E-0004300") == Fraction(5, 2 * 10**4300)
+    assert rat("1e1_000") == 10**1000
+    for text in ("1e4301", "1e-4301", "1E+5000", "3.5e00000000000000004301", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="exponent"):
+            rat(text)

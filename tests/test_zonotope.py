@@ -4,11 +4,47 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from zonotile.linalg import Vec3, det3
-from zonotile.zonotope import Location, Zonotope, zonotope_from_rows
+from zonotile.linalg import VEC_ZERO, Vec3, det3, inverse_rows, rank_of, rat
+from zonotile.zonotope import BoundaryHit, Location, Zonotope
 
 from conftest import E1, E2, E3, random_rat_vec, random_zonotope
+
+
+def zonotope_from_rows(generators, translate=None) -> Zonotope:
+    gens = [Vec3.of(*map(rat, row)) for row in generators]
+    tr = Vec3.of(*map(rat, translate)) if translate is not None else VEC_ZERO
+    return Zonotope(gens, tr)
+
+
+def oracle_contains(z: Zonotope, x: Vec3) -> Location:
+    """Fraction facet test, independent of the integer half-spaces."""
+    on_boundary = False
+    for f in z.facets:
+        s = x.dot(f.normal)
+        if s > f.support:
+            return Location.OUTSIDE
+        if s == f.support:
+            on_boundary = True
+    return Location.BOUNDARY if on_boundary else Location.INTERIOR
+
+
+def oracle_cell_contains(cell, x: Vec3) -> bool:
+    """Fraction cell coordinates t_i, each in (0, 1) or on its included face."""
+    d = x - cell.anchor
+    for r, inc in zip(inverse_rows(*cell.edges), cell.include_zero_face):
+        t = r.dot(d)
+        if t == 0:
+            if not inc:
+                return False
+        elif t == 1:
+            if inc:
+                return False
+        elif not 0 < t < 1:
+            return False
+    return True
 
 
 def independent_triple_volume(gens):
@@ -99,11 +135,9 @@ def test_count_interior_and_mask(cube):
         Vec3(Fraction(1, 4), Fraction(3, 4), Fraction(1, 8)),
     ]
     assert cube.interior_mask(pts) == [True, False, True]
-    assert cube.count_interior(pts) == 2
-    from zonotile.zonotope import BoundaryHit
-
+    assert sum(cube.interior_mask(pts)) == 2
     with pytest.raises(BoundaryHit):
-        cube.count_interior([Vec3(0, 0, 0)])
+        sum(cube.interior_mask([Vec3(0, 0, 0)]))
 
 
 def test_interior_mask_exact_far_from_origin():
@@ -119,9 +153,9 @@ def test_interior_mask_exact_far_from_origin():
         x = corner.x + 1 + Fraction(rng.getrandbits(30) + 1, 2**31)
         d = Fraction(rng.randint(-50, 50) or 1, 7 * 10**7)
         pts.append(Vec3(x + d, h - x, Fraction(1, 2)))
-    assert body.interior_mask(pts) == [body.contains(p) is Location.INTERIOR for p in pts]
-    from zonotile.zonotope import BoundaryHit
-
+    assert body.interior_mask(pts) == [
+        oracle_contains(body, p) is Location.INTERIOR for p in pts
+    ]
     on_facet = corner.x + Fraction(3, 2)
     with pytest.raises(BoundaryHit):
         body.interior_mask([Vec3(on_facet, h - on_facet, Fraction(1, 2))])
@@ -188,3 +222,63 @@ def test_zonotope_from_rows_parses_rationals():
     z = zonotope_from_rows([["1", "0", "0"], ["0", "1/2", "0"], [0, 0, 2]], ["1/4", 0, 0])
     assert z.generators[1] == Vec3(0, Fraction(1, 2), 0)
     assert z.translate == Vec3(Fraction(1, 4), 0, 0)
+
+
+
+FAR = 10**25
+small_rats = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
+# a coefficient t in [-2/7, 9/7]: 0 and 1 put a point on a face
+coeffs = st.builds(Fraction, st.integers(-2, 9), st.just(7))
+
+
+@st.composite
+def rational_bodies(draw) -> Zonotope:
+    vecs = st.builds(Vec3, small_rats, small_rats, small_rats)
+    gens = draw(st.lists(vecs, min_size=3, max_size=6))
+    assume(all(not g.is_zero() for g in gens) and rank_of(gens) == 3)
+    if draw(st.booleans()):
+        # far from the origin, with sevenths in every coordinate
+        far = (FAR * s + Fraction(draw(st.integers(-20, 20)), 7) for s in (1, -1, 1))
+        return Zonotope(gens, Vec3(*far))
+    return Zonotope(gens, draw(vecs))
+
+
+def combination(base: Vec3, vectors, ts) -> Vec3:
+    for v, t in zip(vectors, ts):
+        base = base + v * t
+    return base
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_integer_membership_matches_fraction_oracles(data):
+    z = data.draw(rational_bodies())
+    cells = z.pave().cells
+    points = []
+    for _ in range(4):
+        # on a facet's plane, inside the facet or beyond its edges
+        f = data.draw(st.sampled_from(z.facets))
+        n = len(f.plane_generators)
+        ts = data.draw(st.lists(coeffs, min_size=n, max_size=n))
+        points.append(combination(f.offset, [z.generators[i] for i in f.plane_generators], ts))
+        # near a cell, with one coordinate t_i forced onto the face t_i = 0 or 1
+        cell = data.draw(st.sampled_from(cells))
+        ts = data.draw(st.lists(coeffs, min_size=3, max_size=3))
+        ts[data.draw(st.integers(0, 2))] = data.draw(st.sampled_from([0, 1]))
+        points.append(combination(cell.anchor, cell.edges, ts))
+        # anywhere in or near the body
+        n = len(z.generators)
+        ts = data.draw(st.lists(coeffs, min_size=n, max_size=n))
+        points.append(combination(z.translate, z.generators, ts))
+    for p in points:
+        loc = oracle_contains(z, p)
+        assert z.contains(p) is loc
+        inside = [c.contains(p) for c in cells]
+        assert inside == [oracle_cell_contains(c, p) for c in cells]
+        if loc is Location.INTERIOR:
+            assert sum(inside) == 1
+        if loc is Location.BOUNDARY:
+            with pytest.raises(BoundaryHit):
+                z.interior_mask([p])
+        else:
+            assert z.interior_mask([p]) == [loc is Location.INTERIOR]
