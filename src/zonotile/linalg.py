@@ -3,8 +3,11 @@
 Every geometric predicate downstream (incidence, membership, independence)
 reduces to exact arithmetic in this module, so verdicts are exact rather than
 correct up to a floating tolerance. ``int_row`` clears a row of rationals to
-integers over their least common denominator; membership in a body or a
-paving cell is then an integer half-space test n . X <= h * d for x = X / d.
+integers over their least common denominator, and the hot paths run on those
+integers: a zonotope keeps its generators as integer triples over one
+denominator, membership in a body or a paving cell is an integer half-space
+test n . X <= h * d for x = X / d, and ``rank_of`` eliminates fraction-free.
+``Fraction`` and ``Vec3`` values are the API edge.
 """
 
 from __future__ import annotations
@@ -117,15 +120,20 @@ class Vec3:
 VEC_ZERO = Vec3.of(0, 0, 0)
 
 
+def primitive_triple(c: Sequence[int]) -> tuple[int, int, int]:
+    """The primitive integer triple parallel to c, first nonzero coordinate > 0."""
+    x, y, z = c
+    g = gcd(x, y, z)
+    if not g:
+        raise ValueError("primitive vector of zero")
+    if (x or y or z) < 0:
+        g = -g
+    return x // g, y // g, z // g
+
+
 def primitive(v: Vec3) -> Vec3:
     """Integer primitive vector parallel to v with first nonzero coordinate > 0."""
-    if v.is_zero():
-        raise ValueError("primitive vector of zero")
-    ints, _ = int_row(v)
-    g = gcd(*ints)
-    if next(c for c in ints if c) < 0:
-        g = -g
-    return Vec3.of(*(c // g for c in ints))
+    return Vec3.of(*primitive_triple(int_row(v)[0]))
 
 
 def det3(a: Vec3, b: Vec3, c: Vec3) -> Fraction:
@@ -133,18 +141,26 @@ def det3(a: Vec3, b: Vec3, c: Vec3) -> Fraction:
 
 
 def rank_of(vectors: Iterable[Vec3]) -> int:
-    """Rank of a set of rational 3-vectors, by exact Gaussian elimination."""
-    rows = [list(v) for v in vectors]
-    rank = 0
+    """Rank of a set of rational 3-vectors.
+
+    Each row is cleared to integers with ``int_row``; fraction-free (Bareiss)
+    elimination then keeps every entry an integer minor, so each division by
+    the previous pivot is exact.
+    """
+    rows = [int_row(v)[0] for v in vectors]
+    rank, prev = 0, 1
     for col in range(3):
         piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
+        p = rows[rank]
+        pc = p[col]
         for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col] / rows[rank][col]
-                rows[i] = [rows[i][j] - f * rows[rank][j] for j in range(3)]
+            r = rows[i]
+            rc = r[col]
+            rows[i] = [(pc * r[j] - rc * p[j]) // prev for j in range(3)]
+        prev = pc
         rank += 1
         if rank == 3:
             break

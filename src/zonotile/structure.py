@@ -12,9 +12,8 @@ triples with exact integer dot and cross products, at any coordinate scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
-from .linalg import Vec3, primitive, rank_of
+from .linalg import Vec3, int_row, primitive, primitive_triple, rank_of
 from .zonotope import Frame, Zonotope
 
 _AXES = (Vec3.of(1, 0, 0), Vec3.of(0, 1, 0), Vec3.of(0, 0, 1))
@@ -84,7 +83,7 @@ def intersection_property(frames: tuple[Frame, ...]) -> IntersectionVerdict:
     if not frames:
         raise ValueError("no frames")
     vecs = dict.fromkeys(v for fr in frames for v in fr.vectors())
-    ints = {v: tuple(c.numerator for c in primitive(v)) for v in vecs}
+    ints = {v: primitive_triple(int_row(v)[0]) for v in vecs}
     trios = list(dict.fromkeys(tuple(ints[v] for v in fr.vectors()) for fr in frames))
     dirs = list(dict.fromkeys(d for trio in trios for d in trio))
     for d in dirs:
@@ -95,9 +94,8 @@ def intersection_property(frames: tuple[Frame, ...]) -> IntersectionVerdict:
     for i, (a0, a1, a2) in enumerate(dirs):
         for b0, b1, b2 in dirs[i + 1 :]:
             # distinct sign-canonical primitive directions are never parallel
-            x, y, z = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-            g = gcd(x, y, z) if (x or y or z) > 0 else -gcd(x, y, z)
-            u0, u1, u2 = u = (x // g, y // g, z // g)
+            u = primitive_triple((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+            u0, u1, u2 = u
             if u in tried:
                 continue
             tried.add(u)

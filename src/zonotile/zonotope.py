@@ -1,12 +1,15 @@
 """Zonotopes in R^3: facets, edge frames, half-open pavings, membership.
 
-A zonotope is a Minkowski sum of segments [0, v_i] plus a translate. All
-derived structure here (facet planes, the two-opposite-edges frames, the
-parallelepiped paving) is computed in exact rational arithmetic. Membership in
-the body and in a paving cell is one integer half-space test: each facet or
-cell face is cleared to integers n, h, each point to X / d, and the point's
-excess n . X - h * d is compared with 0. No float takes part in a membership
-verdict.
+A zonotope is a Minkowski sum of segments [0, v_i] plus a translate. Its
+denominators are cleared once, at construction: the generators and the
+translate are kept as integer triples over one denominator D, and the
+direction classes, facet normals, offsets and supports, the bounding box, the
+volume and the two-opposite-edges frames are all computed on Python ints.
+``Fraction`` and ``Vec3`` values are built only at the API edge, in the
+``direction_classes``, ``Facet`` and ``Frame`` fields. Membership in the body
+and in a paving cell is one integer half-space test: each facet or cell face
+is cleared to integers n, h, each point to X / d, and the point's excess
+n . X - h * d is compared with 0. No float takes part in a verdict.
 """
 
 from __future__ import annotations
@@ -14,9 +17,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 from typing import Iterable, Sequence
 
-from .linalg import Vec3, VEC_ZERO, det3, int_row, inverse_rows, primitive, rank_of
+from .linalg import Vec3, VEC_ZERO, det3, det_int, int_row, inverse_rows, primitive_triple, rank_of
 
 
 class Location(enum.Enum):
@@ -122,9 +127,9 @@ class Paving:
 class Zonotope:
     """Minkowski sum of segments [0, v_i] translated by ``translate``.
 
-    Generators must be nonzero and span R^3. Facets are enumerated at
-    construction; frames and the paving are built on first use and cached.
-    Treat instances as immutable.
+    Generators must be nonzero and span R^3. The direction classes, facets
+    and bounding box are computed at construction; frames and the paving are
+    built on first use and cached. Treat instances as immutable.
     """
 
     def __init__(self, generators: Iterable[Vec3], translate: Vec3 = VEC_ZERO):
@@ -136,65 +141,89 @@ class Zonotope:
             raise ValueError("degenerate zonotope: generators must span R^3")
         self.generators = gens
         self.translate = translate
-        half = Fraction(1, 2)
-        self.center = translate + sum((v for v in gens), VEC_ZERO) * half
-        self.direction_classes = self._direction_classes()
-        self.facets = self._build_facets()
-        # <x, n> < h iff n' . X < h' * d for x = X / d; (n', h') clears (n, h)
-        self._facet_ints = tuple(int_row((*f.normal, f.support))[0] for f in self.facets)
+        # the translate and the generators as integer triples over one denominator
+        flat, den = int_row(c for v in (translate, *gens) for c in v)
+        self._den = den
+        self._t = t = tuple(flat[:3])
+        self._g = g = [tuple(flat[i : i + 3]) for i in range(3, len(flat), 3)]
+        # twice the center, over den
+        self._c2 = tuple(2 * t[k] + sum(v[k] for v in g) for k in range(3))
+        self.center = _vec(self._c2, 2 * den)
+        lo = [t[k] + sum(v[k] for v in g if v[k] < 0) for k in range(3)]
+        hi = [t[k] + sum(v[k] for v in g if v[k] > 0) for k in range(3)]
+        self._bounding_box = (_vec(lo, den), _vec(hi, den))
+        classes: dict[tuple[int, int, int], list[int]] = {}
+        for i, v in enumerate(g):
+            classes.setdefault(primitive_triple(v), []).append(i)
+        self._classes = tuple((d, tuple(m)) for d, m in classes.items())
+        self.direction_classes = tuple((_vec(d), m) for d, m in self._classes)
+        self._build_facets()
         self._frames: tuple[Frame, ...] | None = None
         self._degenerate_frames: tuple[Frame, ...] | None = None
         self._paving: Paving | None = None
 
     # -- construction helpers ------------------------------------------------
 
-    def _direction_classes(self) -> tuple[tuple[Vec3, tuple[int, ...]], ...]:
-        classes: dict[Vec3, list[int]] = {}
-        for i, v in enumerate(self.generators):
-            classes.setdefault(primitive(v), []).append(i)
-        return tuple((d, tuple(m)) for d, m in classes.items())
+    def _build_facets(self) -> None:
+        """Facets in pairs (n, -n), one pair per plane spanned by two classes.
 
-    def _build_facets(self) -> tuple[Facet, ...]:
-        normals: dict[Vec3, None] = {}
-        for a in range(len(self.direction_classes)):
-            for b in range(a + 1, len(self.direction_classes)):
-                da = self.direction_classes[a][0]
-                db = self.direction_classes[b][0]
-                n = da.cross(db)
-                if not n.is_zero():
-                    normals[primitive(n)] = None
+        Sets ``facets``, their integer half-spaces ``_facet_ints`` (<x, n> < h
+        iff n' . X < h' * d for x = X / d) and ``_facet_pairs``: the index,
+        normal and offset numerators of the first facet of each pair.
+        """
+        den, g = self._den, self._g
+        dirs = [d for d, _ in self._classes]
+        normals: dict[tuple[int, int, int], None] = {}
+        for i, (a0, a1, a2) in enumerate(dirs):
+            for b0, b1, b2 in dirs[i + 1 :]:
+                # distinct sign-canonical primitive directions are never parallel
+                n = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+                normals[primitive_triple(n)] = None
         facets: list[Facet] = []
-        for n0 in normals:
-            base_idx = len(facets)
-            for n, opp in ((n0, base_idx + 1), (-n0, base_idx)):
-                offset = self.translate
-                plane: list[int] = []
-                for i, v in enumerate(self.generators):
-                    s = v.dot(n)
-                    if s > 0:
-                        offset = offset + v
-                    elif s == 0:
-                        plane.append(i)
+        rows: list[tuple[int, int, int, int]] = []
+        pairs: list[tuple[int, tuple[int, int, int], list[int]]] = []
+        for n in normals:
+            n0, n1, n2 = n
+            pos, neg = list(self._t), list(self._t)
+            plane: list[int] = []
+            for i, v in enumerate(g):
+                s = v[0] * n0 + v[1] * n1 + v[2] * n2
+                if s:
+                    side = pos if s > 0 else neg
+                    side[0] += v[0]
+                    side[1] += v[1]
+                    side[2] += v[2]
+                else:
+                    plane.append(i)
+            fi = len(facets)
+            pairs.append((fi, n, pos))
+            for m, o, opp in ((n, pos, fi + 1), ((-n0, -n1, -n2), neg, fi)):
+                h = m[0] * o[0] + m[1] * o[1] + m[2] * o[2]
+                q = gcd(h, den)
+                rows.append((m[0] * (den // q), m[1] * (den // q), m[2] * (den // q), h // q))
                 facets.append(
                     Facet(
-                        normal=n,
-                        support=offset.dot(n),
-                        offset=offset,
+                        normal=_vec(m),
+                        support=Fraction(h, den),
+                        offset=_vec(o, den),
                         plane_generators=tuple(plane),
                         opposite_index=opp,
                     )
                 )
-        return tuple(facets)
+        self.facets = tuple(facets)
+        self._facet_ints = tuple(rows)
+        self._facet_pairs = tuple(pairs)
 
     # -- exact membership ----------------------------------------------------
 
     def support_value(self, n: Vec3) -> Fraction:
-        h = self.translate.dot(n)
-        for v in self.generators:
-            s = v.dot(n)
+        (n0, n1, n2), q = int_row(n)
+        h = self._t[0] * n0 + self._t[1] * n1 + self._t[2] * n2
+        for v0, v1, v2 in self._g:
+            s = v0 * n0 + v1 * n1 + v2 * n2
             if s > 0:
                 h += s
-        return h
+        return Fraction(h, self._den * q)
 
     def contains(self, x: Vec3) -> Location:
         """OUTSIDE if x is beyond a facet's plane, else BOUNDARY if on one."""
@@ -208,15 +237,7 @@ class Zonotope:
         return Location.BOUNDARY if on_boundary else Location.INTERIOR
 
     def bounding_box(self) -> tuple[Vec3, Vec3]:
-        lo, hi = self.translate, self.translate
-        lo_c, hi_c = list(lo), list(hi)
-        for v in self.generators:
-            for i, c in enumerate(v):
-                if c > 0:
-                    hi_c[i] += c
-                else:
-                    lo_c[i] += c
-        return Vec3(*lo_c), Vec3(*hi_c)
+        return self._bounding_box
 
     def interior_mask(self, points: Sequence[Vec3]) -> list[bool]:
         """Per-point strict-interior flags; raises BoundaryHit."""
@@ -231,13 +252,8 @@ class Zonotope:
     # -- volume and paving -----------------------------------------------------
 
     def volume(self) -> Fraction:
-        total = Fraction(0)
-        g = self.generators
-        for i in range(len(g)):
-            for j in range(i + 1, len(g)):
-                for k in range(j + 1, len(g)):
-                    total += abs(det3(g[i], g[j], g[k]))
-        return total
+        total = sum(abs(det_int(m)) for m in combinations(self._g, 3))
+        return Fraction(total, self._den**3)
 
     def _generic_direction(self) -> Vec3:
         """Rational direction transversal to every generator-pair plane."""
@@ -360,50 +376,57 @@ class Zonotope:
         return self._degenerate_frames
 
     def _build_frames(self) -> None:
+        """Frames of every facet pair, on the integer generators over ``_den``."""
+        den, g, c2 = self._den, self._g, self._c2
         frames: list[Frame] = []
         bad: list[Frame] = []
-        for fi, f in enumerate(self.facets):
-            if fi > f.opposite_index:
-                continue  # one frame set per facet pair
-            in_plane_classes = [
+        for fi, (n0, n1, n2), o in self._facet_pairs:
+            in_plane = [
                 (d, members)
-                for d, members in self.direction_classes
-                if d.dot(f.normal) == 0
+                for d, members in self._classes
+                if d[0] * n0 + d[1] * n1 + d[2] * n2 == 0
             ]
-            for d, members in in_plane_classes:
-                neg = VEC_ZERO
-                e = VEC_ZERO
+            for d, members in in_plane:
+                e, neg = [0, 0, 0], [0, 0, 0]
                 for idx in members:
-                    v = self.generators[idx]
-                    if v.dot(d) > 0:
-                        e = e + v
+                    v = g[idx]
+                    if v[0] * d[0] + v[1] * d[1] + v[2] * d[2] > 0:
+                        e = [e[k] + v[k] for k in range(3)]
                     else:
-                        e = e - v
-                        neg = neg + v
-                w = f.normal.cross(d)
-                shift_pos = VEC_ZERO
-                shift_neg = VEC_ZERO
-                for dc, mem in in_plane_classes:
-                    if dc == d:
+                        e = [e[k] - v[k] for k in range(3)]
+                        neg = [neg[k] + v[k] for k in range(3)]
+                w0, w1, w2 = n1 * d[2] - n2 * d[1], n2 * d[0] - n0 * d[2], n0 * d[1] - n1 * d[0]
+                base_a = [o[k] + neg[k] for k in range(3)]
+                base_b = list(base_a)
+                for dc, mem in in_plane:
+                    if dc is d:
                         continue
                     for idx in mem:
-                        v = self.generators[idx]
-                        if v.dot(w) > 0:
-                            shift_pos = shift_pos + v
-                        else:
-                            shift_neg = shift_neg + v
-                base_a = f.offset + neg + shift_pos
-                base_b = f.offset + neg + shift_neg
+                        v = g[idx]
+                        side = base_a if v[0] * w0 + v[1] * w1 + v[2] * w2 > 0 else base_b
+                        side[0] += v[0]
+                        side[1] += v[1]
+                        side[2] += v[2]
                 base, other = (base_a, base_b) if base_a < base_b else (base_b, base_a)
-                tau1 = other - base
-                tau2 = self.center * 2 - base * 2 - tau1 - e
-                frame = Frame(e=e, base=base, tau1=tau1, tau2=tau2, facet_index=fi)
-                if frame.is_degenerate():
-                    bad.append(frame)
-                else:
-                    frames.append(frame)
+                tau1 = [other[k] - base[k] for k in range(3)]
+                tau2 = [c2[k] - 2 * base[k] - tau1[k] - e[k] for k in range(3)]
+                frame = Frame(
+                    e=_vec(e, den),
+                    base=_vec(base, den),
+                    tau1=_vec(tau1, den),
+                    tau2=_vec(tau2, den),
+                    facet_index=fi,
+                )
+                (bad if det_int((e, tau1, tau2)) == 0 else frames).append(frame)
         self._frames = tuple(frames)
         self._degenerate_frames = tuple(bad)
+
+
+def _vec(ints: Sequence[int], den: int = 1) -> Vec3:
+    """The API-edge vector of integer numerators over den."""
+    if den == 1:
+        return Vec3(*map(Fraction, ints))
+    return Vec3(*(Fraction(c, den) for c in ints))
 
 
 class _AngleKey:

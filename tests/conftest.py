@@ -36,6 +36,11 @@ E1 = Vec3(1, 0, 0)
 E2 = Vec3(0, 1, 0)
 E3 = Vec3(0, 0, 1)
 ZERO = Vec3(0, 0, 0)
+# 12 generators along 8 directions, two-flat
+TWO_FLAT_12 = (
+    (-1, -2, 0), (-2, -2, -2), (-1, -1, -1), (0, 1, -1), (0, 1, -1), (-2, -2, -2),
+    (2, -2, -5), (-4, 0, 2), (-2, -2, -3), (4, -2, -6), (-4, -1, 0), (4, 1, 0),
+)
 
 
 @pytest.fixture

@@ -3,8 +3,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zonotile.linalg import (
+    VEC_ZERO,
     Vec3,
     det3,
     det_int,
@@ -86,6 +89,45 @@ def test_rank_of_small_cases():
     assert rank_of([Vec3(1, 1, 0), Vec3(2, 2, 0)]) == 1
     assert rank_of([Vec3(1, 0, 0), Vec3(1, 1, 0), Vec3(2, 1, 0)]) == 2
     assert rank_of([Vec3(1, 0, 0), Vec3(1, 1, 0), Vec3(0, 0, 7)]) == 3
+
+
+def oracle_rank_of(vectors) -> int:
+    """Rank by Gaussian elimination on Fractions."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(3):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = Fraction(rows[i][col]) / rows[rank][col]
+            rows[i] = [rows[i][j] - f * rows[rank][j] for j in range(3)]
+        rank += 1
+    return rank
+
+
+# entries beyond int64 over denominators up to 10^30
+huge_rats = st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**30))
+small_rats = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 5))
+
+
+@st.composite
+def row_sets(draw) -> list[Vec3]:
+    """1-12 rows drawn from the span of 0-3 rational vectors, zero rows included."""
+    entries = draw(st.sampled_from([huge_rats, small_rats]))
+    basis = draw(st.lists(st.builds(Vec3, entries, entries, entries), max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        cs = draw(st.lists(small_rats, min_size=len(basis), max_size=len(basis)))
+        rows.append(sum((b * c for b, c in zip(basis, cs)), VEC_ZERO))
+    return rows
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(row_sets())
+def test_rank_of_matches_fraction_elimination(rows):
+    assert rank_of(rows) == oracle_rank_of(rows)
 
 
 def test_inverse_rows_is_a_left_inverse():

@@ -10,7 +10,7 @@ from zonotile.linalg import Vec3, primitive, rank_of
 from zonotile.structure import classify, intersection_property, two_flat
 from zonotile.zonotope import Zonotope
 
-from conftest import E1, E2, E3, random_two_flat_zonotope, random_zonotope
+from conftest import E1, E2, E3, TWO_FLAT_12, random_two_flat_zonotope, random_zonotope
 
 
 def oracle_intersection_property(frames) -> bool:
@@ -148,10 +148,6 @@ def test_classify_never_contradicts_structure_theorem():
 
 CUBE_ROWS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 RD4_ROWS = CUBE_ROWS + ((1, 1, 1),)
-TWO_FLAT_12 = (
-    (-1, -2, 0), (-2, -2, -2), (-1, -1, -1), (0, 1, -1), (0, 1, -1), (-2, -2, -2),
-    (2, -2, -5), (-4, 0, 2), (-2, -2, -3), (4, -2, -6), (-4, -1, 0), (4, 1, 0),
-)
 NOT_TWO_FLAT_12 = (
     (1, -2, 1), (-1, 2, 0), (2, 2, -1), (-2, 2, -1), (2, -2, 1), (2, 1, 2),
     (1, 1, 2), (1, 2, -2), (-2, -1, 0), (0, 0, 1), (0, -2, 0), (-1, 0, 0),

@@ -1,4 +1,5 @@
 """Zonotope face structure, membership, frames, and the half-open paving."""
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -7,10 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zonotile.linalg import VEC_ZERO, Vec3, det3, inverse_rows, rank_of, rat
-from zonotile.zonotope import BoundaryHit, Location, Zonotope
+from zonotile.linalg import VEC_ZERO, Vec3, det3, inverse_rows, primitive, rank_of, rat
+from zonotile.zonotope import BoundaryHit, Facet, Frame, Location, Zonotope
 
-from conftest import E1, E2, E3, random_rat_vec, random_zonotope
+from conftest import E1, E2, E3, TWO_FLAT_12, random_rat_vec, random_zonotope
 
 
 def zonotope_from_rows(generators, translate=None) -> Zonotope:
@@ -45,6 +46,60 @@ def oracle_cell_contains(cell, x: Vec3) -> bool:
         elif not 0 < t < 1:
             return False
     return True
+
+
+def oracle_classes(z: Zonotope) -> dict[Vec3, list[int]]:
+    classes: dict[Vec3, list[int]] = {}
+    for i, v in enumerate(z.generators):
+        classes.setdefault(primitive(v), []).append(i)
+    return classes
+
+
+def oracle_facets(z: Zonotope) -> tuple[Facet, ...]:
+    """Facets by Fraction dot products over the generators as given."""
+    dirs = list(oracle_classes(z))
+    normals = dict.fromkeys(primitive(a.cross(b)) for a, b in itertools.combinations(dirs, 2))
+    facets = []
+    for n0 in normals:
+        base_idx = len(facets)
+        for n, opp in ((n0, base_idx + 1), (-n0, base_idx)):
+            offset = z.translate
+            for v in z.generators:
+                if v.dot(n) > 0:
+                    offset = offset + v
+            plane = tuple(i for i, v in enumerate(z.generators) if v.dot(n) == 0)
+            facets.append(Facet(n, offset.dot(n), offset, plane, opp))
+    return tuple(facets)
+
+
+def oracle_frames(z: Zonotope) -> tuple[Frame, ...]:
+    """Frames (degenerate ones too) by Fraction vector sums over the generators."""
+    center = z.translate + sum(z.generators, VEC_ZERO) * Fraction(1, 2)
+    frames = []
+    for fi, f in enumerate(z.facets):
+        if fi > f.opposite_index:
+            continue
+        in_plane = [(d, m) for d, m in oracle_classes(z).items() if d.dot(f.normal) == 0]
+        for d, members in in_plane:
+            e, neg = VEC_ZERO, VEC_ZERO
+            for idx in members:
+                v = z.generators[idx]
+                e, neg = (e + v, neg) if v.dot(d) > 0 else (e - v, neg + v)
+            w = f.normal.cross(d)
+            base_a = base_b = f.offset + neg
+            for dc, mem in in_plane:
+                if dc == d:
+                    continue
+                for idx in mem:
+                    v = z.generators[idx]
+                    if v.dot(w) > 0:
+                        base_a = base_a + v
+                    else:
+                        base_b = base_b + v
+            base, other = sorted((base_a, base_b))
+            tau1 = other - base
+            frames.append(Frame(e, base, tau1, center * 2 - base * 2 - tau1 - e, fi))
+    return tuple(frames)
 
 
 def independent_triple_volume(gens):
@@ -282,3 +337,73 @@ def test_integer_membership_matches_fraction_oracles(data):
                 z.interior_mask([p])
         else:
             assert z.interior_mask([p]) == [loc is Location.INTERIOR]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(rational_bodies())
+def test_integer_structure_matches_fraction_oracles(z):
+    assert z.direction_classes == tuple((d, tuple(m)) for d, m in oracle_classes(z).items())
+    assert z.facets == oracle_facets(z)
+    frames = oracle_frames(z)
+    assert z.frames() == tuple(f for f in frames if not f.is_degenerate())
+    assert z.degenerate_frames() == tuple(f for f in frames if f.is_degenerate())
+    assert z.center == z.translate + sum(z.generators, VEC_ZERO) * Fraction(1, 2)
+    lo, hi = z.bounding_box()
+    for t, a, b, *coords in zip(z.translate, lo, hi, *z.generators):
+        assert a == t + sum(c for c in coords if c < 0)
+        assert b == t + sum(c for c in coords if c > 0)
+    assert z.bounding_box() is z.bounding_box()
+    assert z.volume() == independent_triple_volume(z.generators)
+    for d in (E1, Vec3(Fraction(1, 3), Fraction(-5, 2), 7), -z.generators[0]):
+        oracle = z.translate.dot(d) + sum(max(v.dot(d), 0) for v in z.generators)
+        assert z.support_value(d) == oracle
+
+
+# sha256 prefixes of repr(frames()), repr(degenerate_frames()) and repr(facets),
+# and the direction classes, for integer, repeated and rational translated
+# generators: the order and the Fraction form of every field are pinned
+RATIONAL_ROWS = (
+    ("1/2", "0", "1"), ("0", "2/3", "-1"), ("-1/3", "1", "2/5"),
+    ("3/4", "-1/2", "0"), ("1", "1", "1"), ("-3/2", "1/5", "1"),
+)
+PINNED_STRUCTURE = {
+    "cube": (
+        (E1, E2, E3), VEC_ZERO,
+        ("ff42390401c833cd", "2e38e77b22c314a4", "c7c8800b71716fa9"),
+        (((1, 0, 0), (0,)), ((0, 1, 0), (1,)), ((0, 0, 1), (2,))),
+    ),
+    "rd4": (
+        (E1, E2, E3, Vec3(1, 1, 1)), VEC_ZERO,
+        ("fc02992c8c1e9413", "2e38e77b22c314a4", "7a49b9b070927841"),
+        (((1, 0, 0), (0,)), ((0, 1, 0), (1,)), ((0, 0, 1), (2,)), ((1, 1, 1), (3,))),
+    ),
+    "two_flat_12": (
+        tuple(Vec3.of(*r) for r in TWO_FLAT_12), VEC_ZERO,
+        ("d0436a10f94e89ac", "2e38e77b22c314a4", "6436a51fec063bab"),
+        (
+            ((1, 2, 0), (0,)), ((1, 1, 1), (1, 2, 5)), ((0, 1, -1), (3, 4)),
+            ((2, -2, -5), (6,)), ((2, 0, -1), (7,)), ((2, 2, 3), (8,)),
+            ((2, -1, -3), (9,)), ((4, 1, 0), (10, 11)),
+        ),
+    ),
+    "rational_sevenths": (
+        tuple(Vec3.of(*r) for r in RATIONAL_ROWS), Vec3.of("3/7", "-5/7", "22/7"),
+        ("a5ebe81d52f86be1", "2e38e77b22c314a4", "561ae511875b83ab"),
+        (
+            ((1, 0, 2), (0,)), ((0, 2, -3), (1,)), ((5, -15, -6), (2,)),
+            ((3, -2, 0), (3,)), ((1, 1, 1), (4,)), ((15, -2, -10), (5,)),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_STRUCTURE)
+def test_pinned_facets_frames_and_classes(name):
+    gens, translate, digests, classes = PINNED_STRUCTURE[name]
+    z = Zonotope(gens, translate)
+
+    def digest(value) -> str:
+        return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+    assert (digest(z.frames()), digest(z.degenerate_frames()), digest(z.facets)) == digests
+    assert repr(z.direction_classes) == repr(tuple((Vec3.of(*d), m) for d, m in classes))
