@@ -14,13 +14,18 @@ import json
 import sys
 
 from . import io as zio
-from .lattices import lattice_points_in_box
+from .lattices import box_count, lattice_points_in_box
 from .linalg import Vec3, rat, rat_str
 from .spectral import leg_ft, leg_measure, zero_set_member
 from .structure import classify, intersection_property
 from .tiling import SlabChoice, translate_families, translate_multiplicity, verify_level
 from .weird import build_construction, build_weird, construction_from_indices
 from .zonotope import Zonotope
+
+
+# candidate translates weird-gen --materialize enumerates at most; a larger
+# window is refused before any point is built
+_MATERIALIZE_LIMIT = 200_000
 
 
 def _read_json(path: str):
@@ -126,6 +131,11 @@ def _cmd_weird_gen(args) -> int:
     }
     if args.materialize:
         lo, hi = _parse_window(args.window)
+        count = sum(box_count(lat, u, lo, hi) for lat, u, _ in translate_families(lam))
+        if count > _MATERIALIZE_LIMIT:
+            raise ValueError(
+                f"window holds {count} candidate translates, more than {_MATERIALIZE_LIMIT}"
+            )
         cand: set[Vec3] = set()
         for lat, u, _ in translate_families(lam):
             for p in lattice_points_in_box(lat, u, lo, hi):

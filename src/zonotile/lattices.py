@@ -1,4 +1,9 @@
-"""Rational lattices of rank 1..3 in R^3: duals, membership, cosets, enumeration."""
+"""Rational lattices of rank 1..3 in R^3: duals, membership, cosets, enumeration.
+
+A lattice clears its basis and its dual coordinate rows to integer triples
+over one denominator each, once, at construction. Box enumeration, the
+spectral candidate scan and translate multiplicities read those integers.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +16,6 @@ import numpy as np
 from .linalg import (
     Vec3,
     VEC_ZERO,
-    det3,
     det_int,
     hermite_row_basis,
     int_row,
@@ -25,7 +29,10 @@ class Lattice:
     """Free abelian group of rational 3-vectors with an explicit basis.
 
     Rank 1, 2, or 3. The dual coordinate rows are precomputed so membership
-    tests and box enumeration are constant-size exact arithmetic.
+    tests and box enumeration are constant-size exact arithmetic. The basis
+    and the coordinate rows are also kept cleared to integers: ``_basis_ints``
+    is (triples B_i, d) with b_i = B_i / d, and ``_coord_ints`` is (triples
+    R_i, d) with coordinate i of p equal to R_i . p / d.
     """
 
     def __init__(self, basis: Iterable[Vec3]):
@@ -53,6 +60,8 @@ class Lattice:
             (b1,) = basis
             self._coord_rows = (b1.geometric_inverse(),)
             self._span_normal = None  # rank 1 handled via cross test
+        self._basis_ints = _int_triples(basis)
+        self._coord_ints = _int_triples(self._coord_rows)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Lattice) and self.basis == other.basis
@@ -83,13 +92,20 @@ class Lattice:
     def covolume(self) -> Fraction:
         if self.rank != 3:
             raise ValueError("full-rank lattice required")
-        return abs(det3(*self.basis))
+        rows, den = self._basis_ints
+        return Fraction(abs(det_int(rows)), den**3)
 
     def point(self, coeffs: Sequence[int]) -> Vec3:
         p = VEC_ZERO
         for k, b in zip(coeffs, self.basis):
             p = p + b * k
         return p
+
+
+def _int_triples(vectors: Sequence[Vec3]) -> tuple[tuple[tuple[int, int, int], ...], int]:
+    """The vectors as integer triples over their least common denominator."""
+    flat, den = int_row(c for v in vectors for c in v)
+    return tuple(tuple(flat[i : i + 3]) for i in range(0, len(flat), 3)), den
 
 
 def dual_lattice(lat: Lattice) -> Lattice:
@@ -221,43 +237,62 @@ def coset_reps(gamma: Lattice, sub: Lattice) -> CosetEnumeration:
     return CosetEnumeration(gamma, sub)
 
 
+def box_ranges(lat: Lattice, shift: Vec3, lo: Vec3, hi: Vec3) -> list[range]:
+    """For each basis coordinate, the integers it takes on x - shift over the box.
+
+    Coordinate i of x - shift is R_i . (x - shift) / d, so over the box [lo, hi]
+    its extremes are sums of per-axis extremes of R_i . x; the range ends are
+    their exact integer ceil and floor. Every point of shift + lat in the box
+    has its coordinates in these ranges.
+    """
+    rows, rden = lat._coord_ints
+    flat, d = int_row((*shift, *lo, *hi))
+    s, l, h = flat[:3], flat[3:6], flat[6:]
+    big = rden * d
+    ranges = []
+    for r in rows:
+        rs = r[0] * s[0] + r[1] * s[1] + r[2] * s[2]
+        terms = [(a * b, a * c) for a, b, c in zip(r, l, h)]
+        low = sum(map(min, terms)) - rs
+        high = sum(map(max, terms)) - rs
+        ranges.append(range(-(-low // big), high // big + 1))
+    return ranges
+
+
+def box_count(lat: Lattice, shift: Vec3, lo: Vec3, hi: Vec3) -> int:
+    """How many points ``lattice_points_in_box`` returns, without building them."""
+    return math.prod(max(0, r.stop - r.start) for r in box_ranges(lat, shift, lo, hi))
+
+
+def box_point_ints(
+    lat: Lattice, shift: Vec3, lo: Vec3, hi: Vec3
+) -> tuple[list[tuple[int, int, int]], int]:
+    """(numerator triples, den): the points shift + sum k_i b_i over ``box_ranges``.
+
+    Ordered like nested loops over k_1, k_2, k_3, the last coordinate fastest.
+    """
+    rows, bden = lat._basis_ints
+    (s0, s1, s2), sden = int_row(shift)
+    den = math.lcm(bden, sden)
+    bs, ss = den // bden, den // sden
+    pts = [(s0 * ss, s1 * ss, s2 * ss)]
+    for ks, (b0, b1, b2) in zip(box_ranges(lat, shift, lo, hi), rows):
+        b0, b1, b2 = b0 * bs, b1 * bs, b2 * bs
+        pts = [(x + k * b0, y + k * b1, z + k * b2) for x, y, z in pts for k in ks]
+    return pts, den
+
+
 def lattice_points_in_box(
     lat: Lattice, shift: Vec3, lo: Vec3, hi: Vec3
 ) -> list[Vec3]:
-    """Points of shift + lat whose candidate coordinates fit the box [lo, hi].
+    """Points of shift + lat whose coordinates lie in the box's coordinate ranges.
 
-    The returned list is a superset of (shift + lat) intersected with the box
-    (exact for rank 3; for lower rank the plane/line section of the box is
-    covered without a final box filter, callers apply their own membership
-    predicate). Complete: every lattice point inside the box is produced.
+    Complete: every point of shift + lat inside the box [lo, hi] is produced.
+    Not exact: the result is every point of the coordinate parallelepiped
+    spanned by ``box_ranges``, which for a skewed basis or a lower rank holds
+    many points outside the box (on [-3, 3]^3 the Hermite basis of Z^3 with
+    rows (1, 2, -1), (0, 1, -2), (0, 0, 1) gives 4,921 points for 343 inside).
+    Callers filter with their own box or membership predicate.
     """
-    corners = [
-        Vec3(cx, cy, cz)
-        for cx in (lo.x, hi.x)
-        for cy in (lo.y, hi.y)
-        for cz in (lo.z, hi.z)
-    ]
-    ranges = []
-    for row in lat._coord_rows:
-        vals = [row.dot(c - shift) for c in corners]
-        ranges.append(range(math.ceil(min(vals)), math.floor(max(vals)) + 1))
-    points = []
-    if lat.rank == 3:
-        b1, b2, b3 = lat.basis
-        for k1 in ranges[0]:
-            p1 = shift + b1 * k1
-            for k2 in ranges[1]:
-                p2 = p1 + b2 * k2
-                for k3 in ranges[2]:
-                    points.append(p2 + b3 * k3)
-    elif lat.rank == 2:
-        b1, b2 = lat.basis
-        for k1 in ranges[0]:
-            p1 = shift + b1 * k1
-            for k2 in ranges[1]:
-                points.append(p1 + b2 * k2)
-    else:
-        (b1,) = lat.basis
-        for k1 in ranges[0]:
-            points.append(shift + b1 * k1)
-    return points
+    pts, den = box_point_ints(lat, shift, lo, hi)
+    return [Vec3(Fraction(x, den), Fraction(y, den), Fraction(z, den)) for x, y, z in pts]

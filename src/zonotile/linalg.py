@@ -7,6 +7,10 @@ integers over their least common denominator, and the hot paths run on those
 integers: a zonotope keeps its generators as integer triples over one
 denominator, membership in a body or a paving cell is an integer half-space
 test n . X <= h * d for x = X / d, and ``rank_of`` eliminates fraction-free.
+A lattice keeps its basis and dual coordinate rows, and a frame its vectors,
+as integer triples over one denominator, so box ranges, translate
+multiplicities, the counting kernel's coordinates, the spectral support check
+and the zero-set test are integer dot products with exact floor division.
 ``Fraction`` and ``Vec3`` values are the API edge.
 """
 

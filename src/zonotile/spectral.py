@@ -8,6 +8,12 @@ translate set inside the measure's zero set. Membership in that zero set is
 decided exactly for rational frequencies, and the support bound for periodic
 translate sets is verified with exact root-of-unity arithmetic so that
 cancellation is never a floating-point judgement call.
+
+Both run on integers: a frequency is an integer triple over one denominator,
+the dual lattices and the frames carry their vectors cleared to integers, and
+every pairing (ball, dual membership, zero-set planes, phase numerators) is an
+integer dot product. ``Fraction`` values appear only as the phases handed to
+the root-of-unity reduction and in the reported frequencies.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .lattices import dual_lattice, lattice_points_in_box
+from .lattices import box_point_ints, dual_lattice, lattice_points_in_box
 from .linalg import VEC_ZERO, Vec3, int_row, rat
 from .tiling import LatticeUnion
 from .zonotope import Frame, Zonotope
@@ -142,14 +148,19 @@ def leg_ft(m: LegMeasure, xi) -> complex:
 
 
 def zero_set_member(fr: Frame, xi: Vec3) -> bool:
-    """Exact test that the frame measure's transform vanishes at rational xi."""
-    se = xi.dot(fr.e)
-    if se.denominator == 1 and se != 0:
+    """Exact test that the frame measure's transform vanishes at rational xi.
+
+    It does iff <xi, e> is a nonzero integer or <xi, tau1> or <xi, tau2> is
+    an integer; each pairing is an integer dot product over the frame's and
+    xi's denominators.
+    """
+    (x0, x1, x2), d = int_row(xi)
+    (e0, e1, e2, a0, a1, a2, b0, b1, b2), den = fr.vector_ints()
+    m = d * den
+    se = x0 * e0 + x1 * e1 + x2 * e2
+    if se and se % m == 0:
         return True
-    for tau in (fr.tau1, fr.tau2):
-        if xi.dot(tau).denominator == 1:
-            return True
-    return False
+    return (x0 * a0 + x1 * a1 + x2 * a2) % m == 0 or (x0 * b0 + x1 * b1 + x2 * b2) % m == 0
 
 
 # -- exact vanishing of weighted root-of-unity sums -------------------------
@@ -184,21 +195,24 @@ def rou_sum_is_zero(terms: Sequence[tuple[Fraction, Fraction]]) -> bool:
     Writes the sum as a rational polynomial in a primitive q-th root of unity
     (q the lcm of phase denominators) and reduces modulo the q-th cyclotomic
     polynomial; the sum is zero iff the remainder is the zero polynomial.
+    The coefficients are cleared to integers first, so the reduction runs on
+    integers (phi is monic with integer coefficients).
     """
     nums, q = int_row(phase for _, phase in terms)
-    coeffs = [Fraction(0)] * q
-    for (coeff, _), num in zip(terms, nums):
-        coeffs[-num % q] += coeff
+    weights, _ = int_row(coeff for coeff, _ in terms)
+    coeffs = [0] * q
+    for w, num in zip(weights, nums):
+        coeffs[-num % q] += w
     phi = _cyclotomic(q)
     deg = len(phi) - 1
     for i in range(q - 1, deg - 1, -1):
         c = coeffs[i]
         if c == 0:
             continue
-        coeffs[i] = Fraction(0)
+        coeffs[i] = 0
         for j, d in enumerate(phi[:-1]):
             coeffs[i - deg + j] -= c * d
-    return all(c == 0 for c in coeffs[:deg])
+    return not any(coeffs[:deg])
 
 
 @dataclass(frozen=True)
@@ -210,16 +224,6 @@ class SupportReport:
     holds: bool
 
 
-def _dual_weight_terms(lam: LatticeUnion, xi: Vec3) -> list[tuple[Fraction, Fraction]]:
-    terms = []
-    for comp in lam.components:
-        if all(xi.dot(b).denominator == 1 for b in comp.lattice.basis):
-            terms.append(
-                (Fraction(comp.weight) / comp.lattice.covolume(), comp.offset.dot(xi))
-            )
-    return terms
-
-
 def support_bound_check(z: Zonotope, lam: LatticeUnion, radius) -> SupportReport:
     """Verify the spectrum of a periodic translate set obeys the frame bound.
 
@@ -228,30 +232,50 @@ def support_bound_check(z: Zonotope, lam: LatticeUnion, radius) -> SupportReport
     demands that each frequency with nonvanishing weight is either zero or in
     the transform zero set of every frame. Frequencies whose weights cancel
     exactly are exempt and reported separately.
+
+    Frequencies are integer triples X over one denominator q, xi = X / q: the
+    ball test, dual membership (<xi, b> integral for every basis vector b)
+    and the phase numerators <offset, xi> are integer dot products.
     """
     if not isinstance(lam, LatticeUnion):
         raise ValueError("periodic description required")
     r = rat(radius)
     if r <= 0:
         raise ValueError("radius must be positive")
-    corner = Vec3.of(r, r, r)
-    cands = list(dict.fromkeys(
-        p
-        for comp in lam.components
-        for p in lattice_points_in_box(dual_lattice(comp.lattice), VEC_ZERO, -corner, corner)
-        if p.norm_sq() <= r * r
-    ))
+    corner = Vec3(r, r, r)
+    boxes = [box_point_ints(dual_lattice(c.lattice), VEC_ZERO, -corner, corner)
+             for c in lam.components]
+    q = math.lcm(*(den for _, den in boxes))
+    # |X|^2 / q^2 <= r^2, cleared of denominators
+    ball = (r.numerator * q) ** 2
+    rd2 = r.denominator**2
+    cands: dict[tuple[int, int, int], None] = {}
+    for pts, den in boxes:
+        s = q // den
+        for x, y, w in pts:
+            if (x * x + y * y + w * w) * s * s * rd2 <= ball:
+                cands[(x * s, y * s, w * s)] = None
+    # per component: basis rows and offset over q-scaled denominators, weight / covolume
+    comps = []
+    for c in lam.components:
+        rows, bden = c.lattice._basis_ints
+        off, oden = int_row(c.offset)
+        comps.append((rows, bden * q, off, oden * q, Fraction(c.weight) / c.lattice.covolume()))
     frames = z.frames()
     violations: list[Vec3] = []
     cancelled: list[Vec3] = []
-    for xi in cands:
-        if rou_sum_is_zero(_dual_weight_terms(lam, xi)):
-            if not xi.is_zero():
-                cancelled.append(xi)
-            continue
-        if xi.is_zero():
-            continue
-        if not all(zero_set_member(fr, xi) for fr in frames):
+    for x, y, w in cands:
+        if not (x or y or w):
+            continue  # the weights are positive, so the zero frequency never cancels
+        terms = [
+            (coeff, Fraction(o0 * x + o1 * y + o2 * w, oq))
+            for rows, bq, (o0, o1, o2), oq, coeff in comps
+            if all((b0 * x + b1 * y + b2 * w) % bq == 0 for b0, b1, b2 in rows)
+        ]
+        xi = Vec3(Fraction(x, q), Fraction(y, q), Fraction(w, q))
+        if rou_sum_is_zero(terms):
+            cancelled.append(xi)
+        elif not all(zero_set_member(fr, xi) for fr in frames):
             violations.append(xi)
     return SupportReport(
         r, len(cands), tuple(violations), tuple(cancelled), not violations

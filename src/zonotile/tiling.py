@@ -147,11 +147,21 @@ def _coset_multiplicity(lam: SlabChoice, u: Vec3, coords: np.ndarray) -> np.ndar
 
 
 def _family_count(lat: Lattice, shift: Vec3, mult: Multiplicity, p: Vec3) -> int:
-    """How often the translate p occurs in one family (0 if off the lattice)."""
-    c = lat.coords(p - shift)
-    if any(t.denominator != 1 for t in c):
-        return 0
-    return int(mult(np.array([[int(t) for t in c]]))[0])
+    """How often the translate p occurs in one family (0 if off the lattice).
+
+    Coordinate i of p - shift is R_i . (P - S) / (d * den) for the lattice's
+    integer coordinate rows R_i over den and p, shift = P / d, S / d.
+    """
+    (p0, p1, p2, s0, s1, s2), d = int_row((*p, *shift))
+    rows, den = lat._coord_ints
+    big = d * den
+    coords = []
+    for r0, r1, r2 in rows:
+        k, rem = divmod(r0 * (p0 - s0) + r1 * (p1 - s1) + r2 * (p2 - s2), big)
+        if rem:
+            return 0
+        coords.append(k)
+    return int(mult(np.array([coords]))[0])
 
 
 def coverage(z: Zonotope, lam: LatticeUnion | SlabChoice, x: Vec3) -> int:
@@ -195,10 +205,14 @@ def _kernel_counts(
     counts = np.zeros(len(nums), dtype=np.int64)
     border = np.zeros(len(nums), dtype=bool)
     for lat, shift, mult in translate_families(lam):
-        rows = lat._coord_rows
-        a, rden = int_row(t for r in rows for t in (*r, r.dot(shift)))
-        a = np.array(a, dtype=object).reshape(3, 4)  # row i: r_i, r_i . shift; times rden
-        big = den * rden
+        rows, rden = lat._coord_ints
+        (s0, s1, s2), sden = int_row(shift)
+        # row i: r_i and r_i . shift, times rden * sden
+        a = np.array(
+            [(r0 * sden, r1 * sden, r2 * sden, r0 * s0 + r1 * s1 + r2 * s2) for r0, r1, r2 in rows],
+            dtype=object,
+        )
+        big = den * rden * sden
         y = nums @ a[:, :3].T - a[:, 3] * den
         fl = y // big
         gh = np.array(
@@ -210,7 +224,7 @@ def _kernel_counts(
         q = side // big
         thr = q + (side - q * big != 0)
         ranges = [range(floor(-z.support_value(-r)), floor(z.support_value(r)) + 1)
-                  for r in rows]
+                  for r in lat._coord_rows]
         ks = np.array(list(product(*ranges)), dtype=object)
         gk = ks @ g.T
         if all(np.abs(t).max(initial=0) < _INT64_SAFE for t in (thr, gk, ks, fl)):

@@ -55,6 +55,8 @@ class Frame:
 
     Legs are the segments base + [0, e], base + tau1 + [0, e] on one facet and
     base + tau2 + [0, e], base + tau1 + tau2 + [0, e] on the opposite facet.
+    ``vector_ints()`` gives e, tau1 and tau2 as nine integers over one
+    denominator; a zonotope fills it from its own integers.
     """
 
     e: Vec3
@@ -62,9 +64,18 @@ class Frame:
     tau1: Vec3
     tau2: Vec3
     facet_index: int
+    _ints: tuple[tuple[int, ...], int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def vectors(self) -> tuple[Vec3, Vec3, Vec3]:
         return (self.e, self.tau1, self.tau2)
+
+    def vector_ints(self) -> tuple[tuple[int, ...], int]:
+        if self._ints is None:
+            flat, den = int_row((*self.e, *self.tau1, *self.tau2))
+            object.__setattr__(self, "_ints", (tuple(flat), den))
+        return self._ints
 
     def is_degenerate(self) -> bool:
         return det3(self.e, self.tau1, self.tau2) == 0
@@ -417,6 +428,7 @@ class Zonotope:
                     tau2=_vec(tau2, den),
                     facet_index=fi,
                 )
+                object.__setattr__(frame, "_ints", ((*e, *tau1, *tau2), den))
                 (bad if det_int((e, tau1, tau2)) == 0 else frames).append(frame)
         self._frames = tuple(frames)
         self._degenerate_frames = tuple(bad)

@@ -1,4 +1,5 @@
 """Shared fixtures, random-object helpers, and the criterion summary hook."""
+import math
 import random
 import re
 from fractions import Fraction
@@ -104,3 +105,25 @@ def random_two_flat_zonotope(rng: random.Random, n1: int, n2: int) -> Zonotope:
     if rank_of(gens) < 3:
         return random_two_flat_zonotope(rng, n1, n2)
     return Zonotope(tuple(gens))
+
+
+def corner_ranges(lat, shift: Vec3, lo: Vec3, hi: Vec3) -> list[range]:
+    """Coordinate ranges from the eight box corners, in Fraction arithmetic.
+
+    The enumeration ``lattice_points_in_box`` used before its ranges moved to
+    integers, kept as the oracle for its ranges, points and order.
+    """
+    corners = [Vec3(cx, cy, cz) for cx in (lo.x, hi.x) for cy in (lo.y, hi.y) for cz in (lo.z, hi.z)]
+    ranges = []
+    for row in lat._coord_rows:
+        vals = [row.dot(c - shift) for c in corners]
+        ranges.append(range(math.ceil(min(vals)), math.floor(max(vals)) + 1))
+    return ranges
+
+
+def corner_box_points(lat, shift: Vec3, lo: Vec3, hi: Vec3) -> list[Vec3]:
+    """shift + sum k_i b_i over ``corner_ranges``, nested loops, last k fastest."""
+    points = [shift]
+    for ks, b in zip(corner_ranges(lat, shift, lo, hi), lat.basis):
+        points = [p + b * k for p in points for k in ks]
+    return points

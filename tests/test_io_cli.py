@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from zonotile import cli
 from zonotile.cli import main
 from zonotile.io import (
     decimal_str,
@@ -169,6 +170,23 @@ def test_cli_weird_gen_and_materialize(tmp_path, capsys):
     assert rep["construction"]["n_value"] == 2 and rep["construction"]["base_level"] == 1
     pts = rep["points"]
     assert pts and all(len(p["point"]) == 3 and p["multiplicity"] >= 1 for p in pts)
+
+
+def test_cli_materialize_refuses_huge_window(tmp_path, capsys, monkeypatch):
+    z = write(tmp_path, "z.json", CUBE_JSON)
+    argv = ["weird-gen", z, "--v-indices", "0 1", "--coefficients", "1/2 1/2", "--materialize"]
+    huge = "--window=-1e6 1e6 -1e6 1e6 -1e6 1e6"
+    assert main(argv + [huge]) == 2  # refused from the coordinate ranges alone
+    assert "candidate translates" in capsys.readouterr().err
+    # in [-1, 1]^3 the offsets 0, (1/2, 0, 0), (0, 1/2, 0) and (1/2, 1/2, 0)
+    # of the cube's families over Z^3 have 27 + 18 + 18 + 12 candidates
+    small = "--window=-1 1 -1 1 -1 1"
+    monkeypatch.setattr(cli, "_MATERIALIZE_LIMIT", 74)
+    assert main(argv + [small]) == 2
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_MATERIALIZE_LIMIT", 75)
+    assert main(argv + [small]) == 0
+    assert json.loads(capsys.readouterr().out)["points"]
 
 
 def test_cli_round_trip_weird_translates_into_verify(tmp_path, capsys):

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zonotile.lattices import (
     CosetEnumeration,
     Lattice,
+    box_count,
     coset_reps,
     dual_lattice,
     lattice_from_vectors,
@@ -15,7 +18,9 @@ from zonotile.lattices import (
     plane_section,
     subspace_dual,
 )
-from zonotile.linalg import Vec3
+from zonotile.linalg import Vec3, rank_of
+
+from conftest import corner_box_points, corner_ranges
 
 E1, E2, E3 = Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)
 
@@ -186,3 +191,30 @@ def test_lattice_points_in_box_exact_for_full_rank():
     assert brute <= got  # complete
     for p in got:
         assert skew.contains(p - Vec3(Fraction(1, 2), 0, 0))
+
+
+small_rat = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+rat_vec = st.builds(Vec3, small_rat, small_rat, small_rat)
+
+
+@st.composite
+def shifted_boxes(draw):
+    """A lattice of rank 1 to 3 on a random (not reduced) basis, a shift and a box."""
+    rank = draw(st.integers(1, 3))
+    basis = draw(st.lists(rat_vec, min_size=rank, max_size=rank))
+    assume(rank_of(basis) == rank)
+    lat = Lattice(basis)
+    lo, width = draw(rat_vec), draw(st.lists(small_rat, min_size=3, max_size=3))
+    hi = Vec3(*(a + abs(w) for a, w in zip(lo, width)))
+    return lat, draw(rat_vec), lo, hi
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(shifted_boxes())
+def test_box_enumeration_matches_corner_ranges(case):
+    lat, shift, lo, hi = case
+    ranges = corner_ranges(lat, shift, lo, hi)
+    assume(np.prod([len(r) for r in ranges]) <= 4000)
+    got = lattice_points_in_box(lat, shift, lo, hi)
+    assert got == corner_box_points(lat, shift, lo, hi)  # same points, same order
+    assert box_count(lat, shift, lo, hi) == len(got)

@@ -5,10 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from zonotile.lattices import lattice_from_vectors
-from zonotile.linalg import Vec3
+from zonotile.lattices import Lattice, dual_lattice, lattice_from_vectors
+from zonotile.linalg import Vec3, det3, rank_of
 from zonotile.spectral import (
+    SupportReport,
+    _cyclotomic,
     gaussian_leg_pairing,
     leg_ft,
     leg_level_zero_check,
@@ -20,7 +24,7 @@ from zonotile.spectral import (
 from zonotile.tiling import LatticeComponent, LatticeUnion
 from zonotile.zonotope import Zonotope
 
-from conftest import E1, E2, E3, ZERO
+from conftest import E1, E2, E3, ZERO, corner_box_points, corner_ranges
 
 
 def quad_leg_ft(legs, xi, n=4000):
@@ -231,3 +235,110 @@ def test_gaussian_pairing_translation_invariance(cube):
     m = leg_measure(cube.frames()[1])
     rep = leg_level_zero_check(m, shifted, trials=2, tol=1e-6, seed=9)
     assert rep.passed
+
+
+# -- oracle: the support check in plain Fraction arithmetic -----------------
+
+
+def fraction_zero_set_member(fr, xi):
+    se = xi.dot(fr.e)
+    if se.denominator == 1 and se != 0:
+        return True
+    return any(xi.dot(tau).denominator == 1 for tau in (fr.tau1, fr.tau2))
+
+
+def fraction_rou_sum_is_zero(terms):
+    q = math.lcm(*(phase.denominator for _, phase in terms))
+    coeffs = [Fraction(0)] * q
+    for coeff, phase in terms:
+        coeffs[-phase.numerator * (q // phase.denominator) % q] += coeff
+    phi = _cyclotomic(q)
+    deg = len(phi) - 1
+    for i in range(q - 1, deg - 1, -1):
+        c = coeffs[i]
+        if c == 0:
+            continue
+        coeffs[i] = Fraction(0)
+        for j, d in enumerate(phi[:-1]):
+            coeffs[i - deg + j] -= c * d
+    return all(c == 0 for c in coeffs[:deg])
+
+
+def reference_support_check(z, lam, radius):
+    """Every dual point in the ball as a Vec3, with Fraction dot products."""
+    r = Fraction(radius)
+    corner = Vec3(r, r, r)
+    cands = list(dict.fromkeys(
+        p
+        for comp in lam.components
+        for p in corner_box_points(dual_lattice(comp.lattice), ZERO, -corner, corner)
+        if p.norm_sq() <= r * r
+    ))
+    violations, cancelled = [], []
+    for xi in cands:
+        terms = [
+            (Fraction(comp.weight) / abs(det3(*comp.lattice.basis)), comp.offset.dot(xi))
+            for comp in lam.components
+            if all(xi.dot(b).denominator == 1 for b in comp.lattice.basis)
+        ]
+        if fraction_rou_sum_is_zero(terms):
+            if not xi.is_zero():
+                cancelled.append(xi)
+        elif not xi.is_zero() and not all(fraction_zero_set_member(fr, xi) for fr in z.frames()):
+            violations.append(xi)
+    return SupportReport(r, len(cands), tuple(violations), tuple(cancelled), not violations)
+
+
+oracle_rat = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+oracle_vec = st.builds(Vec3, oracle_rat, oracle_rat, oracle_rat)
+body_gen = st.builds(Vec3, *[st.integers(-1, 1)] * 3).filter(lambda v: not v.is_zero())
+radii = st.sampled_from([1, 2, 3, Fraction(3, 2), Fraction(5, 2), Fraction(7, 3)])
+shear = st.builds(Fraction, st.integers(-1, 1), st.sampled_from([1, 2, 3]))
+pitch = st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)])
+
+
+@st.composite
+def components(draw):
+    """A sheared triangular basis, mixed by a unimodular step, so non-diagonal."""
+    p1, p2, p3 = (draw(pitch) for _ in range(3))
+    s12, s13, s23 = (draw(shear) for _ in range(3))
+    b1, b2, b3 = Vec3(p1, s12, s13), Vec3(0, p2, s23), Vec3(0, 0, p3)
+    k = draw(st.integers(-1, 1))
+    basis = (b1 + b2 * k, b2 + b3 * draw(st.integers(-1, 1)), b3)
+    return LatticeComponent(Lattice(basis), draw(oracle_vec), draw(st.integers(1, 2)))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    gens=st.lists(body_gen, min_size=3, max_size=5).filter(lambda g: rank_of(g) == 3),
+    comps=st.lists(components(), min_size=1, max_size=3),
+    twin=st.booleans(),
+    radius=radii,
+)
+def test_support_bound_matches_fraction_reference(gens, comps, twin, radius):
+    if twin:  # a copy half a period along b1 away: the weights cancel where <xi, b1> is odd
+        c = comps[0]
+        comps.append(LatticeComponent(c.lattice, c.offset + c.lattice.basis[0] * Fraction(1, 2), c.weight))
+    r = Fraction(radius)
+    corner = Vec3(r, r, r)
+    for c in comps:
+        ranges = corner_ranges(dual_lattice(c.lattice), ZERO, -corner, corner)
+        assume(np.prod([len(k) for k in ranges]) <= 1500)
+    z, lam = Zonotope(gens), LatticeUnion(tuple(comps))
+    assert support_bound_check(z, lam, radius) == reference_support_check(z, lam, radius)
+
+
+def test_support_bound_matches_reference_with_violations_and_cancellation(rd4):
+    # two sparse components half a period apart cancel at odd first
+    # coordinates; the others lie off the frames' zero sets
+    sparse = Lattice((E1 * 2, E2 * 2 + E3 * Fraction(2, 3), E3 * 2))
+    lam = LatticeUnion(
+        (
+            LatticeComponent(sparse, Vec3(Fraction(1, 3), 0, Fraction(1, 2))),
+            LatticeComponent(sparse, Vec3(Fraction(4, 3), 0, Fraction(1, 2)), 1),
+            LatticeComponent(lattice_from_vectors([E1, E2 + E1 * Fraction(1, 2), E3 * 3]), ZERO, 2),
+        )
+    )
+    rep = support_bound_check(rd4, lam, Fraction(5, 2))
+    assert rep.violations and rep.cancelled
+    assert rep == reference_support_check(rd4, lam, Fraction(5, 2))

@@ -337,3 +337,66 @@ def test_kernel_matches_coverage_slab_choice(choice, families, xs):
         s_off, t_off = tuple(families[:2]), tuple(families[2:])
         lam = SlabChoice(lam.gamma, lam.sub, lam.cosets, s_off, t_off, choice)
     assert_kernel_matches_coverage(_CUBE_CONSTRUCTION.zonotope, lam, xs)
+
+
+# -- property: translate multiplicity against Fraction lattice coordinates ---
+
+
+def coords_multiplicity(lam, p):
+    """Multiplicity of the translate p from ``Lattice.coords`` and coset indices."""
+    if isinstance(lam, LatticeUnion):
+        return sum(c.weight for c in lam.components if on_lattice(c.lattice, p - c.offset))
+    total = 0
+    for u in dict.fromkeys(lam.s_offsets + lam.t_offsets):
+        if on_lattice(lam.gamma, p - u):
+            total += lam.offsets_for(lam.cosets.index_of(p - u)).count(u)
+    return total
+
+
+def on_lattice(lat, v):
+    return all(t.denominator == 1 for t in lat.coords(v))
+
+
+@st.composite
+def union_points(draw):
+    """A two-component union on non-diagonal lattices, and points on, near and off it."""
+    lats = [z3(), lattice_from_vectors([E1 * 2, E2 + E3 * THIRD, E3 + E1 * HALF])]
+    comps = tuple(
+        LatticeComponent(lat, draw(rat_vec), draw(st.integers(1, 3))) for lat in lats
+    )
+    pts = []
+    for _ in range(draw(st.integers(1, 6))):
+        c = draw(st.sampled_from(comps))
+        k = draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+        pts.append(c.lattice.point(k) + c.offset + draw(st.sampled_from([ZERO, ZERO, E1 * HALF])))
+    return LatticeUnion(comps), pts + draw(points)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(union_points())
+def test_translate_multiplicity_matches_coords_union(case):
+    lam, pts = case
+    for p in pts:
+        assert translate_multiplicity(lam, p) == coords_multiplicity(lam, p)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    choice=st.dictionaries(st.integers(-6, 6), st.sampled_from("ST"), max_size=6),
+    families=st.none() | st.lists(rat_vec, min_size=4, max_size=4),
+    ks=st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), max_size=6),
+    xs=points,
+)
+def test_translate_multiplicity_matches_coords_slab_choice(choice, families, ks, xs):
+    lam = build_weird(_CUBE_CONSTRUCTION, choice)
+    if families is not None:
+        s_off, t_off = tuple(families[:2]), tuple(families[2:])
+        lam = SlabChoice(lam.gamma, lam.sub, lam.cosets, s_off, t_off, choice)
+    # lattice points of gamma shifted by each offset, plus drawn rational points
+    on = [lam.gamma.point(k) + u for k in ks for u in lam.s_offsets + lam.t_offsets]
+    hits = 0
+    for p in on + xs:
+        want = coords_multiplicity(lam, p)
+        assert translate_multiplicity(lam, p) == want
+        hits += want > 0
+    assert hits or not ks
