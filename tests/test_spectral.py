@@ -329,8 +329,9 @@ def test_support_bound_matches_fraction_reference(gens, comps, twin, radius):
 
 
 def test_support_bound_matches_reference_with_violations_and_cancellation(rd4):
-    # two sparse components half a period apart cancel at odd first
-    # coordinates; the others lie off the frames' zero sets
+    # two sparse components half a period apart along E1 cancel where 2 xi_x
+    # is odd and the third component's dual misses xi; most other nonzero
+    # frequencies lie off some frame's zero set
     sparse = Lattice((E1 * 2, E2 * 2 + E3 * Fraction(2, 3), E3 * 2))
     lam = LatticeUnion(
         (

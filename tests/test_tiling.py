@@ -359,7 +359,7 @@ def on_lattice(lat, v):
 
 @st.composite
 def union_points(draw):
-    """A two-component union on non-diagonal lattices, and points on, near and off it."""
+    """A union of Z^3 and a non-diagonal lattice, and points on, near and off it."""
     lats = [z3(), lattice_from_vectors([E1 * 2, E2 + E3 * THIRD, E3 + E1 * HALF])]
     comps = tuple(
         LatticeComponent(lat, draw(rat_vec), draw(st.integers(1, 3))) for lat in lats
