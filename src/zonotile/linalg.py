@@ -144,8 +144,8 @@ def det3(a: Vec3, b: Vec3, c: Vec3) -> Fraction:
     return a.dot(b.cross(c))
 
 
-def rank_of(vectors: Iterable[Vec3]) -> int:
-    """Rank of a set of rational 3-vectors.
+def rank_of(vectors: Iterable[Sequence[Fraction | int]]) -> int:
+    """Rank of a set of rational 3-vectors: ``Vec3``s or integer triples.
 
     Each row is cleared to integers with ``int_row``; fraction-free (Bareiss)
     elimination then keeps every entry an integer minor, so each division by

@@ -5,15 +5,20 @@ only at the origin: for every nonzero direction u, some frame has no member
 orthogonal to u. When it holds, the spectrum of any tiling translate set is
 forced to be discrete, which guarantees quasi-periodicity. When it fails the
 witness line must be explained by a two-flat generator split, and ``classify``
-cross-checks exactly that implication. Both deciders work on primitive integer
-triples with exact integer dot and cross products, at any coordinate scale.
+cross-checks exactly that implication. Unless one direction lies in every
+frame, a witness is parallel to a x b for a member a of the first frame and
+a member b of the first frame that lacks a, so the decider tests at most
+nine candidate directions instead of every pair. Both deciders work on
+primitive integer triples, read from the frames' and the generators'
+integers, with exact integer dot and cross products, at any coordinate scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .linalg import Vec3, int_row, primitive, primitive_triple, rank_of
+from .linalg import Vec3, primitive, primitive_triple, rank_of
 from .zonotope import Frame, Zonotope
 
 _AXES = (Vec3.of(1, 0, 0), Vec3.of(0, 1, 0), Vec3.of(0, 0, 1))
@@ -61,48 +66,55 @@ def canonical_perp(d: Vec3) -> Vec3:
     return min(cands)
 
 
-def _satisfied_indices(frames: tuple[Frame, ...], u: Vec3) -> tuple[int, ...]:
-    out = []
-    for fr in frames:
-        idx = next(i for i, v in enumerate(fr.vectors()) if v.dot(u) == 0)
-        out.append(idx)
-    return tuple(out)
-
-
 def intersection_property(frames: tuple[Frame, ...]) -> IntersectionVerdict:
     """Decide whether the frames' orthogonal-complement union intersects in 0.
 
     Fails with witness u exactly when every frame owns a vector orthogonal
-    to u. Any such u has its orthogonal frame vectors either all parallel to
-    one direction d (then any vector orthogonal to d is a witness) or
-    containing two independent members a, b (then u is parallel to a x b), so
-    scanning single directions and cross products of frame-vector pairs is
-    exhaustive. Frame vectors are reduced once to primitive integer triples;
-    candidates are their integer cross products, tested by integer dot products.
+    to u. Each frame's e, tau1 and tau2 are read as primitive integer triples
+    from ``Frame.vector_ints()``. If one direction d lies in every frame, the
+    witness is ``canonical_perp(d)``. Otherwise take a witness u: some a in the
+    first frame is orthogonal to u, the first frame without a has some b
+    orthogonal to u, and b is not parallel to a, so u is parallel to a x b.
+    Those at most nine cross products are therefore every witness direction;
+    each is tested against all frames, and none passing means the property
+    holds. The reported witness is the first pair (i, j), i < j, of distinct
+    frame directions in first-seen order whose cross product is a witness.
+    For a witness u that pair is u's first two orthogonal directions, so the
+    earliest one over the passing candidates is taken without a pair scan.
     """
     if not frames:
         raise ValueError("no frames")
-    vecs = dict.fromkeys(v for fr in frames for v in fr.vectors())
-    ints = {v: primitive_triple(int_row(v)[0]) for v in vecs}
-    trios = list(dict.fromkeys(tuple(ints[v] for v in fr.vectors()) for fr in frames))
-    dirs = list(dict.fromkeys(d for trio in trios for d in trio))
-    for d in dirs:
+    per_frame = []
+    for fr in frames:
+        c = fr.vector_ints()[0]
+        per_frame.append(tuple(primitive_triple(c[k : k + 3]) for k in (0, 3, 6)))
+    trios = list(dict.fromkeys(per_frame))
+
+    def orthogonal(v: tuple[int, int, int], u: tuple[int, int, int]) -> bool:
+        return v[0] * u[0] + v[1] * u[1] + v[2] * u[2] == 0
+
+    def failing(u: tuple[int, int, int]) -> IntersectionVerdict:
+        sat = tuple(next(i for i, v in enumerate(t) if orthogonal(v, u)) for t in per_frame)
+        return IntersectionVerdict(False, Vec3.of(*u), sat)
+
+    for d in trios[0]:
         if all(d in trio for trio in trios):
-            u = canonical_perp(Vec3.of(*d))
-            return IntersectionVerdict(False, u, _satisfied_indices(frames, u))
-    tried: set[tuple[int, int, int]] = set()
-    for i, (a0, a1, a2) in enumerate(dirs):
-        for b0, b1, b2 in dirs[i + 1 :]:
+            return failing(tuple(c.numerator for c in canonical_perp(Vec3.of(*d))))
+    cands = set()
+    for a in trios[0]:
+        a0, a1, a2 = a
+        for b0, b1, b2 in next(t for t in trios if a not in t):
             # distinct sign-canonical primitive directions are never parallel
-            u = primitive_triple((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
-            u0, u1, u2 = u
-            if u in tried:
-                continue
-            tried.add(u)
-            if all(any(v0 * u0 + v1 * u1 + v2 * u2 == 0 for v0, v1, v2 in t) for t in trios):
-                w = Vec3.of(*u)
-                return IntersectionVerdict(False, w, _satisfied_indices(frames, w))
-    return IntersectionVerdict(True)
+            cands.add(primitive_triple((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)))
+    valid = [u for u in cands if all(any(orthogonal(v, u) for v in t) for t in trios)]
+    if not valid:
+        return IntersectionVerdict(True)
+    dirs = list(dict.fromkeys(d for trio in trios for d in trio))
+
+    def first_pair(u: tuple[int, int, int]) -> list[int]:
+        return list(islice((i for i, d in enumerate(dirs) if orthogonal(d, u)), 2))
+
+    return failing(min(valid, key=first_pair))
 
 
 def two_flat(z: Zonotope) -> TwoFlatVerdict:
@@ -138,11 +150,11 @@ def two_flat(z: Zonotope) -> TwoFlatVerdict:
             b0, b1, b2 = ints[j]
             n0, n1, n2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
             h1 = [k for k, (c0, c1, c2) in enumerate(ints) if n0 * c0 + n1 * c1 + n2 * c2 == 0]
-            rest = [dirs[k] for k in range(len(classes)) if k not in h1]
+            rest = [ints[k] for k in range(len(classes)) if k not in h1]
             if not rest or rank_of(rest) <= 2:
                 return verdict(h1)
     for i in range(len(classes)):
-        rest = [dirs[k] for k in range(len(classes)) if k != i]
+        rest = [ints[k] for k in range(len(classes)) if k != i]
         if rank_of(rest) <= 2:
             return verdict([i])
     return TwoFlatVerdict(False)

@@ -170,7 +170,6 @@ class Zonotope:
         self.direction_classes = tuple((_vec(d), m) for d, m in self._classes)
         self._build_facets()
         self._frames: tuple[Frame, ...] | None = None
-        self._degenerate_frames: tuple[Frame, ...] | None = None
         self._paving: Paving | None = None
 
     # -- construction helpers ------------------------------------------------
@@ -382,15 +381,26 @@ class Zonotope:
         return self._frames
 
     def degenerate_frames(self) -> tuple[Frame, ...]:
-        if self._degenerate_frames is None:
-            self._build_frames()
-        return self._degenerate_frames
+        """Always empty: no frame of a zonotope is degenerate (see ``_build_frames``)."""
+        return ()
 
     def _build_frames(self) -> None:
-        """Frames of every facet pair, on the integer generators over ``_den``."""
+        """Frames of every facet pair, on the integer generators over ``_den``.
+
+        Every frame is non-degenerate. Take the facet normal n, the class
+        direction d in the facet plane and w = n x d, so d, w and n are
+        orthogonal. e is a positive sum of class members, so e is a nonzero
+        multiple of d. tau1 lies in the facet plane, and its component along
+        w is plus or minus the sum of |v . w| over the members v of the
+        other in-plane classes. The plane is spanned by two classes, so
+        there is such a v, and v . w != 0 for each, so that component is
+        nonzero. The base lies on the facet, so n . tau2 = 2 (n . center - support),
+        which is negative because the center is interior. In the basis
+        (d, w, n) the matrix of (e, tau1, tau2) is triangular with a nonzero
+        diagonal, so det(e, tau1, tau2) != 0.
+        """
         den, g, c2 = self._den, self._g, self._c2
         frames: list[Frame] = []
-        bad: list[Frame] = []
         for fi, (n0, n1, n2), o in self._facet_pairs:
             in_plane = [
                 (d, members)
@@ -429,9 +439,10 @@ class Zonotope:
                     facet_index=fi,
                 )
                 object.__setattr__(frame, "_ints", ((*e, *tau1, *tau2), den))
-                (bad if det_int((e, tau1, tau2)) == 0 else frames).append(frame)
+                if det_int((e, tau1, tau2)) == 0:
+                    raise AssertionError("degenerate frame: implementation bug")
+                frames.append(frame)
         self._frames = tuple(frames)
-        self._degenerate_frames = tuple(bad)
 
 
 def _vec(ints: Sequence[int], den: int = 1) -> Vec3:

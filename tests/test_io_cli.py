@@ -3,6 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zonotile import cli
 from zonotile.cli import main
@@ -302,3 +303,46 @@ def test_cli_huge_decimal_exponent_exits_2(tmp_path, capsys):
     union = LatticeUnion((LatticeComponent(lattice_from_vectors([E1, E2, E3]), ZERO),))
     lam = write(tmp_path, "lam.json", dumps(translate_set_to_json(union)))
     assert_input_error(capsys, ["verify-tiling", z, lam, "--window", "0 1e5000 0 1 0 1"])
+
+
+# -- fuzz: any JSON document gives an exit code, never a traceback ----------
+
+_leaf = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats()
+    | st.text(max_size=5)
+    | st.sampled_from(["0", "1", "-1", "2", "1/2", "-2/3", "0.25", "1e3", "1/0", "x", ""])
+)
+_json = st.recursive(
+    _leaf,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["generators", "translate", "a"]) | st.text(max_size=3), kids, max_size=3
+    ),
+    max_leaves=10,
+)
+_coord = st.sampled_from(["0", "1", "-1", "2", "1/2", "-2/3"])
+# well-formed bodies include zero, parallel and non-spanning generators;
+# malformed ones put arbitrary JSON where vectors and coordinates belong
+_vec = st.lists(_coord, min_size=3, max_size=3)
+_bad_vec = _json | st.lists(_coord | _leaf, max_size=4)
+_body = st.fixed_dictionaries(
+    {"generators": st.lists(_vec, min_size=3, max_size=5)}, optional={"translate": _vec}
+)
+_bad_body = st.fixed_dictionaries(
+    {"generators": _json | st.lists(_vec | _bad_vec, max_size=4)}, optional={"translate": _bad_vec}
+)
+
+FUZZED_COMMANDS = ("classify", "frames", "check-intersection", "pave", "export-mesh", "weird-gen")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(doc=_body | _bad_body | _json)
+def test_cli_fuzzed_json_never_raises(tmp_path_factory, doc):
+    d = tmp_path_factory.mktemp("fuzz")
+    path = d / "z.json"
+    path.write_text(json.dumps(doc))
+    for cmd in FUZZED_COMMANDS:
+        assert main([cmd, str(path), "--out", str(d / "out")]) in (0, 1, 2)

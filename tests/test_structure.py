@@ -6,11 +6,27 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zonotile.linalg import Vec3, primitive, rank_of
-from zonotile.structure import classify, intersection_property, two_flat
-from zonotile.zonotope import Zonotope
+from zonotile.linalg import Vec3, int_row, primitive, primitive_triple, rank_of
+from zonotile.structure import (
+    IntersectionVerdict,
+    canonical_perp,
+    classify,
+    intersection_property,
+    two_flat,
+)
+from zonotile.zonotope import Frame, Zonotope
 
-from conftest import E1, E2, E3, TWO_FLAT_12, random_two_flat_zonotope, random_zonotope
+from conftest import (
+    E1,
+    E2,
+    E3,
+    TWO_FLAT_12,
+    ZERO,
+    random_int_vec,
+    random_rat_vec,
+    random_two_flat_zonotope,
+    random_zonotope,
+)
 
 
 def oracle_intersection_property(frames) -> bool:
@@ -227,3 +243,98 @@ def test_deciders_match_oracles_on_rational_bodies(gens):
     if not iv.holds:
         check_witness(z, iv)
     assert two_flat(z).is_two_flat == oracle_two_flat(z)
+
+
+# -- witness identity: candidate search against the all-pairs scan ---------
+
+
+def oracle_intersection_scan(frames):
+    """(holds, witness, satisfied indices) by scanning every direction pair.
+
+    Shared directions first, then the cross products of all pairs i < j of
+    distinct primitive frame directions in first-seen order; the first
+    candidate orthogonal to a member of every frame is the witness.
+    """
+    trios = list(
+        dict.fromkeys(tuple(primitive_triple(int_row(v)[0]) for v in fr.vectors()) for fr in frames)
+    )
+    dirs = list(dict.fromkeys(d for trio in trios for d in trio))
+
+    def failing(u):
+        sat = tuple(next(i for i, v in enumerate(fr.vectors()) if v.dot(u) == 0) for fr in frames)
+        return False, u, sat
+
+    for d in dirs:
+        if all(d in trio for trio in trios):
+            return failing(canonical_perp(Vec3.of(*d)))
+    for (a0, a1, a2), (b0, b1, b2) in itertools.combinations(dirs, 2):
+        u0, u1, u2 = primitive_triple((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+        if all(any(v0 * u0 + v1 * u1 + v2 * u2 == 0 for v0, v1, v2 in t) for t in trios):
+            return failing(Vec3.of(u0, u1, u2))
+    return True, None, None
+
+
+def rational_copy(rng, z) -> Zonotope:
+    """z with each generator scaled by a signed rational and a rational translate."""
+    gens = [v * Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)) for v in z.generators]
+    return Zonotope(gens, random_rat_vec(rng))
+
+
+def seeded_bodies(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.5:
+            z = random_zonotope(rng, rng.randint(3, 7))
+        else:
+            z = random_two_flat_zonotope(rng, rng.randint(2, 4), rng.randint(1, 4))
+        yield rational_copy(rng, z) if rng.random() < 0.5 else z
+
+
+def test_intersection_witness_matches_pair_scan():
+    branches = {True: 0, False: 0}
+    for z in seeded_bodies(91, 320):
+        iv = intersection_property(z.frames())
+        assert (iv.holds, iv.witness, iv.satisfied_indices) == oracle_intersection_scan(z.frames())
+        branches[iv.holds] += 1
+    assert branches[False] >= 100 and branches[True] >= 50
+
+
+def stretched(rows) -> Zonotope:
+    """The body of rows with its axes stretched by 10^30, 1 and 7^-20."""
+    stretch = (Fraction(10**30), Fraction(1), Fraction(1, 7**20))
+    return Zonotope(tuple(Vec3(*(s * c for s, c in zip(stretch, row))) for row in rows))
+
+
+HAND_BUILT_CASES = {
+    **{name: body(rows) for name, (rows, *_) in PINNED.items()},
+    **{f"{n}-stretched": stretched(PINNED[n][0]) for n in PINNED if n != "cube"},
+    **{f"seeded-{k}": z for k, z in enumerate(seeded_bodies(17, 12))},
+}
+
+
+@pytest.mark.parametrize("name", HAND_BUILT_CASES)
+def test_hand_built_frames_clear_their_own_integers(name):
+    # frames built outside a zonotope carry no cached integers, so
+    # vector_ints() clears their Fraction vectors on first use
+    z = HAND_BUILT_CASES[name]
+    rebuilt = tuple(Frame(f.e, f.base, f.tau1, f.tau2, f.facet_index) for f in z.frames())
+    assert all(f._ints is None for f in rebuilt)
+    assert intersection_property(rebuilt) == intersection_property(z.frames())
+    assert intersection_property(rebuilt) == IntersectionVerdict(*oracle_intersection_scan(rebuilt))
+
+
+def test_intersection_property_on_arbitrary_frame_sets():
+    # frames not taken from one zonotope, with repeats: the witness may be
+    # orthogonal to any member of the first frame, and indices are per frame
+    rng = random.Random(5)
+    branches = {True: 0, False: 0}
+    for _ in range(400):
+        frames = [
+            Frame(random_int_vec(rng), ZERO, random_int_vec(rng), random_int_vec(rng), k)
+            for k in range(rng.randint(1, 5))
+        ]
+        frames += rng.sample(frames, rng.randint(0, len(frames)))
+        iv = intersection_property(tuple(frames))
+        assert (iv.holds, iv.witness, iv.satisfied_indices) == oracle_intersection_scan(frames)
+        branches[iv.holds] += 1
+    assert min(branches.values()) >= 50

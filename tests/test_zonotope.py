@@ -240,6 +240,14 @@ def test_cube_frame_count(cube):
     assert not cube.degenerate_frames()
 
 
+def test_degenerate_frame_is_an_implementation_bug(monkeypatch):
+    # det(e, tau1, tau2) != 0 for every frame (see Zonotope._build_frames);
+    # a zero det can only come from a broken construction
+    monkeypatch.setattr("zonotile.zonotope.det_int", lambda rows: 0)
+    with pytest.raises(AssertionError, match="degenerate frame"):
+        Zonotope((E1, E2, E3)).frames()
+
+
 def test_parallel_generators_merge_for_facets_not_paving():
     z = Zonotope((E1, E1, E2, E3))
     assert len(z.facets) == 6
