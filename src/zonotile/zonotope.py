@@ -394,10 +394,11 @@ class Zonotope:
         w is plus or minus the sum of |v . w| over the members v of the
         other in-plane classes. The plane is spanned by two classes, so
         there is such a v, and v . w != 0 for each, so that component is
-        nonzero. The base lies on the facet, so n . tau2 = 2 (n . center - support),
-        which is negative because the center is interior. In the basis
-        (d, w, n) the matrix of (e, tau1, tau2) is triangular with a nonzero
-        diagonal, so det(e, tau1, tau2) != 0.
+        nonzero. The base lies on the facet, so
+        n . tau2 = 2 (n . center - support), which is negative because the
+        center is interior. In the basis (d, w, n) the matrix of
+        (e, tau1, tau2) is triangular with a nonzero diagonal, so
+        det(e, tau1, tau2) != 0.
         """
         den, g, c2 = self._den, self._g, self._c2
         frames: list[Frame] = []
