@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .linalg import Vec3, primitive, primitive_triple, rank_of
+# rank_of is unused here, but perfbench's tracer wraps this module's binding
+from .linalg import Vec3, primitive, primitive_triple, rank_of  # noqa: F401
 from .zonotope import Frame, Zonotope
 
 _AXES = (Vec3.of(1, 0, 0), Vec3.of(0, 1, 0), Vec3.of(0, 0, 1))
@@ -102,10 +103,9 @@ def intersection_property(frames: tuple[Frame, ...]) -> IntersectionVerdict:
             return failing(tuple(c.numerator for c in canonical_perp(Vec3.of(*d))))
     cands = set()
     for a in trios[0]:
-        a0, a1, a2 = a
-        for b0, b1, b2 in next(t for t in trios if a not in t):
+        for b in next(t for t in trios if a not in t):
             # distinct sign-canonical primitive directions are never parallel
-            cands.add(primitive_triple((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)))
+            cands.add(primitive_triple(_cross(a, b)))
     valid = [u for u in cands if all(any(orthogonal(v, u) for v in t) for t in trios)]
     if not valid:
         return IntersectionVerdict(True)
@@ -120,14 +120,21 @@ def intersection_property(frames: tuple[Frame, ...]) -> IntersectionVerdict:
 def two_flat(z: Zonotope) -> TwoFlatVerdict:
     """Can the generators be split into two sets, each spanning at most a plane?
 
-    Any valid split with a rank-2 side is found by testing plane candidates
-    spanned by pairs of direction classes (absorbing every coplanar class)
-    plus single-direction candidates; with at most four direction classes any
-    2+2 split works.
+    With at most four direction classes any 2+2 split works. Otherwise, for
+    each pair of classes in order, h1 is every class in the plane of the pair
+    and the split is found if the rest spans at most a plane. Distinct
+    sign-canonical primitive classes are never parallel, so the rest does
+    iff it has at most two members or every member is orthogonal to
+    rest[0] x rest[1], an integer test. The scan is complete: a split of five
+    or more classes has a side with two classes a, b spanning its plane, and
+    the pair (a, b) puts that whole side in h1 and leaves a rest inside the
+    other side. Testing single classes as h1 as well would add nothing: if
+    the rest without class d spans a plane P, those four or more classes
+    reach the pair scan first at their first two, whose h1 is every class in
+    P and whose rest is [d] (d is not in P, as the body has full rank).
     """
-    classes = z.direction_classes
-    dirs = [d for d, _ in classes]
-    ints = [tuple(c.numerator for c in d) for d in dirs]  # already primitive
+    classes = z._classes  # primitive integer triples and member indices
+    ints = [d for d, _ in classes]
 
     def verdict(h1_cls: list[int]) -> TwoFlatVerdict:
         h2_cls = [k for k in range(len(classes)) if k not in h1_cls]
@@ -136,8 +143,8 @@ def two_flat(z: Zonotope) -> TwoFlatVerdict:
 
         def normal_of(cls: list[int]) -> Vec3:
             if len(cls) >= 2:
-                return primitive(dirs[cls[0]].cross(dirs[cls[1]]))
-            return canonical_perp(dirs[cls[0]])
+                return Vec3.of(*primitive_triple(_cross(ints[cls[0]], ints[cls[1]])))
+            return canonical_perp(Vec3.of(*ints[cls[0]]))
 
         return TwoFlatVerdict(
             True, tuple(h1_idx), tuple(h2_idx), normal_of(h1_cls), normal_of(h2_cls)
@@ -145,19 +152,21 @@ def two_flat(z: Zonotope) -> TwoFlatVerdict:
 
     if len(classes) <= 4:
         return verdict([0, 1])
-    for i, (a0, a1, a2) in enumerate(ints):
-        for j in range(i + 1, len(classes)):
-            b0, b1, b2 = ints[j]
-            n0, n1, n2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    for i, a in enumerate(ints):
+        for b in ints[i + 1 :]:
+            n0, n1, n2 = _cross(a, b)
             h1 = [k for k, (c0, c1, c2) in enumerate(ints) if n0 * c0 + n1 * c1 + n2 * c2 == 0]
             rest = [ints[k] for k in range(len(classes)) if k not in h1]
-            if not rest or rank_of(rest) <= 2:
+            if len(rest) <= 2:
                 return verdict(h1)
-    for i in range(len(classes)):
-        rest = [ints[k] for k in range(len(classes)) if k != i]
-        if rank_of(rest) <= 2:
-            return verdict([i])
+            r0, r1, r2 = _cross(rest[0], rest[1])
+            if all(r0 * c0 + r1 * c1 + r2 * c2 == 0 for c0, c1, c2 in rest[2:]):
+                return verdict(h1)
     return TwoFlatVerdict(False)
+
+
+def _cross(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def classify(z: Zonotope) -> Classification:

@@ -5,11 +5,13 @@ denominators are cleared once, at construction: the generators and the
 translate are kept as integer triples over one denominator D, and the
 direction classes, facet normals, offsets and supports, the bounding box, the
 volume and the two-opposite-edges frames are all computed on Python ints.
-``Fraction`` and ``Vec3`` values are built only at the API edge, in the
-``direction_classes``, ``Facet`` and ``Frame`` fields. Membership in the body
-and in a paving cell is one integer half-space test: each facet or cell face
-is cleared to integers n, h, each point to X / d, and the point's excess
-n . X - h * d is compared with 0. No float takes part in a verdict.
+``Fraction`` and ``Vec3`` values are built only at the API edge: the
+``direction_classes`` at construction, the ``facets`` tuple and each
+``Frame``'s fields on first read, so the deciders, which read only integers,
+never build them. Membership in the body and in a paving cell is one integer
+half-space test: each facet or cell face is cleared to integers n, h, each
+point to X / d, and the point's excess n . X - h * d is compared with 0. No
+float takes part in a verdict.
 """
 
 from __future__ import annotations
@@ -49,36 +51,95 @@ class Facet:
     opposite_index: int
 
 
-@dataclass(frozen=True)
 class Frame:
     """Four parallel edges: two opposite edges of a facet and their reflections.
 
     Legs are the segments base + [0, e], base + tau1 + [0, e] on one facet and
     base + tau2 + [0, e], base + tau1 + tau2 + [0, e] on the opposite facet.
     ``vector_ints()`` gives e, tau1 and tau2 as nine integers over one
-    denominator; a zonotope fills it from its own integers.
+    denominator. A zonotope builds its frames from integer numerators over
+    its own denominator, and the ``Vec3`` fields e, base, tau1 and tau2 are
+    built from them on first read and cached; a frame built from ``Vec3``s
+    clears them to integers on the first ``vector_ints()`` call. Frames are
+    immutable, and equality, hashing and ``repr`` run over
+    (e, base, tau1, tau2, facet_index), as for a frozen dataclass.
     """
 
-    e: Vec3
-    base: Vec3
-    tau1: Vec3
-    tau2: Vec3
-    facet_index: int
-    _ints: tuple[tuple[int, ...], int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("_facet_index", "_vecs", "_ints", "_base")
+
+    def __init__(self, e: Vec3, base: Vec3, tau1: Vec3, tau2: Vec3, facet_index: int):
+        self._vecs: tuple[Vec3, Vec3, Vec3, Vec3] | None = (e, base, tau1, tau2)
+        self._ints: tuple[tuple[int, ...], int] | None = None
+        self._base: tuple[int, ...] = ()
+        self._facet_index = facet_index
+
+    @classmethod
+    def _from_ints(cls, e, base, tau1, tau2, den: int, facet_index: int) -> Frame:
+        """The frame of integer numerator triples over den; fields built on first read."""
+        fr = cls.__new__(cls)
+        fr._vecs = None
+        fr._ints = ((*e, *tau1, *tau2), den)
+        fr._base = tuple(base)
+        fr._facet_index = facet_index
+        return fr
+
+    def _fields(self) -> tuple[Vec3, Vec3, Vec3, Vec3]:
+        if self._vecs is None:
+            c, den = self._ints
+            e, tau1, tau2 = (_vec(c[k : k + 3], den) for k in (0, 3, 6))
+            self._vecs = (e, _vec(self._base, den), tau1, tau2)
+        return self._vecs
+
+    @property
+    def e(self) -> Vec3:
+        return self._fields()[0]
+
+    @property
+    def base(self) -> Vec3:
+        return self._fields()[1]
+
+    @property
+    def tau1(self) -> Vec3:
+        return self._fields()[2]
+
+    @property
+    def tau2(self) -> Vec3:
+        return self._fields()[3]
+
+    @property
+    def facet_index(self) -> int:
+        return self._facet_index
+
+    def _key(self) -> tuple:
+        return (*self._fields(), self._facet_index)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        e, base, tau1, tau2 = self._fields()
+        return (
+            f"Frame(e={e!r}, base={base!r}, tau1={tau1!r}, "
+            f"tau2={tau2!r}, facet_index={self._facet_index!r})"
+        )
 
     def vectors(self) -> tuple[Vec3, Vec3, Vec3]:
-        return (self.e, self.tau1, self.tau2)
+        e, _base, tau1, tau2 = self._fields()
+        return (e, tau1, tau2)
 
     def vector_ints(self) -> tuple[tuple[int, ...], int]:
         if self._ints is None:
-            flat, den = int_row((*self.e, *self.tau1, *self.tau2))
-            object.__setattr__(self, "_ints", (tuple(flat), den))
+            flat, den = int_row(c for v in self.vectors() for c in v)
+            self._ints = (tuple(flat), den)
         return self._ints
 
     def is_degenerate(self) -> bool:
-        return det3(self.e, self.tau1, self.tau2) == 0
+        return det3(*self.vectors()) == 0
 
     def leg_bases(self) -> tuple[Vec3, Vec3, Vec3, Vec3]:
         b = self.base
@@ -138,9 +199,10 @@ class Paving:
 class Zonotope:
     """Minkowski sum of segments [0, v_i] translated by ``translate``.
 
-    Generators must be nonzero and span R^3. The direction classes, facets
-    and bounding box are computed at construction; frames and the paving are
-    built on first use and cached. Treat instances as immutable.
+    Generators must be nonzero and span R^3. The direction classes, the
+    facets' integer half-spaces and the bounding box are computed at
+    construction; the ``Facet`` tuple, the frames and the paving are built on
+    first use and cached. Treat instances as immutable.
     """
 
     def __init__(self, generators: Iterable[Vec3], translate: Vec3 = VEC_ZERO):
@@ -169,6 +231,7 @@ class Zonotope:
         self._classes = tuple((d, tuple(m)) for d, m in classes.items())
         self.direction_classes = tuple((_vec(d), m) for d, m in self._classes)
         self._build_facets()
+        self._facets: tuple[Facet, ...] | None = None
         self._frames: tuple[Frame, ...] | None = None
         self._paving: Paving | None = None
 
@@ -177,9 +240,11 @@ class Zonotope:
     def _build_facets(self) -> None:
         """Facets in pairs (n, -n), one pair per plane spanned by two classes.
 
-        Sets ``facets``, their integer half-spaces ``_facet_ints`` (<x, n> < h
-        iff n' . X < h' * d for x = X / d) and ``_facet_pairs``: the index,
-        normal and offset numerators of the first facet of each pair.
+        Sets the integer half-spaces ``_facet_ints`` (<x, n> < h iff
+        n' . X < h' * d for x = X / d) and ``_facet_sides``: per facet the
+        normal, the support and offset numerators over ``_den``, the in-plane
+        generators and the opposite index, which ``facets`` turns into
+        ``Facet``s on first read.
         """
         den, g = self._den, self._g
         dirs = [d for d, _ in self._classes]
@@ -189,9 +254,8 @@ class Zonotope:
                 # distinct sign-canonical primitive directions are never parallel
                 n = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
                 normals[primitive_triple(n)] = None
-        facets: list[Facet] = []
+        sides: list[tuple] = []
         rows: list[tuple[int, int, int, int]] = []
-        pairs: list[tuple[int, tuple[int, int, int], list[int]]] = []
         for n in normals:
             n0, n1, n2 = n
             pos, neg = list(self._t), list(self._t)
@@ -205,24 +269,24 @@ class Zonotope:
                     side[2] += v[2]
                 else:
                     plane.append(i)
-            fi = len(facets)
-            pairs.append((fi, n, pos))
+            fi = len(sides)
             for m, o, opp in ((n, pos, fi + 1), ((-n0, -n1, -n2), neg, fi)):
                 h = m[0] * o[0] + m[1] * o[1] + m[2] * o[2]
                 q = gcd(h, den)
                 rows.append((m[0] * (den // q), m[1] * (den // q), m[2] * (den // q), h // q))
-                facets.append(
-                    Facet(
-                        normal=_vec(m),
-                        support=Fraction(h, den),
-                        offset=_vec(o, den),
-                        plane_generators=tuple(plane),
-                        opposite_index=opp,
-                    )
-                )
-        self.facets = tuple(facets)
+                sides.append((m, h, o, tuple(plane), opp))
+        self._facet_sides = tuple(sides)
         self._facet_ints = tuple(rows)
-        self._facet_pairs = tuple(pairs)
+
+    @property
+    def facets(self) -> tuple[Facet, ...]:
+        if self._facets is None:
+            den = self._den
+            self._facets = tuple(
+                Facet(_vec(m), Fraction(h, den), _vec(o, den), plane, opp)
+                for m, h, o, plane, opp in self._facet_sides
+            )
+        return self._facets
 
     # -- exact membership ----------------------------------------------------
 
@@ -402,7 +466,9 @@ class Zonotope:
         """
         den, g, c2 = self._den, self._g, self._c2
         frames: list[Frame] = []
-        for fi, (n0, n1, n2), o in self._facet_pairs:
+        # the first facet of each pair (n, -n)
+        for fi in range(0, len(self._facet_sides), 2):
+            (n0, n1, n2), _h, o, _plane, _opp = self._facet_sides[fi]
             in_plane = [
                 (d, members)
                 for d, members in self._classes
@@ -432,17 +498,9 @@ class Zonotope:
                 base, other = (base_a, base_b) if base_a < base_b else (base_b, base_a)
                 tau1 = [other[k] - base[k] for k in range(3)]
                 tau2 = [c2[k] - 2 * base[k] - tau1[k] - e[k] for k in range(3)]
-                frame = Frame(
-                    e=_vec(e, den),
-                    base=_vec(base, den),
-                    tau1=_vec(tau1, den),
-                    tau2=_vec(tau2, den),
-                    facet_index=fi,
-                )
-                object.__setattr__(frame, "_ints", ((*e, *tau1, *tau2), den))
                 if det_int((e, tau1, tau2)) == 0:
                     raise AssertionError("degenerate frame: implementation bug")
-                frames.append(frame)
+                frames.append(Frame._from_ints(e, base, tau1, tau2, den, fi))
         self._frames = tuple(frames)
 
 

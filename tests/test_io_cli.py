@@ -346,3 +346,69 @@ def test_cli_fuzzed_json_never_raises(tmp_path_factory, doc):
     path.write_text(json.dumps(doc))
     for cmd in FUZZED_COMMANDS:
         assert main([cmd, str(path), "--out", str(d / "out")]) in (0, 1, 2)
+
+
+# well-formed translate sets, with degenerate bases, non-sublattices, odd
+# weights and choices; malformed ones put arbitrary JSON in each field
+_basis3 = st.lists(_vec, min_size=3, max_size=3)
+_component = st.fixed_dictionaries(
+    {"basis": _basis3}, optional={"offset": _vec, "weight": st.integers(-1, 2) | _leaf}
+)
+_union = st.fixed_dictionaries(
+    {"kind": st.just("lattice_union"), "components": st.lists(_component, max_size=2)}
+)
+_slab = st.fixed_dictionaries(
+    {
+        "kind": st.just("slab_choice"),
+        "gamma": _basis3,
+        "sub": st.lists(_vec, min_size=2, max_size=2),
+        "s_offsets": st.lists(_vec, max_size=2),
+        "t_offsets": st.lists(_vec, max_size=2),
+    },
+    optional={
+        "choice": st.dictionaries(st.sampled_from(["0", "1", "-1", "x"]), st.just("T") | _leaf),
+        "expected_level": st.integers(0, 2) | _leaf,
+    },
+)
+_bad_translates = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["lattice_union", "slab_choice"]) | _leaf},
+    optional={
+        key: _json | st.lists(_vec | _bad_vec | _json, max_size=3)
+        for key in ("components", "gamma", "sub", "s_offsets", "t_offsets", "choice")
+    },
+)
+_far = st.sampled_from(["1e300", "-7/3", "1e-9"])
+_points = st.lists(_vec | st.lists(_far, min_size=3, max_size=3))
+Z3_UNION = LatticeUnion((LatticeComponent(lattice_from_vectors([E1, E2, E3]), ZERO),))
+Z3_UNION_JSON = dumps(translate_set_to_json(Z3_UNION))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    body=_body | _bad_body | _json,
+    translates=_union | _slab | _bad_translates | _json,
+    points=_points | _bad_vec | _json,
+)
+def test_cli_fuzzed_second_input_never_raises(tmp_path_factory, body, translates, points):
+    # verify-tiling with one of its two files fuzzed, fourier-eval with its
+    # points file fuzzed (and with the body fuzzed against valid points)
+    d = tmp_path_factory.mktemp("fuzz")
+    files = {
+        "cube": CUBE_JSON,
+        "z3": Z3_UNION_JSON,
+        "origin": '[["0", "1/2", "0"]]',
+        "body": json.dumps(body),
+        "translates": json.dumps(translates),
+        "points": json.dumps(points),
+    }
+    for name, text in files.items():
+        (d / name).write_text(text)
+    runs = (
+        ("verify-tiling", "cube", "translates", "--samples", "20"),
+        ("verify-tiling", "body", "z3", "--samples", "20"),
+        ("fourier-eval", "cube", "points"),
+        ("fourier-eval", "body", "origin"),
+    )
+    for cmd, first, second, *opts in runs:
+        argv = [cmd, str(d / first), str(d / second), *opts, "--out", str(d / "out")]
+        assert main(argv) in (0, 1, 2)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from zonotile.linalg import Vec3, int_row, primitive, primitive_triple, rank_of
 from zonotile.structure import (
     IntersectionVerdict,
+    TwoFlatVerdict,
     canonical_perp,
     classify,
     intersection_property,
@@ -338,3 +339,81 @@ def test_intersection_property_on_arbitrary_frame_sets():
         assert (iv.holds, iv.witness, iv.satisfied_indices) == oracle_intersection_scan(frames)
         branches[iv.holds] += 1
     assert min(branches.values()) >= 50
+
+
+@pytest.mark.parametrize("name", HAND_BUILT_CASES)
+def test_lazy_zonotope_frames_equal_hand_built_frames(name):
+    # a zonotope's frames build their Vec3 fields on first read; equality,
+    # hashing and repr must not tell them from frames built from those Vec3s
+    z = HAND_BUILT_CASES[name]
+
+    def fresh():
+        frames = Zonotope(z.generators, z.translate).frames()
+        assert all(f._vecs is None for f in frames)
+        return frames
+
+    hand = tuple(Frame(f.e, f.base, f.tau1, f.tau2, f.facet_index) for f in fresh())
+    assert fresh() == hand
+    assert hand == fresh()
+    # a frozen dataclass hashes the tuple of its fields
+    fields = [(f.e, f.base, f.tau1, f.tau2, f.facet_index) for f in hand]
+    assert [hash(f) for f in fresh()] == [hash(t) for t in fields]
+    assert hash(fresh()) == hash(hand)
+    assert len({*fresh(), *hand}) == len(hand)
+    assert repr(fresh()) == repr(hand)
+    assert fresh() != tuple(Frame(f.e, f.base, f.tau1, f.tau2, f.facet_index + 1) for f in hand)
+
+
+# -- two-flat split: integer plane test against the rank scan --------------
+
+
+def oracle_two_flat_scan(z) -> TwoFlatVerdict:
+    """The split by a ``rank_of`` test per pair of classes, then per single class.
+
+    A pair's plane takes every class in it as h1, and the split is found when
+    the rest has rank <= 2; then each class alone is tried as h1. This is the
+    scan ``two_flat`` ran before its plane test moved to integers, single-class
+    loop included.
+    """
+    classes = z.direction_classes
+    dirs = [d for d, _ in classes]
+
+    def verdict(h1_cls):
+        h2_cls = [k for k in range(len(dirs)) if k not in h1_cls]
+
+        def indices(cls):
+            return tuple(sorted(i for k in cls for i in classes[k][1]))
+
+        def normal_of(cls):
+            if len(cls) >= 2:
+                return primitive(dirs[cls[0]].cross(dirs[cls[1]]))
+            return canonical_perp(dirs[cls[0]])
+
+        return TwoFlatVerdict(
+            True, indices(h1_cls), indices(h2_cls), normal_of(h1_cls), normal_of(h2_cls)
+        )
+
+    if len(dirs) <= 4:
+        return verdict([0, 1])
+    for i, j in itertools.combinations(range(len(dirs)), 2):
+        n = dirs[i].cross(dirs[j])
+        h1 = [k for k, d in enumerate(dirs) if n.dot(d) == 0]
+        rest = [d for k, d in enumerate(dirs) if k not in h1]
+        if not rest or rank_of(rest) <= 2:
+            return verdict(h1)
+    for i in range(len(dirs)):
+        if rank_of([d for k, d in enumerate(dirs) if k != i]) <= 2:
+            return verdict([i])
+    return TwoFlatVerdict(False)
+
+
+def test_two_flat_verdict_matches_rank_scan():
+    kinds = {"two-flat, 5+ classes": 0, "not two-flat": 0}
+    for z in [*seeded_bodies(29, 320), *HAND_BUILT_CASES.values()]:
+        tf = two_flat(z)
+        assert tf == oracle_two_flat_scan(z)
+        if tf.is_two_flat and len(z.direction_classes) >= 5:
+            kinds["two-flat, 5+ classes"] += 1
+        elif not tf.is_two_flat:
+            kinds["not two-flat"] += 1
+    assert kinds["two-flat, 5+ classes"] >= 50 and kinds["not two-flat"] >= 50
