@@ -371,9 +371,9 @@ def oracle_two_flat_scan(z) -> TwoFlatVerdict:
     """The split by a ``rank_of`` test per pair of classes, then per single class.
 
     A pair's plane takes every class in it as h1, and the split is found when
-    the rest has rank <= 2; then each class alone is tried as h1. This is the
-    scan ``two_flat`` ran before its plane test moved to integers, single-class
-    loop included.
+    the rest has rank <= 2; then each class alone is tried as h1. Rank tests
+    on ``Vec3``s, independent of the integer plane test in ``two_flat``, and
+    with the single-class loop that ``two_flat`` proves it does not need.
     """
     classes = z.direction_classes
     dirs = [d for d, _ in classes]
