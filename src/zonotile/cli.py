@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from itertools import product
+
+import numpy as np
 
 from . import io as zio
-from .lattices import box_count, lattice_points_in_box
-from .linalg import Vec3, rat, rat_str
+from .lattices import box_count, box_point_ints, box_ranges, lattice_points_in_box
+from .linalg import Vec3, int_row, rat, rat_str
 from .spectral import leg_ft, leg_measure, zero_set_member
 from .structure import classify, intersection_property
 from .tiling import SlabChoice, translate_families, translate_multiplicity, verify_level
@@ -115,6 +119,36 @@ def _parse_choice(spec: str) -> dict[int, str]:
     return choice
 
 
+def _materialize(lam: SlabChoice, lo: Vec3, hi: Vec3) -> list[tuple[Vec3, int]]:
+    """Every translate in [lo, hi] with its multiplicity, in ``Vec3`` order.
+
+    Each family's box points are read twice, in the same order: as integers
+    from ``box_point_ints``, put over one positive denominator so that the
+    window test, the dedupe and the sort are exact integer work, and as the
+    ``Vec3``s that ``lattice_points_in_box`` builds, which are emitted.
+    """
+    families = translate_families(lam)
+    count = sum(box_count(f.lattice, f.shift, lo, hi) for f in families)
+    if count > _MATERIALIZE_LIMIT:
+        raise ValueError(
+            f"window holds {count} candidate translates, more than {_MATERIALIZE_LIMIT}"
+        )
+    boxes = [box_point_ints(f.lattice, f.shift, lo, hi) for f in families]
+    ends, wden = int_row((*lo, *hi))
+    den = math.lcm(wden, *(d for _, d in boxes))
+    l0, l1, l2, h0, h1, h2 = (e * (den // wden) for e in ends)
+    cand: dict[tuple[int, int, int], Vec3] = {}
+    for f, (pts, d) in zip(families, boxes):
+        # box points come in the order of the product of their coordinate ranges
+        ks = np.array(list(product(*box_ranges(f.lattice, f.shift, lo, hi))), dtype=object)
+        vecs = lattice_points_in_box(f.lattice, f.shift, lo, hi)
+        s = den // d
+        for (x, y, z), m, p in zip(pts, f.multiplicity(ks.reshape(-1, 3)), vecs):
+            if m and l0 <= x * s <= h0 and l1 <= y * s <= h1 and l2 <= z * s <= h2:
+                cand[x * s, y * s, z * s] = p
+    return [(cand[t], translate_multiplicity(lam, cand[t])) for t in sorted(cand)]
+
+
 def _cmd_weird_gen(args) -> int:
     z = _load_zonotope(args.zonotope)
     coeffs = args.coefficients.split() if args.coefficients else None
@@ -131,22 +165,9 @@ def _cmd_weird_gen(args) -> int:
     }
     if args.materialize:
         lo, hi = _parse_window(args.window)
-        count = sum(box_count(lat, u, lo, hi) for lat, u, _ in translate_families(lam))
-        if count > _MATERIALIZE_LIMIT:
-            raise ValueError(
-                f"window holds {count} candidate translates, more than {_MATERIALIZE_LIMIT}"
-            )
-        cand: set[Vec3] = set()
-        for lat, u, _ in translate_families(lam):
-            for p in lattice_points_in_box(lat, u, lo, hi):
-                if lo.x <= p.x <= hi.x and lo.y <= p.y <= hi.y and lo.z <= p.z <= hi.z:
-                    cand.add(p)
-        points = []
-        for p in sorted(cand):
-            m = translate_multiplicity(lam, p)
-            if m:
-                points.append({"point": zio.vec_to_json(p), "multiplicity": m})
-        report["points"] = points
+        report["points"] = [
+            {"point": zio.vec_to_json(p), "multiplicity": m} for p, m in _materialize(lam, lo, hi)
+        ]
     _emit(zio.dumps(report), args.out)
     return 0
 

@@ -72,7 +72,8 @@ def intersection_property(frames: tuple[Frame, ...]) -> IntersectionVerdict:
 
     Fails with witness u exactly when every frame owns a vector orthogonal
     to u. Each frame's e, tau1 and tau2 are read as primitive integer triples
-    from ``Frame.vector_ints()``. If one direction d lies in every frame, the
+    from ``Frame.vector_ints()``, e from its class direction when a zonotope
+    built the frame. If one direction d lies in every frame, the
     witness is ``canonical_perp(d)``. Otherwise take a witness u: some a in the
     first frame is orthogonal to u, the first frame without a has some b
     orthogonal to u, and b is not parallel to a, so u is parallel to a x b.
@@ -88,7 +89,8 @@ def intersection_property(frames: tuple[Frame, ...]) -> IntersectionVerdict:
     per_frame = []
     for fr in frames:
         c = fr.vector_ints()[0]
-        per_frame.append(tuple(primitive_triple(c[k : k + 3]) for k in (0, 3, 6)))
+        e = fr._e_dir or primitive_triple(c[:3])
+        per_frame.append((e, primitive_triple(c[3:6]), primitive_triple(c[6:9])))
     trios = list(dict.fromkeys(per_frame))
 
     def orthogonal(v: tuple[int, int, int], u: tuple[int, int, int]) -> bool:

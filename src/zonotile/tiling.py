@@ -2,26 +2,30 @@
 
 Two descriptions of a translate multiset are supported: a weighted finite
 union of shifted full-rank lattices, and a choice system that picks, per coset
-of a rank-2 sublattice, one of two finite offset families. Both are read as
-translate families: a shifted lattice with a multiplicity per lattice point.
+of a rank-2 sublattice, one of two finite offset families. Each multiset is
+read through ``TranslateFamily`` records, built once and kept on it: a shifted
+lattice cleared to integers, with a constant weight per lattice point or a
+count per coset. ``coverage``, ``verify_level``'s integer kernel,
+``translate_multiplicity`` and ``density`` all read them.
 
 ``coverage`` counts one point in exact Fractions. ``verify_level`` counts all
-samples at once with an integer kernel: in each family's lattice coordinates
-the body's facets become small integer thresholds, so membership is exact at
-any coordinate scale. Points on a contributing translate's boundary raise
-BoundaryHit in ``coverage`` and are resampled by ``verify_level``.
+samples at once: in each family's lattice coordinates the body's facets become
+small integer thresholds, so membership is exact at any coordinate scale.
+Points on a contributing translate's boundary raise BoundaryHit in
+``coverage`` and are resampled by ``verify_level``.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property
 from itertools import product
-from math import floor
-from typing import Callable, Iterator, Mapping
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +37,7 @@ __all__ = [
     "LatticeComponent",
     "LatticeUnion",
     "SlabChoice",
+    "TranslateFamily",
     "CoverageReport",
     "density",
     "coverage",
@@ -46,6 +51,54 @@ _INT64_SAFE = 2**62
 _CHUNK = 1 << 20
 # boundary resample rounds before a window is given up
 _RESAMPLE_LIMIT = 64
+# lattice offsets of one family the kernel tries at most; checked before any is built
+_KERNEL_LIMIT = 200_000
+
+
+@dataclass(frozen=True, eq=False)
+class TranslateFamily:
+    """The translates shift + lattice on integers: coordinate i of p - shift is
+    rows[i] . (p - shift) / rden, and shift is shift_ints / sden. The translate
+    at lattice coordinates k occurs counts[j] times if counts names its coset j
+    of ``cosets``, else ``weight`` times.
+    """
+
+    lattice: Lattice
+    shift: Vec3
+    rows: tuple[tuple[int, int, int], ...]
+    rden: int
+    shift_ints: tuple[int, ...]
+    sden: int
+    weight: int
+    cosets: CosetEnumeration | None
+    counts: Mapping[int, int]
+
+    def count_at(self, nums: Sequence[int], den: int) -> int:
+        """How often the translate nums / den occurs (0 if off the lattice)."""
+        (p0, p1, p2), (s0, s1, s2), sden = nums, self.shift_ints, self.sden
+        v0, v1, v2 = sden * p0 - den * s0, sden * p1 - den * s1, sden * p2 - den * s2
+        big = den * sden * self.rden
+        k = []
+        for r0, r1, r2 in self.rows:
+            c, rem = divmod(r0 * v0 + r1 * v1 + r2 * v2, big)
+            if rem:
+                return 0
+            k.append(c)
+        if not self.counts:
+            return self.weight
+        return self.counts.get(self.cosets.index_of_coords(k), self.weight)
+
+    def multiplicity(self, coords: np.ndarray) -> np.ndarray:
+        """How often the translate at each row of (N, 3) lattice coordinates occurs."""
+        if not self.counts:
+            return np.full(len(coords), self.weight, dtype=np.int64)
+        keys, inverse = np.unique(self.cosets.index_of_coords(coords), return_inverse=True)
+        return np.array([self.counts.get(int(j), self.weight) for j in keys])[inverse]
+
+
+def _family(lat, shift, weight, cosets=None, counts=MappingProxyType({})) -> TranslateFamily:
+    s, sden = int_row(shift)
+    return TranslateFamily(lat, shift, *lat._coord_ints, tuple(s), sden, weight, cosets, counts)
 
 
 @dataclass(frozen=True)
@@ -69,14 +122,18 @@ class LatticeUnion:
         if not self.components:
             raise ValueError("empty union")
 
+    @cached_property
+    def _families(self) -> tuple[TranslateFamily, ...]:
+        return tuple(_family(c.lattice, c.offset, c.weight) for c in self.components)
 
-@dataclass
+
+@dataclass(frozen=True)
 class SlabChoice:
     """Per-coset choice between two offset families over a rank-2 sublattice.
 
     The translate multiset is the union over coset indices j of
     (sub + rep(j)) + each offset of the selected family; cosets the choice map
-    leaves out default to the first family.
+    leaves out default to the first family. The choice map is kept read-only.
     """
 
     gamma: Lattice
@@ -93,9 +150,19 @@ class SlabChoice:
         for v in self.choice.values():
             if v not in ("S", "T"):
                 raise ValueError("choice values must be 'S' or 'T'")
+        object.__setattr__(self, "choice", MappingProxyType(dict(self.choice)))
 
     def offsets_for(self, j: int) -> tuple[Vec3, ...]:
         return self.t_offsets if self.choice.get(j, "S") == "T" else self.s_offsets
+
+    @cached_property
+    def _families(self) -> tuple[TranslateFamily, ...]:
+        out = []
+        for u in dict.fromkeys(self.s_offsets + self.t_offsets):
+            default = self.s_offsets.count(u)
+            counts = {j: c for j in self.choice if (c := self.offsets_for(j).count(u)) != default}
+            out.append(_family(self.gamma, u, default, self.cosets, MappingProxyType(counts)))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -109,59 +176,20 @@ class CoverageReport:
     seed: int
 
 
+def translate_families(lam: LatticeUnion | SlabChoice) -> tuple[TranslateFamily, ...]:
+    """The multiset's ``TranslateFamily`` records, built once and kept on it: one
+    of constant weight per union component, or one per distinct slab offset u
+    over gamma, weighing u's count in the S family except in the cosets listed.
+    """
+    return lam._families
+
+
 def density(lam: LatticeUnion | SlabChoice) -> Fraction:
-    """Average number of translates per unit volume."""
-    if isinstance(lam, LatticeUnion):
-        return sum(
-            (Fraction(c.weight) / c.lattice.covolume() for c in lam.components),
-            Fraction(0),
-        )
-    # each coset of sub inside gamma carries one offset family
-    return Fraction(len(lam.s_offsets)) / lam.gamma.covolume()
-
-
-Multiplicity = Callable[[np.ndarray], np.ndarray]
-
-
-def translate_families(
-    lam: LatticeUnion | SlabChoice,
-) -> Iterator[tuple[Lattice, Vec3, Multiplicity]]:
-    """(lattice, shift, multiplicity) per family shift + lattice of translates.
-
-    multiplicity maps an (N, 3) array of lattice coordinates to how often each
-    translate occurs: a union component's weight, or for a slab choice how
-    often the shift occurs in the offset family its coset chose.
-    """
-    if isinstance(lam, LatticeUnion):
-        for comp in lam.components:
-            yield comp.lattice, comp.offset, lambda c, w=comp.weight: np.full(len(c), w)
-    else:
-        for u in dict.fromkeys(lam.s_offsets + lam.t_offsets):
-            yield lam.gamma, u, partial(_coset_multiplicity, lam, u)
-
-
-def _coset_multiplicity(lam: SlabChoice, u: Vec3, coords: np.ndarray) -> np.ndarray:
-    keys, inverse = np.unique(lam.cosets.index_of_coords(coords), return_inverse=True)
-    per_key = [lam.offsets_for(int(j)).count(u) for j in keys]
-    return np.array(per_key, dtype=np.int64)[inverse]
-
-
-def _family_count(lat: Lattice, shift: Vec3, mult: Multiplicity, p: Vec3) -> int:
-    """How often the translate p occurs in one family (0 if off the lattice).
-
-    Coordinate i of p - shift is R_i . (P - S) / (d * den) for the lattice's
-    integer coordinate rows R_i over den and p, shift = P / d, S / d.
-    """
-    (p0, p1, p2, s0, s1, s2), d = int_row((*p, *shift))
-    rows, den = lat._coord_ints
-    big = d * den
-    coords = []
-    for r0, r1, r2 in rows:
-        k, rem = divmod(r0 * (p0 - s0) + r1 * (p1 - s1) + r2 * (p2 - s2), big)
-        if rem:
-            return 0
-        coords.append(k)
-    return int(mult(np.array([coords]))[0])
+    """Average number of translates per unit volume (a choice map is finite)."""
+    return sum(
+        (Fraction(f.weight) / f.lattice.covolume() for f in translate_families(lam)),
+        Fraction(0),
+    )
 
 
 def coverage(z: Zonotope, lam: LatticeUnion | SlabChoice, x: Vec3) -> int:
@@ -172,10 +200,10 @@ def coverage(z: Zonotope, lam: LatticeUnion | SlabChoice, x: Vec3) -> int:
     """
     lo_p, hi_p = z.bounding_box()
     total = 0
-    for lat, shift, mult in translate_families(lam):
-        for p in lattice_points_in_box(lat, shift, x - hi_p, x - lo_p):
+    for fam in translate_families(lam):
+        for p in lattice_points_in_box(fam.lattice, fam.shift, x - hi_p, x - lo_p):
             loc = z.contains(x - p)
-            if loc is Location.OUTSIDE or not (m := _family_count(lat, shift, mult, p)):
+            if loc is Location.OUTSIDE or not (m := fam.count_at(*int_row(p))):
                 continue
             if loc is Location.BOUNDARY:
                 raise BoundaryHit(x)
@@ -185,7 +213,29 @@ def coverage(z: Zonotope, lam: LatticeUnion | SlabChoice, x: Vec3) -> int:
 
 def translate_multiplicity(lam: LatticeUnion | SlabChoice, point: Vec3) -> int:
     """How many times the point itself occurs in the translate multiset."""
-    return sum(_family_count(*family, point) for family in translate_families(lam))
+    nums, den = int_row(point)
+    return sum(fam.count_at(nums, den) for fam in translate_families(lam))
+
+
+def _offset_box(z: Zonotope, lat: Lattice):
+    """Facet rows (G_f, h_f) in lat's coordinates, offsets k and k @ G^T, as objects.
+
+    For basis rows B_i over bden and a facet m . x <= h / zden, sum_i w_i b_i
+    is on its inner side iff sum_i zden (m . B_i) w_i <= h bden (over the gcd).
+    """
+    basis, bden = lat._basis_ints
+    rows = []
+    for (m0, m1, m2), h, *_ in z._facet_sides:
+        row = [z._den * (m0 * b0 + m1 * b1 + m2 * b2) for b0, b1, b2 in basis] + [h * bden]
+        q = math.gcd(*row)
+        rows.append([c // q for c in row])
+    ranges = [range(math.floor(-z.support_value(-r)), math.floor(z.support_value(r)) + 1)
+              for r in lat._coord_rows]
+    if (size := math.prod(map(len, ranges))) > _KERNEL_LIMIT:
+        raise ValueError(f"body spans {size} lattice offsets, more than {_KERNEL_LIMIT}")
+    gh = np.array(rows, dtype=object)
+    ks = np.array(list(product(*ranges)), dtype=object)
+    return gh, ks, ks @ gh[:, :3].T
 
 
 def _kernel_counts(
@@ -196,7 +246,7 @@ def _kernel_counts(
     Points on a contributing translate's boundary come back as None, their
     indices listed. Per family, with lattice coordinates y of x, the translate
     at lattice point floor(y) - k covers x iff k + frac(y) satisfies every
-    facet G_f . w < h_f of the body's image, G_f = basis^T n_f; only the k of
+    facet G_f . w < h_f of the body's image (``_offset_box``); only the k of
     the image's bounding box can. Scaled to integers per facet: interior iff
     G_f . k < thr, closed iff G_f . k <= q, q = floor(h_f - G_f . frac(y)) and
     thr = q + 1 unless that floor is exact.
@@ -204,29 +254,21 @@ def _kernel_counts(
     nums = np.array(nums, dtype=object).reshape(-1, 3)
     counts = np.zeros(len(nums), dtype=np.int64)
     border = np.zeros(len(nums), dtype=bool)
-    for lat, shift, mult in translate_families(lam):
-        rows, rden = lat._coord_ints
-        (s0, s1, s2), sden = int_row(shift)
+    for fam in translate_families(lam):
+        gh, ks, gk = _offset_box(z, fam.lattice)
+        rows, (s0, s1, s2), sden = fam.rows, fam.shift_ints, fam.sden
         # row i: r_i and r_i . shift, times rden * sden
         a = np.array(
             [(r0 * sden, r1 * sden, r2 * sden, r0 * s0 + r1 * s1 + r2 * s2) for r0, r1, r2 in rows],
             dtype=object,
         )
-        big = den * rden * sden
+        big = den * fam.rden * sden
         y = nums @ a[:, :3].T - a[:, 3] * den
         fl = y // big
-        gh = np.array(
-            [int_row((*(f.normal.dot(b) for b in lat.basis), f.support))[0] for f in z.facets],
-            dtype=object,
-        )
         g = gh[:, :3]
         side = gh[:, 3] * big - (y - fl * big) @ g.T
         q = side // big
         thr = q + (side - q * big != 0)
-        ranges = [range(floor(-z.support_value(-r)), floor(z.support_value(r)) + 1)
-                  for r in lat._coord_rows]
-        ks = np.array(list(product(*ranges)), dtype=object)
-        gk = ks @ g.T
         if all(np.abs(t).max(initial=0) < _INT64_SAFE for t in (thr, gk, ks, fl)):
             q, thr, gk, ks, fl = (t.astype(np.int64) for t in (q, thr, gk, ks, fl))
         step = max(1, _CHUNK // gk.size)
@@ -234,7 +276,7 @@ def _kernel_counts(
             si, ki = np.nonzero((gk[None] <= q[s0 : s0 + step, None]).all(axis=2))
             si += s0
             inside = (gk[ki] < thr[si]).all(axis=1)
-            m = mult(fl[si] - ks[ki])
+            m = fam.multiplicity(fl[si] - ks[ki])
             np.add.at(counts, si[inside], m[inside])
             border[si[~inside & (m > 0)]] = True
     got = [None if b else c for c, b in zip(counts.tolist(), border.tolist())]

@@ -65,21 +65,23 @@ class Frame:
     (e, base, tau1, tau2, facet_index), as for a frozen dataclass.
     """
 
-    __slots__ = ("_facet_index", "_vecs", "_ints", "_base")
+    __slots__ = ("_facet_index", "_vecs", "_ints", "_base", "_e_dir")
 
     def __init__(self, e: Vec3, base: Vec3, tau1: Vec3, tau2: Vec3, facet_index: int):
         self._vecs: tuple[Vec3, Vec3, Vec3, Vec3] | None = (e, base, tau1, tau2)
         self._ints: tuple[tuple[int, ...], int] | None = None
         self._base: tuple[int, ...] = ()
+        self._e_dir: tuple[int, int, int] | None = None
         self._facet_index = facet_index
 
     @classmethod
-    def _from_ints(cls, e, base, tau1, tau2, den: int, facet_index: int) -> Frame:
+    def _from_ints(cls, e, base, tau1, tau2, den: int, facet_index: int, e_dir) -> Frame:
         """The frame of integer numerator triples over den; fields built on first read."""
         fr = cls.__new__(cls)
         fr._vecs = None
         fr._ints = ((*e, *tau1, *tau2), den)
         fr._base = tuple(base)
+        fr._e_dir = e_dir
         fr._facet_index = facet_index
         return fr
 
@@ -175,6 +177,9 @@ class PavingCell:
 
     def contains(self, x: Vec3) -> bool:
         (x1, x2, x3), d = int_row(x)
+        return self._contains_ints(x1, x2, x3, d)
+
+    def _contains_ints(self, x1: int, x2: int, x3: int, d: int) -> bool:
         for n1, n2, n3, h, closed in self._faces:
             excess = n1 * x1 + n2 * x2 + n3 * x3 - h * d
             if excess > 0 or (excess == 0 and not closed):
@@ -190,7 +195,8 @@ class Paving:
         return sum((c.volume() for c in self.cells), Fraction(0))
 
     def locate(self, x: Vec3) -> list[int]:
-        return [i for i, c in enumerate(self.cells) if c.contains(x)]
+        (x1, x2, x3), d = int_row(x)
+        return [i for i, c in enumerate(self.cells) if c._contains_ints(x1, x2, x3, d)]
 
     def count(self, x: Vec3) -> int:
         return len(self.locate(x))
@@ -210,8 +216,6 @@ class Zonotope:
         for v in gens:
             if v.is_zero():
                 raise ValueError("zero segment")
-        if rank_of(gens) != 3:
-            raise ValueError("degenerate zonotope: generators must span R^3")
         self.generators = gens
         self.translate = translate
         # the translate and the generators as integer triples over one denominator
@@ -219,6 +223,8 @@ class Zonotope:
         self._den = den
         self._t = t = tuple(flat[:3])
         self._g = g = [tuple(flat[i : i + 3]) for i in range(3, len(flat), 3)]
+        if rank_of(g) != 3:
+            raise ValueError("degenerate zonotope: generators must span R^3")
         # twice the center, over den
         self._c2 = tuple(2 * t[k] + sum(v[k] for v in g) for k in range(3))
         self.center = _vec(self._c2, 2 * den)
@@ -500,7 +506,7 @@ class Zonotope:
                 tau2 = [c2[k] - 2 * base[k] - tau1[k] - e[k] for k in range(3)]
                 if det_int((e, tau1, tau2)) == 0:
                     raise AssertionError("degenerate frame: implementation bug")
-                frames.append(Frame._from_ints(e, base, tau1, tau2, den, fi))
+                frames.append(Frame._from_ints(e, base, tau1, tau2, den, fi, d))
         self._frames = tuple(frames)
 
 

@@ -1,11 +1,12 @@
 """JSON schemas, OFF export, and the command line."""
 import json
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zonotile import cli
+from zonotile import cli, tiling
 from zonotile.cli import main
 from zonotile.io import (
     decimal_str,
@@ -13,6 +14,7 @@ from zonotile.io import (
     export_off,
     translate_set_from_json,
     translate_set_to_json,
+    vec_from_json,
     zonotope_from_json,
     zonotope_to_json,
 )
@@ -188,6 +190,82 @@ def test_cli_materialize_refuses_huge_window(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_MATERIALIZE_LIMIT", 75)
     assert main(argv + [small]) == 0
     assert json.loads(capsys.readouterr().out)["points"]
+
+
+def brute_force_materialize(lam, sides, shear, lo, hi):
+    """(point, multiplicity) of every translate in [lo, hi], sorted, from Fractions.
+
+    gamma is spanned by (a, 0, 0), (0, b, 0) and (s1, s2, c), a triangular
+    basis, so the points of u + gamma in the window are found axis by axis,
+    z first, and each is charged to the family its coset chose.
+    """
+    (a, b, c), (s1, s2) = sides, shear
+    found: dict[Vec3, int] = {}
+    for u in dict.fromkeys(lam.s_offsets + lam.t_offsets):
+        for k3 in range(math.ceil((lo.z - u.z) / c), math.floor((hi.z - u.z) / c) + 1):
+            x0, y0 = u.x + k3 * s1, u.y + k3 * s2
+            for k2 in range(math.ceil((lo.y - y0) / b), math.floor((hi.y - y0) / b) + 1):
+                for k1 in range(math.ceil((lo.x - x0) / a), math.floor((hi.x - x0) / a) + 1):
+                    p = Vec3(x0 + k1 * a, y0 + k2 * b, u.z + k3 * c)
+                    m = lam.offsets_for(lam.cosets.index_of(p - u)).count(u)
+                    found[p] = found.get(p, 0) + m
+    return sorted((p, m) for p, m in found.items() if m)
+
+
+_side = st.sampled_from([HALF, Fraction(2, 3), Fraction(1), Fraction(3, 2)])
+_end = st.sampled_from([Fraction(-3, 2), Fraction(-1), Fraction(-2, 3), Fraction(0), Fraction(1, 4)])
+_width = st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(7, 3), Fraction(2)])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    sides=st.lists(_side, min_size=3, max_size=3),
+    shear=st.lists(st.sampled_from([Fraction(0), HALF, Fraction(-1, 3)]), min_size=2, max_size=2),
+    coefficients=st.lists(
+        st.sampled_from([HALF, Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)]),
+        min_size=2,
+        max_size=2,
+    ),
+    choice=st.dictionaries(st.integers(-4, 4), st.sampled_from("ST"), max_size=5),
+    window=st.lists(st.tuples(_end, _width), min_size=3, max_size=3),
+)
+def test_cli_materialize_matches_brute_force(
+    tmp_path_factory, sides, shear, coefficients, choice, window
+):
+    # a sheared box over mixed denominators: its lattice coordinate box holds
+    # points outside the window, and the common denominator mixes every input
+    a, b, c = sides
+    body = {"generators": [[str(a), "0", "0"], ["0", str(b), "0"],
+                           [str(shear[0]), str(shear[1]), str(c)]]}
+    tmp = tmp_path_factory.mktemp("mat")
+    z = write(tmp, "z.json", json.dumps(body))
+    argv = [
+        "weird-gen", z, "--out", str(tmp / "out.json"), "--v-indices", "0 1",
+        "--coefficients", " ".join(map(str, coefficients)),
+        "--materialize",
+        "--window=" + " ".join(f"{lo} {lo + w}" for lo, w in window),
+    ]
+    if choice:
+        argv.append("--choice=" + ",".join(f"{j}={f}" for j, f in choice.items()))
+    assert main(argv) == 0
+    rep = json.loads((tmp / "out.json").read_text())
+    lam = translate_set_from_json(rep["translate_set"])
+    lo = Vec3(*(lo for lo, _ in window))
+    hi = Vec3(*(lo + w for lo, w in window))
+    got = [(vec_from_json(e["point"]), e["multiplicity"]) for e in rep["points"]]
+    assert got == brute_force_materialize(lam, sides, shear, lo, hi)
+
+
+def test_cli_verify_tiling_refuses_huge_offset_box(tmp_path, capsys, monkeypatch):
+    # the cube of side 3 spans 4^3 = 64 offsets of Z^3, one above the bound
+    monkeypatch.setattr(tiling, "_KERNEL_LIMIT", 63)
+    z = write(tmp_path, "z.json", CUBE_JSON.replace('"1"', '"3"'))
+    lam = write(tmp_path, "lam.json", json.dumps(translate_set_to_json(
+        LatticeUnion((LatticeComponent(lattice_from_vectors([E1, E2, E3]), ZERO),)))))
+    assert_input_error(capsys, ["verify-tiling", z, lam, "--samples", "10"])
+    monkeypatch.setattr(tiling, "_KERNEL_LIMIT", 64)
+    assert main(["verify-tiling", z, lam, "--samples", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["level"] == 27
 
 
 def test_cli_round_trip_weird_translates_into_verify(tmp_path, capsys):

@@ -1,4 +1,6 @@
 """Coverage counting, level verification, and density."""
+import dataclasses
+import math
 import random
 import time
 from fractions import Fraction
@@ -8,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zonotile import tiling
-from zonotile.lattices import lattice_from_vectors
-from zonotile.linalg import Vec3, rank_of
+from zonotile.lattices import box_ranges, lattice_from_vectors
+from zonotile.linalg import Vec3, int_row, rank_of
 from zonotile.tiling import (
     LatticeComponent,
     LatticeUnion,
@@ -17,6 +19,7 @@ from zonotile.tiling import (
     _kernel_counts,
     coverage,
     density,
+    translate_families,
     translate_multiplicity,
     verify_level,
 )
@@ -113,6 +116,76 @@ def test_translate_multiplicity(cube):
     assert translate_multiplicity(lam, Vec3(HALF, 0, 0)) == 0
     weird = build_weird(build_construction(cube))
     assert translate_multiplicity(weird, ZERO) >= 1
+
+
+def test_families_are_built_once_per_multiset(cube, z3_union):
+    weird = build_weird(build_construction(cube), choice={0: "T", 2: "S"})
+    for lam in (z3_union, weird):
+        fams = translate_families(lam)
+        assert translate_families(lam) is fams
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fams[0].weight = 5
+    # the cube's S family is {0, (1/2, 1/2, 0)}, its T family {(1/2, 0, 0), (0, 1/2, 0)}:
+    # each offset counts once by default or not at all, and coset 0 swaps them
+    assert [f.weight for f in translate_families(weird)] == [1, 1, 0, 0]
+    assert [dict(f.counts) for f in translate_families(weird)] == [{0: 0}, {0: 0}, {0: 1}, {0: 1}]
+
+
+def test_slab_choice_is_frozen(cube):
+    choice = {0: "T"}
+    lam = build_weird(build_construction(cube), choice)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lam.choice = {}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lam.s_offsets = lam.t_offsets
+    with pytest.raises(TypeError):
+        lam.choice[1] = "T"
+    # the map is copied, so changing the caller's dict changes nothing
+    again = SlabChoice(lam.gamma, lam.sub, lam.cosets, lam.s_offsets, lam.t_offsets, choice)
+    choice[0] = "S"
+    assert again.choice == lam.choice == {0: "T"}
+    assert translate_multiplicity(again, ZERO) == 0
+
+
+def test_verify_level_leaves_facets_unbuilt(rd4, cube, z3_union):
+    weird = build_weird(build_construction(cube), choice={0: "T", -1: "T"})
+    for body, lam, level in ((rd4, z3_union, 4), (cube, weird, 2)):
+        fresh = Zonotope(body.generators)
+        rep = verify_level(fresh, lam, W6, samples=300, seed=3)
+        assert fresh._facets is None
+        built = Zonotope(body.generators)
+        assert built.facets
+        assert verify_level(built, lam, W6, samples=300, seed=3) == rep
+        assert rep.level == level and rep.density_consistent is True
+
+
+def test_kernel_refuses_offset_box_above_limit(z3_union):
+    # a cube of side s spans the Z^3 coordinates 0..s on each axis; take the
+    # least side whose offset box exceeds the bound, sized from the ranges
+    # alone, so the kernel never runs at that size
+    def offsets(side):
+        return math.prod(map(len, box_ranges(z3(), ZERO, ZERO, Vec3(side, side, side))))
+
+    side = 1
+    while offsets(side) <= tiling._KERNEL_LIMIT:
+        side += 1
+    size = offsets(side)
+    assert tiling._KERNEL_LIMIT < size < 1.1 * tiling._KERNEL_LIMIT
+    big = Zonotope((E1 * side, E2 * side, E3 * side))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"spans {size} lattice offsets"):
+        verify_level(big, z3_union, W6, samples=1)
+    assert time.perf_counter() - start < 1
+
+
+def test_kernel_offset_bound_is_inclusive(z3_union, monkeypatch):
+    # the cube of side 2 spans 3^3 = 27 offsets of Z^3
+    body = Zonotope((E1 * 2, E2 * 2, E3 * 2))
+    monkeypatch.setattr(tiling, "_KERNEL_LIMIT", 27)
+    assert verify_level(body, z3_union, W6, samples=20).level == 8
+    monkeypatch.setattr(tiling, "_KERNEL_LIMIT", 26)
+    with pytest.raises(ValueError, match="spans 27 lattice offsets"):
+        verify_level(body, z3_union, W6, samples=20)
 
 
 def test_batch_counts_agree_with_single_point_coverage(cube):
@@ -353,6 +426,39 @@ def coords_multiplicity(lam, p):
     return total
 
 
+def pointwise_families(lam):
+    """(lattice, shift, multiplicity of lattice coordinates) per translate family."""
+    if isinstance(lam, LatticeUnion):
+        return [(c.lattice, c.offset, lambda k, w=c.weight: w) for c in lam.components]
+    return [
+        (lam.gamma, u, lambda k, u=u: lam.offsets_for(lam.cosets.index_of_coords(k)).count(u))
+        for u in dict.fromkeys(lam.s_offsets + lam.t_offsets)
+    ]
+
+
+def family_count(lat, shift, mult, p):
+    """How often the translate p occurs in one family (0 if off the lattice).
+
+    Coordinate i of p - shift is R_i . (P - S) / (d * den) for the lattice's
+    integer coordinate rows R_i over den and p, shift = P / d, S / d.
+    """
+    (p0, p1, p2, s0, s1, s2), d = int_row((*p, *shift))
+    rows, den = lat._coord_ints
+    big = d * den
+    coords = []
+    for r0, r1, r2 in rows:
+        k, rem = divmod(r0 * (p0 - s0) + r1 * (p1 - s1) + r2 * (p2 - s2), big)
+        if rem:
+            return 0
+        coords.append(k)
+    return mult(coords)
+
+
+def pointwise_multiplicity(lam, p):
+    """Translate multiplicity summed per family from integer coordinates."""
+    return sum(family_count(*family, p) for family in pointwise_families(lam))
+
+
 def on_lattice(lat, v):
     return all(t.denominator == 1 for t in lat.coords(v))
 
@@ -377,7 +483,8 @@ def union_points(draw):
 def test_translate_multiplicity_matches_coords_union(case):
     lam, pts = case
     for p in pts:
-        assert translate_multiplicity(lam, p) == coords_multiplicity(lam, p)
+        want = coords_multiplicity(lam, p)
+        assert translate_multiplicity(lam, p) == want == pointwise_multiplicity(lam, p)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -397,6 +504,6 @@ def test_translate_multiplicity_matches_coords_slab_choice(choice, families, ks,
     hits = 0
     for p in on + xs:
         want = coords_multiplicity(lam, p)
-        assert translate_multiplicity(lam, p) == want
+        assert translate_multiplicity(lam, p) == want == pointwise_multiplicity(lam, p)
         hits += want > 0
     assert hits or not ks
