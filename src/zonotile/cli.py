@@ -19,7 +19,7 @@ import numpy as np
 
 from . import io as zio
 from .lattices import box_count, box_point_ints, box_ranges, lattice_points_in_box
-from .linalg import Vec3, int_row, rat, rat_str
+from .linalg import Vec3, int_triples, rat, rat_str
 from .spectral import leg_ft, leg_measure, zero_set_member
 from .structure import classify, intersection_property
 from .tiling import SlabChoice, translate_families, translate_multiplicity, verify_level
@@ -30,6 +30,9 @@ from .zonotope import Zonotope
 # candidate translates weird-gen --materialize enumerates at most; a larger
 # window is refused before any point is built
 _MATERIALIZE_LIMIT = 200_000
+# verify-tiling --samples at most: the kernel holds every sample's numerators
+# and lattice coordinates as Python ints at once; checked before any input is read
+_SAMPLES_LIMIT = 100_000
 
 
 def _read_json(path: str):
@@ -93,8 +96,8 @@ def _cmd_pave(args) -> int:
 
 
 def _cmd_verify_tiling(args) -> int:
-    if args.samples < 1:
-        raise ValueError("samples must be at least 1")
+    if not 1 <= args.samples <= _SAMPLES_LIMIT:
+        raise ValueError(f"samples must be between 1 and {_SAMPLES_LIMIT}")
     z = _load_zonotope(args.zonotope)
     lam = zio.translate_set_from_json(_read_json(args.translates))
     window = _parse_window(args.window)
@@ -134,9 +137,9 @@ def _materialize(lam: SlabChoice, lo: Vec3, hi: Vec3) -> list[tuple[Vec3, int]]:
             f"window holds {count} candidate translates, more than {_MATERIALIZE_LIMIT}"
         )
     boxes = [box_point_ints(f.lattice, f.shift, lo, hi) for f in families]
-    ends, wden = int_row((*lo, *hi))
+    ends, wden = int_triples((lo, hi))
     den = math.lcm(wden, *(d for _, d in boxes))
-    l0, l1, l2, h0, h1, h2 = (e * (den // wden) for e in ends)
+    l0, l1, l2, h0, h1, h2 = (e * (den // wden) for end in ends for e in end)
     cand: dict[tuple[int, int, int], Vec3] = {}
     for f, (pts, d) in zip(families, boxes):
         # box points come in the order of the product of their coordinate ranges

@@ -1,8 +1,9 @@
 """Rational lattices of rank 1..3 in R^3: duals, membership, cosets, enumeration.
 
-A lattice clears its basis and its dual coordinate rows to integer triples
-over one denominator each, once, at construction. Box enumeration, the
-spectral candidate scan and translate multiplicities read those integers.
+A lattice puts its basis and its dual coordinate rows over one denominator
+each, once, at construction. Box enumeration, the spectral candidate scan and
+translate multiplicities read those integers, and box points are built as
+``Vec3``s straight from their numerators.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .linalg import (
     det_int,
     hermite_row_basis,
     int_row,
+    int_triples,
     inverse_rows,
     rank_of,
     smith_normal_form,
@@ -30,9 +32,9 @@ class Lattice:
 
     Rank 1, 2, or 3. The dual coordinate rows are precomputed so membership
     tests and box enumeration are constant-size exact arithmetic. The basis
-    and the coordinate rows are also kept cleared to integers: ``_basis_ints``
-    is (triples B_i, d) with b_i = B_i / d, and ``_coord_ints`` is (triples
-    R_i, d) with coordinate i of p equal to R_i . p / d.
+    and the coordinate rows are also kept over one denominator each:
+    ``_basis_ints`` is (triples B_i, d) with b_i = B_i / d, and ``_coord_ints``
+    is (triples R_i, d) with coordinate i of p equal to R_i . p / d.
     """
 
     def __init__(self, basis: Iterable[Vec3]):
@@ -60,8 +62,8 @@ class Lattice:
             (b1,) = basis
             self._coord_rows = (b1.geometric_inverse(),)
             self._span_normal = None  # rank 1 handled via cross test
-        self._basis_ints = _int_triples(basis)
-        self._coord_ints = _int_triples(self._coord_rows)
+        self._basis_ints = int_triples(basis)
+        self._coord_ints = int_triples(self._coord_rows)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Lattice) and self.basis == other.basis
@@ -102,12 +104,6 @@ class Lattice:
         return p
 
 
-def _int_triples(vectors: Sequence[Vec3]) -> tuple[tuple[tuple[int, int, int], ...], int]:
-    """The vectors as integer triples over their least common denominator."""
-    flat, den = int_row(c for v in vectors for c in v)
-    return tuple(tuple(flat[i : i + 3]) for i in range(0, len(flat), 3)), den
-
-
 def dual_lattice(lat: Lattice) -> Lattice:
     """Dual of a full-rank lattice: all x with <x, v> integral for v in lat."""
     if lat.rank != 3:
@@ -127,9 +123,8 @@ def lattice_from_vectors(vectors: Iterable[Vec3]) -> Lattice:
     vecs = [v for v in vectors if not v.is_zero()]
     if not vecs:
         raise ValueError("no nonzero generators")
-    flat, den = int_row(c for v in vecs for c in v)
-    basis_rows = hermite_row_basis([flat[i : i + 3] for i in range(0, len(flat), 3)])
-    return Lattice(Vec3.of(*r) * Fraction(1, den) for r in basis_rows)
+    rows, den = int_triples(vecs)
+    return Lattice(Vec3.from_ints(*r, den) for r in hermite_row_basis(rows))
 
 
 def plane_section(lat: Lattice, normal: Vec3) -> Lattice:
@@ -215,15 +210,19 @@ class CosetEnumeration:
     def index_of_coords(self, x: Sequence[int] | np.ndarray) -> int | np.ndarray:
         """Coset index from gamma-basis coordinates (integer arithmetic only).
 
-        One coordinate triple gives an int, an (N, 3) array an (N,) array.
+        One coordinate triple gives an int, on Python ints; an (N, 3) array
+        gives an (N,) array, on int64 while no product can overflow.
         """
-        a = np.asarray(x)
+        d1, d2 = self.d
+        if not (isinstance(x, np.ndarray) and x.ndim == 2):
+            c0, c1, c2 = map(int, x)
+            y0, y1, y2 = (r0 * c0 + r1 * c1 + r2 * c2 for r0, r1, r2 in self._u)
+            return y2 * self.torsion_order + (y0 % d1) * d2 + y1 % d2
+        a = x
         if a.dtype != object and int(np.abs(a).max(initial=0)) * self._bound >= 2**62:
             a = a.astype(object)  # int64 could overflow: use Python ints
         y = a @ np.array(self._u, dtype=a.dtype).T
-        d1, d2 = self.d
-        j = y[..., 2] * self.torsion_order + (y[..., 0] % d1) * d2 + y[..., 1] % d2
-        return j if a.ndim == 2 else int(j)
+        return y[:, 2] * self.torsion_order + (y[:, 0] % d1) * d2 + y[:, 1] % d2
 
     def index_of(self, p: Vec3) -> int:
         """Index of the coset of p; p must be a point of gamma."""
@@ -246,8 +245,7 @@ def box_ranges(lat: Lattice, shift: Vec3, lo: Vec3, hi: Vec3) -> list[range]:
     has its coordinates in these ranges.
     """
     rows, rden = lat._coord_ints
-    flat, d = int_row((*shift, *lo, *hi))
-    s, l, h = flat[:3], flat[3:6], flat[6:]
+    (s, l, h), d = int_triples((shift, lo, hi))
     big = rden * d
     ranges = []
     for r in rows:
@@ -292,7 +290,9 @@ def lattice_points_in_box(
     spanned by ``box_ranges``, which for a skewed basis or a lower rank holds
     many points outside the box (on [-3, 3]^3 the Hermite basis of Z^3 with
     rows (1, 2, -1), (0, 1, -2), (0, 0, 1) gives 4,921 points for 343 inside).
-    Callers filter with their own box or membership predicate.
+    Callers filter with their own box or membership predicate. Each point is
+    built from the numerators of ``box_point_ints`` by ``Vec3.from_ints``,
+    with no ``Fraction`` in between.
     """
     pts, den = box_point_ints(lat, shift, lo, hi)
-    return [Vec3(Fraction(x, den), Fraction(y, den), Fraction(z, den)) for x, y, z in pts]
+    return [Vec3.from_ints(x, y, z, den) for x, y, z in pts]

@@ -2,8 +2,13 @@
 
 Every geometric predicate downstream (incidence, membership, independence)
 reduces to exact arithmetic in this module, so verdicts are exact rather than
-correct up to a floating tolerance. ``int_row`` clears a row of rationals to
-integers over their least common denominator, and the hot paths run on those
+correct up to a floating tolerance. A ``Vec3`` holds integer numerators over
+one positive denominator, reduced, so its sums, differences, products, dot
+and cross products and comparisons are integer arithmetic, and
+``int_row(v)`` hands out those integers as they are; ``Vec3.from_ints`` builds
+a vector from numerators without any ``Fraction``. ``int_row`` also clears any
+row of rationals to integers over their least common denominator, and
+``int_triples`` puts several vectors over one. The hot paths run on those
 integers: a zonotope keeps its generators as integer triples over one
 denominator, membership in a body or a paving cell is an integer half-space
 test n . X <= h * d for x = X / d, and ``rank_of`` eliminates fraction-free.
@@ -11,13 +16,15 @@ A lattice keeps its basis and dual coordinate rows, and a frame its vectors,
 as integer triples over one denominator, so box ranges, translate
 multiplicities, the counting kernel's coordinates, the spectral support check
 and the zero-set test are integer dot products with exact floor division.
-``Fraction`` and ``Vec3`` values are the API edge.
+``Fraction`` values, such as a ``Vec3``'s ``x``, ``y`` and ``z``, are the API
+edge.
 """
-
 from __future__ import annotations
 
+import numbers
 import re
-from dataclasses import dataclass
+import sys
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -31,11 +38,11 @@ _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
 def rat(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or string like ``"3/4"`` / ``"0.25"`` to Fraction."""
+    """Coerce an integer, Fraction, or string like ``"3/4"`` / ``"0.25"`` to Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, numbers.Rational):  # int, bool, numpy integers as Python ints
+        return Fraction(int(value.numerator), int(value.denominator))
     if isinstance(value, str):
         m = _EXPONENT.search(value)
         digits = m.group(1).replace("_", "").lstrip("0") if m else ""
@@ -46,7 +53,13 @@ def rat(value: RationalLike) -> Fraction:
 
 
 def int_row(values: Iterable[Fraction | int]) -> tuple[list[int], int]:
-    """(numerators, den): the values as integers over their least common denominator."""
+    """(numerators, den): the values as integers over their least common denominator.
+
+    A ``Vec3`` already holds this form, so it is returned as it is.
+    """
+    if values.__class__ is Vec3:
+        n0, n1, n2, d = values._nd
+        return [n0, n1, n2], d
     vals = tuple(values)
     den = lcm(*(t.denominator for t in vals))
     return [t.numerator * (den // t.denominator) for t in vals], den
@@ -59,66 +72,235 @@ def rat_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True, order=True)
 class Vec3:
-    """Immutable exact 3-vector. Comparison order is lexicographic."""
+    """Immutable exact 3-vector: integer numerators over one positive denominator.
 
-    x: Fraction
-    y: Fraction
-    z: Fraction
+    The vector (x, y, z) is kept as (n0, n1, n2) / d with d > 0 and
+    gcd(n0, n1, n2, d) == 1, so d is the least common denominator of the
+    coordinates and every vector has exactly one representation. Arithmetic,
+    ``dot``, ``cross``, equality and ordering run on those integers, and
+    ``int_row(v)`` returns them without any work. ``x``, ``y`` and ``z`` are
+    ``Fraction``s built on each read. Equality, hashing, ordering and ``repr``
+    agree with a frozen dataclass over the three ``Fraction`` coordinates:
+    ``Vec3(1, 0, 0)`` equals and hashes like ``Vec3.of(1, 0, 0)``, and both
+    show ``x=Fraction(1, 1)``. Comparison order is lexicographic. It is not a
+    dataclass: assigning an attribute raises ``FrozenInstanceError``, and
+    pickling and copying keep the numerators.
+    """
+
+    __slots__ = ("_nd",)
+
+    def __init__(self, x: RationalLike, y: RationalLike, z: RationalLike):
+        if type(x) is int and type(y) is int and type(z) is int:
+            _set_nd(self, (x, y, z, 1))
+            return
+        x, y, z = _rational(x), _rational(y), _rational(z)
+        dx, dy, dz = x.denominator, y.denominator, z.denominator
+        d = dx if dx == dy == dz else lcm(dx, dy, dz)
+        # reduced coordinates over their lcm share no factor with it
+        nd = (x.numerator * (d // dx), y.numerator * (d // dy), z.numerator * (d // dz), d)
+        _set_nd(self, nd)
+
+    @classmethod
+    def from_ints(cls, n0: int, n1: int, n2: int, d: int = 1) -> "Vec3":
+        """The vector (n0, n1, n2) / d, for integers n0, n1, n2 and d != 0."""
+        if d <= 0:
+            if not d:
+                raise ZeroDivisionError("Vec3 with denominator 0")
+            n0, n1, n2, d = -n0, -n1, -n2, -d
+        return _reduced(n0, n1, n2, d)
 
     @staticmethod
     def of(x: RationalLike, y: RationalLike, z: RationalLike) -> "Vec3":
-        return Vec3(rat(x), rat(y), rat(z))
+        return Vec3(x, y, z)
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self._nd[0], self._nd[3])
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self._nd[1], self._nd[3])
+
+    @property
+    def z(self) -> Fraction:
+        return Fraction(self._nd[2], self._nd[3])
 
     def __iter__(self):
-        yield self.x
-        yield self.y
-        yield self.z
+        n0, n1, n2, d = self._nd
+        yield Fraction(n0, d)
+        yield Fraction(n1, d)
+        yield Fraction(n2, d)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (Vec3.from_ints, self._nd)
+
+    def __repr__(self) -> str:
+        x, y, z = self
+        return f"{self.__class__.__qualname__}(x={x!r}, y={y!r}, z={z!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._nd == other._nd
+
+    def __hash__(self) -> int:
+        # hash((x, y, z)) of the Fraction coordinates: a rational p / q hashes
+        # to p * q^-1 modulo the hash modulus (sys.hash_info)
+        n0, n1, n2, d = self._nd
+        if d == 1:
+            return hash((n0, n1, n2))
+        if not d % _HASH_MODULUS:
+            return hash(tuple(self))
+        inv = pow(d, -1, _HASH_MODULUS)
+        return hash(tuple(_rational_hash(n, inv) for n in (n0, n1, n2)))
+
+    def _cmp_keys(self, other: "Vec3"):
+        # both sides over the product of the denominators, which is positive
+        a0, a1, a2, ad = self._nd
+        b0, b1, b2, bd = other._nd
+        if ad == bd:
+            return (a0, a1, a2), (b0, b1, b2)
+        return (a0 * bd, a1 * bd, a2 * bd), (b0 * ad, b1 * ad, b2 * ad)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self._cmp_keys(other)
+        return a < b
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self._cmp_keys(other)
+        return a <= b
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self._cmp_keys(other)
+        return a > b
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self._cmp_keys(other)
+        return a >= b
 
     def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
+        a0, a1, a2, ad = self._nd
+        b0, b1, b2, bd = other._nd
+        if ad == bd:
+            return _reduced(a0 + b0, a1 + b1, a2 + b2, ad)
+        g = gcd(ad, bd)
+        sa, sb = bd // g, ad // g
+        return _reduced(a0 * sa + b0 * sb, a1 * sa + b1 * sb, a2 * sa + b2 * sb, ad * sa)
 
     def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
+        a0, a1, a2, ad = self._nd
+        b0, b1, b2, bd = other._nd
+        if ad == bd:
+            return _reduced(a0 - b0, a1 - b1, a2 - b2, ad)
+        g = gcd(ad, bd)
+        sa, sb = bd // g, ad // g
+        return _reduced(a0 * sa - b0 * sb, a1 * sa - b1 * sb, a2 * sa - b2 * sb, ad * sa)
 
     def __neg__(self) -> "Vec3":
-        return Vec3(-self.x, -self.y, -self.z)
+        n0, n1, n2, d = self._nd
+        return _make(-n0, -n1, -n2, d)
 
     def __mul__(self, s) -> "Vec3":
+        n0, n1, n2, d = self._nd
+        if type(s) is int:
+            # gcd(s / g, d / g) == 1 keeps the result reduced
+            g = gcd(s, d)
+            s //= g
+            return _make(n0 * s, n1 * s, n2 * s, d // g)
         s = rat(s)
-        return Vec3(self.x * s, self.y * s, self.z * s)
+        p = s.numerator
+        return _reduced(n0 * p, n1 * p, n2 * p, d * s.denominator)
 
     __rmul__ = __mul__
 
     def dot(self, other: "Vec3") -> Fraction:
-        return self.x * other.x + self.y * other.y + self.z * other.z
+        a0, a1, a2, ad = self._nd
+        b0, b1, b2, bd = other._nd
+        return Fraction(a0 * b0 + a1 * b1 + a2 * b2, ad * bd)
 
     def cross(self, other: "Vec3") -> "Vec3":
-        return Vec3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
+        a0, a1, a2, ad = self._nd
+        b0, b1, b2, bd = other._nd
+        return _reduced(a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0, ad * bd)
 
     def norm_sq(self) -> Fraction:
         return self.dot(self)
 
     def is_zero(self) -> bool:
-        return not (self.x or self.y or self.z)
+        n0, n1, n2, _d = self._nd
+        return not (n0 or n1 or n2)
 
     def parallel_to(self, other: "Vec3") -> bool:
-        return self.cross(other).is_zero()
+        a0, a1, a2, _ad = self._nd
+        b0, b1, b2, _bd = other._nd
+        return not (a1 * b2 - a2 * b1 or a2 * b0 - a0 * b2 or a0 * b1 - a1 * b0)
 
     def geometric_inverse(self) -> "Vec3":
         """x / |x|^2, the reciprocal point used for plane family spacing."""
-        n = Fraction(self.norm_sq())
-        if not n:
+        n0, n1, n2, d = self._nd
+        q = n0 * n0 + n1 * n1 + n2 * n2
+        if not q:
             raise ZeroDivisionError("geometric inverse of the zero vector")
-        return Vec3(self.x / n, self.y / n, self.z / n)
+        # (n / d) / (q / d^2) = n d / q
+        return _reduced(n0 * d, n1 * d, n2 * d, q)
 
     def as_floats(self) -> tuple[float, float, float]:
-        return (float(self.x), float(self.y), float(self.z))
+        n0, n1, n2, d = self._nd
+        return (n0 / d, n1 / d, n2 / d)
+
+
+_HASH_MODULUS = sys.hash_info.modulus
+_new = object.__new__
+_set_nd = Vec3._nd.__set__  # the slot's own setter, past the frozen __setattr__
+
+
+def _make(n0: int, n1: int, n2: int, d: int) -> Vec3:
+    """The vector (n0, n1, n2) / d, already reduced with d > 0."""
+    v = _new(Vec3)
+    _set_nd(v, (n0, n1, n2, d))
+    return v
+
+
+def _reduced(n0: int, n1: int, n2: int, d: int) -> Vec3:
+    """The vector (n0, n1, n2) / d for d > 0, reduced by the common gcd."""
+    if d != 1:
+        g = gcd(n0, n1, n2, d)
+        if g != 1:
+            n0, n1, n2, d = n0 // g, n1 // g, n2 // g, d // g
+    return _make(n0, n1, n2, d)
+
+
+def _rational(value) -> Fraction | int:
+    return value if type(value) is int or type(value) is Fraction else rat(value)
+
+
+def _rational_hash(n: int, inv: int) -> int:
+    """hash(Fraction(n, d)), given the inverse of d modulo the hash modulus."""
+    h = abs(n) % _HASH_MODULUS * inv % _HASH_MODULUS
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
+
+
+def int_triples(vectors: Iterable[Vec3]) -> tuple[tuple[tuple[int, int, int], ...], int]:
+    """(triples, den): the vectors as integer triples over their least common denominator."""
+    nds = [v._nd for v in vectors]
+    den = lcm(*(nd[3] for nd in nds))
+    return tuple((a * (den // d), b * (den // d), c * (den // d)) for a, b, c, d in nds), den
 
 
 VEC_ZERO = Vec3.of(0, 0, 0)

@@ -272,7 +272,7 @@ def support_bound_check(z: Zonotope, lam: LatticeUnion, radius) -> SupportReport
             for rows, bq, (o0, o1, o2), oq, coeff in comps
             if all((b0 * x + b1 * y + b2 * w) % bq == 0 for b0, b1, b2 in rows)
         ]
-        xi = Vec3(Fraction(x, q), Fraction(y, q), Fraction(w, q))
+        xi = Vec3.from_ints(x, y, w, q)
         if rou_sum_is_zero(terms):
             cancelled.append(xi)
         elif not all(zero_set_member(fr, xi) for fr in frames):

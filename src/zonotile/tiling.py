@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .lattices import CosetEnumeration, Lattice, lattice_points_in_box
-from .linalg import Vec3, int_row
+from .linalg import Vec3, int_row, int_triples
 from .zonotope import BoundaryHit, Location, Zonotope
 
 __all__ = [
@@ -239,23 +239,28 @@ def _offset_box(z: Zonotope, lat: Lattice):
 
 
 def _kernel_counts(
-    z: Zonotope, lam: LatticeUnion | SlabChoice, nums, den: int
+    z: Zonotope, lam: LatticeUnion | SlabChoice, nums, den: int, boxes: dict | None = None
 ) -> tuple[list[int | None], list[int]]:
     """Exact coverage counts at the points nums / den (one numerator triple each).
 
     Points on a contributing translate's boundary come back as None, their
-    indices listed. Per family, with lattice coordinates y of x, the translate
-    at lattice point floor(y) - k covers x iff k + frac(y) satisfies every
-    facet G_f . w < h_f of the body's image (``_offset_box``); only the k of
-    the image's bounding box can. Scaled to integers per facet: interior iff
-    G_f . k < thr, closed iff G_f . k <= q, q = floor(h_f - G_f . frac(y)) and
-    thr = q + 1 unless that floor is exact.
+    indices listed. ``boxes`` maps each lattice to its ``_offset_box`` and is
+    filled on first use, so families that share a lattice, and calls that
+    share the map, build each box once. Per family, with lattice coordinates
+    y of x, the translate at lattice point floor(y) - k covers x iff
+    k + frac(y) satisfies every facet G_f . w < h_f of the body's image;
+    only the k of the image's bounding box can. Scaled to integers per facet:
+    interior iff G_f . k < thr, closed iff G_f . k <= q,
+    q = floor(h_f - G_f . frac(y)) and thr = q + 1 unless that floor is exact.
     """
     nums = np.array(nums, dtype=object).reshape(-1, 3)
     counts = np.zeros(len(nums), dtype=np.int64)
     border = np.zeros(len(nums), dtype=bool)
+    boxes = {} if boxes is None else boxes
     for fam in translate_families(lam):
-        gh, ks, gk = _offset_box(z, fam.lattice)
+        if (box := boxes.get(fam.lattice)) is None:
+            box = boxes[fam.lattice] = _offset_box(z, fam.lattice)
+        gh, ks, gk = box
         rows, (s0, s1, s2), sden = fam.rows, fam.shift_ints, fam.sden
         # row i: r_i and r_i . shift, times rden * sden
         a = np.array(
@@ -308,9 +313,9 @@ def verify_level(
     _check_window(window)
     lo, hi = window
     # coordinate lo + (hi - lo) * r / 2^62 as an integer numerator over den
-    ends, w = int_row((*lo, *hi))
-    base = np.array([a << 62 for a in ends[:3]], dtype=object)
-    width = np.array([b - a for a, b in zip(ends[:3], ends[3:])], dtype=object)
+    (lo_ints, hi_ints), w = int_triples((lo, hi))
+    base = np.array([a << 62 for a in lo_ints], dtype=object)
+    width = np.array([b - a for a, b in zip(lo_ints, hi_ints)], dtype=object)
     den = w << 62
     rng = random.Random(seed)
 
@@ -321,8 +326,9 @@ def verify_level(
     nums = draw(samples)
     counts = [0] * samples
     pending = list(range(samples))
+    boxes: dict[Lattice, tuple] = {}
     for _ in range(_RESAMPLE_LIMIT):
-        got, border = _kernel_counts(z, lam, nums[pending], den)
+        got, border = _kernel_counts(z, lam, nums[pending], den, boxes)
         for slot, c in zip(pending, got):
             counts[slot] = c  # None on a boundary, replaced next round
         pending = [pending[i] for i in border]
@@ -341,7 +347,7 @@ def verify_level(
         level = None
         mode = hist.most_common(1)[0][0]
         violations = tuple(
-            (Vec3(*(Fraction(t, den) for t in nums[i])), c)
+            (Vec3.from_ints(*nums[i], den), c)
             for i, c in enumerate(counts)
             if c != mode
         )

@@ -27,7 +27,7 @@ from .lattices import (
     lattice_points_in_box,
     plane_section,
 )
-from .linalg import VEC_ZERO, Vec3, primitive, rank_of, rat
+from .linalg import VEC_ZERO, Vec3, int_triples, primitive, rank_of, rat
 from .structure import TwoFlatVerdict, two_flat
 from .tiling import _RESAMPLE_LIMIT, SlabChoice, _check_window, translate_multiplicity
 from .zonotope import BoundaryHit, Zonotope
@@ -217,15 +217,16 @@ def slab_identity_check(
         pad = Vec3.of(1, 1, 1)
         window = (lo - pad, hi + pad)
     _check_window(window)
-    lo, hi = window
+    # coordinate lo + (hi - lo) * r / 2^62 as an integer numerator over den
+    (lo_ints, hi_ints), w = int_triples(window)
+    den = w << 62
     mismatches = []
     for _ in range(samples):
         for _ in range(_RESAMPLE_LIMIT):
-            coords = [
-                a + (b - a) * Fraction(rng.getrandbits(62), 2**62)
-                for a, b in zip(lo, hi)
-            ]
-            x = Vec3(*coords)
+            x = Vec3.from_ints(
+                *((a << 62) + (b - a) * rng.getrandbits(62) for a, b in zip(lo_ints, hi_ints)),
+                den,
+            )
             try:
                 s_count = sum(_group_count(c, x, u) for u in c.s_offsets)
                 t_count = sum(_group_count(c, x, u) for u in c.t_offsets)

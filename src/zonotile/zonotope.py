@@ -23,7 +23,17 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
 
-from .linalg import Vec3, VEC_ZERO, det3, det_int, int_row, inverse_rows, primitive_triple, rank_of
+from .linalg import (
+    Vec3,
+    VEC_ZERO,
+    det3,
+    det_int,
+    int_row,
+    int_triples,
+    inverse_rows,
+    primitive_triple,
+    rank_of,
+)
 
 
 class Location(enum.Enum):
@@ -136,8 +146,8 @@ class Frame:
 
     def vector_ints(self) -> tuple[tuple[int, ...], int]:
         if self._ints is None:
-            flat, den = int_row(c for v in self.vectors() for c in v)
-            self._ints = (tuple(flat), den)
+            rows, den = int_triples(self.vectors())
+            self._ints = (tuple(c for row in rows for c in row), den)
         return self._ints
 
     def is_degenerate(self) -> bool:
@@ -166,9 +176,14 @@ class PavingCell:
 
     def __post_init__(self):
         faces = []
+        (p1, p2, p3), q = int_row(self.anchor)
         for r, inc in zip(inverse_rows(*self.edges), self.include_zero_face):
-            # t_i = r . (x - anchor) = (a . x - c) / s
-            (a1, a2, a3, c), s = int_row((*r, r.dot(self.anchor)))
+            # t_i = r . (x - anchor) = (a . x - c) / s for r = R / rden and
+            # anchor = P / q, with (a, c, s) = (q R, R . P, q rden) over their gcd
+            (r1, r2, r3), rden = int_row(r)
+            a1, a2, a3, c, s = q * r1, q * r2, q * r3, r1 * p1 + r2 * p2 + r3 * p3, q * rden
+            g = gcd(a1, a2, a3, c, s)
+            a1, a2, a3, c, s = a1 // g, a2 // g, a3 // g, c // g, s // g
             faces += [(-a1, -a2, -a3, -c, inc), (a1, a2, a3, c + s, not inc)]
         object.__setattr__(self, "_faces", tuple(faces))
 
@@ -219,10 +234,8 @@ class Zonotope:
         self.generators = gens
         self.translate = translate
         # the translate and the generators as integer triples over one denominator
-        flat, den = int_row(c for v in (translate, *gens) for c in v)
-        self._den = den
-        self._t = t = tuple(flat[:3])
-        self._g = g = [tuple(flat[i : i + 3]) for i in range(3, len(flat), 3)]
+        (t, *g), den = int_triples((translate, *gens))
+        self._den, self._t, self._g = den, t, g
         if rank_of(g) != 3:
             raise ValueError("degenerate zonotope: generators must span R^3")
         # twice the center, over den
@@ -512,9 +525,7 @@ class Zonotope:
 
 def _vec(ints: Sequence[int], den: int = 1) -> Vec3:
     """The API-edge vector of integer numerators over den."""
-    if den == 1:
-        return Vec3(*map(Fraction, ints))
-    return Vec3(*(Fraction(c, den) for c in ints))
+    return Vec3.from_ints(*ints, den)
 
 
 class _AngleKey:

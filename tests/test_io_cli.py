@@ -490,3 +490,16 @@ def test_cli_fuzzed_second_input_never_raises(tmp_path_factory, body, translates
     for cmd, first, second, *opts in runs:
         argv = [cmd, str(d / first), str(d / second), *opts, "--out", str(d / "out")]
         assert main(argv) in (0, 1, 2)
+
+
+def test_cli_verify_tiling_bounds_samples(tmp_path, capsys):
+    # the bound is checked before any input is read: just above it the run
+    # stops on the sample count, at it on the missing files
+    missing = str(tmp_path / "absent.json")
+    argv = ["verify-tiling", missing, missing, "--samples"]
+    assert main(argv + [str(cli._SAMPLES_LIMIT + 1)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: samples must be between 1 and") and "Traceback" not in err
+    assert main(argv + [str(cli._SAMPLES_LIMIT)]) == 2
+    err = capsys.readouterr().err
+    assert "absent.json" in err and "samples" not in err

@@ -218,3 +218,27 @@ def test_box_enumeration_matches_corner_ranges(case):
     got = lattice_points_in_box(lat, shift, lo, hi)
     assert got == corner_box_points(lat, shift, lo, hi)  # same points, same order
     assert box_count(lat, shift, lo, hi) == len(got)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+    st.lists(st.tuples(*[st.integers(-(2**80), 2**80)] * 3).map(list), min_size=1, max_size=6),
+)
+def test_one_coset_triple_matches_the_array_path_and_the_coset(ab, coords):
+    # g is spanned by two integer combinations of gamma's basis, with torsion
+    gamma = lattice_from_vectors([Vec3(1, 1, 0), Vec3(0, 2, 1), Vec3(Fraction(1, 3), 0, 3)])
+    a, b = ab[:3], ab[3:]
+    assume(rank_of([a, b]) == 2)
+    ce = CosetEnumeration(gamma, Lattice([gamma.point(a), gamma.point(b)]))
+    # small coordinates take the int64 array path, the rest Python ints
+    coords = coords + [[c % 7 - 3 for c in row] for row in coords]
+    got = ce.index_of_coords(np.array(coords, dtype=object))
+    small = ce.index_of_coords(np.array(coords[len(coords) // 2 :], dtype=np.int64))
+    assert list(small) == list(got[len(coords) // 2 :])
+    for c, j in zip(coords, got):
+        one = ce.index_of_coords(c)
+        assert type(one) is int and one == j
+        assert ce.index_of_coords(tuple(c)) == ce.index_of_coords(np.array(c, dtype=object)) == j
+        # the coset index names the coset of the point: it and rep(j) differ by g
+        assert ce.sub.contains(gamma.point(c) - ce.rep(one))

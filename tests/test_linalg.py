@@ -1,7 +1,12 @@
 """Exact rational vector and integer matrix primitives."""
+import copy
+import dataclasses
 import math
+import pickle
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +18,7 @@ from zonotile.linalg import (
     det_int,
     hermite_row_basis,
     int_row,
+    int_triples,
     inverse_rows,
     primitive,
     rank_of,
@@ -184,3 +190,102 @@ def test_rat_bounds_decimal_exponents():
     for text in ("1e4301", "1e-4301", "1E+5000", "3.5e00000000000000004301", "1e" + "9" * 5000):
         with pytest.raises(ValueError, match="exponent"):
             rat(text)
+
+
+# Vec3 against Fraction-triple arithmetic: numerators beyond 2^64, mixed
+# denominators (including the hash modulus, where a Fraction hashes to inf)
+_HASH_P = sys.hash_info.modulus
+big_ints = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+dens = st.one_of(st.integers(1, 6), st.integers(1, 2**66), st.just(_HASH_P), st.just(2 * _HASH_P))
+coords = st.builds(Fraction, big_ints, dens)
+triples = st.tuples(coords, coords, coords)
+
+
+def as_vec(t, draw_int):
+    # integer coordinates go in as ints or as Fractions, which must not matter
+    return Vec3(*(int(c) if draw_int and c.denominator == 1 else c for c in t))
+
+
+def fields(v):
+    return (v.x, v.y, v.z)
+
+
+def assert_is(v, t):
+    # the same coordinates, and the one reduced form: equal to a fresh vector
+    nums, den = int_row(v)
+    assert fields(v) == t and den > 0 and math.gcd(*nums, den) == 1
+    assert v == Vec3(*t) and hash(v) == hash(t)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(triples, triples, st.one_of(big_ints, coords), st.booleans(), st.booleans())
+def test_vec3_matches_fraction_triple_arithmetic(ta, tb, s, ia, ib):
+    a, b = as_vec(ta, ia), as_vec(tb, ib)
+    assert_is(a, ta)
+    assert all(type(c) is Fraction for c in fields(a)) and tuple(a) == ta
+    assert_is(a + b, tuple(p + q for p, q in zip(ta, tb)))
+    assert_is(a - b, tuple(p - q for p, q in zip(ta, tb)))
+    assert_is(-a, tuple(-p for p in ta))
+    assert_is(a * s, tuple(p * s for p in ta))
+    assert_is(s * a, tuple(p * s for p in ta))
+    dot = sum(p * q for p, q in zip(ta, tb))
+    assert a.dot(b) == dot and type(a.dot(b)) is Fraction
+    assert a.norm_sq() == sum(p * p for p in ta)
+    (x1, y1, z1), (x2, y2, z2) = ta, tb
+    assert_is(a.cross(b), (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2))
+    assert a.is_zero() == (ta == (0, 0, 0))
+    assert (a == b) == (ta == tb) and (a != b) == (ta != tb)
+    assert (a < b) == (ta < tb) and (a <= b) == (ta <= tb)
+    assert (a > b) == (ta > tb) and (a >= b) == (ta >= tb)
+    # a frozen dataclass over (x, y, z) hashes the tuple and shows each Fraction
+    assert hash(a) == hash(ta)
+    assert repr(a) == f"Vec3(x={ta[0]!r}, y={ta[1]!r}, z={ta[2]!r})"
+    assert int_row(a) == int_row(ta)
+    nums, den = int_row(a)
+    (ra, rb), common = int_triples((a, b))
+    assert ([*ra, *rb], common) == int_row(ta + tb)
+    for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert twin == a and hash(twin) == hash(a) and repr(twin) == repr(a)
+    # the same vector built from unreduced numerators is the same vector
+    k = 3 + abs(nums[0]) % 5
+    assert Vec3.from_ints(*(n * k for n in nums), den * k) == a
+    assert Vec3.from_ints(*(-n for n in nums), -den) == a
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(st.lists(triples, min_size=2, max_size=12), st.booleans())
+def test_vec3_sorts_like_fraction_triples(ts, draw_int):
+    vs = [as_vec(t, draw_int) for t in ts]
+    assert [fields(v) for v in sorted(vs)] == sorted(ts)
+    assert len(set(vs)) == len(set(ts))
+
+
+def test_vec3_is_immutable():
+    v = Vec3(Fraction(1, 2), 0, 3)
+    for name in ("x", "y", "z", "_nd", "w"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, name, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del v.x
+    assert v == Vec3(Fraction(1, 2), 0, 3)
+
+
+def test_vec3_from_integers_equals_vec3_of_fractions():
+    # Vec3(1, 0, 0) reads its coordinates as Fractions, like Vec3.of(1, 0, 0)
+    a, b = Vec3(1, 0, 0), Vec3.of(1, 0, 0)
+    assert a == b and hash(a) == hash(b) == hash((1, 0, 0))
+    assert repr(a) == repr(b) == "Vec3(x=Fraction(1, 1), y=Fraction(0, 1), z=Fraction(0, 1))"
+    assert a.x == 1 and type(a.x) is Fraction
+    assert Vec3.of("1/2", "-3", 2) == Vec3(Fraction(1, 2), -3, 2)
+    with pytest.raises(TypeError):
+        Vec3(0.5, 0, 0)
+    with pytest.raises(ZeroDivisionError):
+        Vec3.from_ints(1, 2, 3, 0)
+
+
+def test_vec3_takes_numpy_integers_as_python_ints():
+    v = Vec3(np.int64(3), np.int32(-1), Fraction(1, 2))
+    assert v == Vec3(3, -1, Fraction(1, 2))
+    assert all(type(n) is int for n in int_row(v)[0])
+    # a numpy product would wrap at 2^63; the numerators are Python ints
+    assert (v * 2**62).x == 3 * 2**62

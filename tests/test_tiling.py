@@ -507,3 +507,37 @@ def test_translate_multiplicity_matches_coords_slab_choice(choice, families, ks,
         assert translate_multiplicity(lam, p) == want == pointwise_multiplicity(lam, p)
         hits += want > 0
     assert hits or not ks
+
+
+def test_verify_level_builds_each_offset_box_once(cube, monkeypatch):
+    # a slab choice's four families share gamma; the first round's samples all
+    # sit on the window corner, a cube vertex, so a second round must run
+    class CornerFirst(random.Random):
+        calls = 0
+
+        def getrandbits(self, k):
+            CornerFirst.calls += 1
+            return 0 if CornerFirst.calls <= 3 * 20 else super().getrandbits(k)
+
+    built = []
+    real = tiling._offset_box
+    monkeypatch.setattr(tiling, "_offset_box", lambda z, lat: built.append(lat) or real(z, lat))
+    monkeypatch.setattr(tiling.random, "Random", CornerFirst)
+    lam = build_weird(build_construction(cube), choice={0: "T", 3: "T"})
+    assert len({f.lattice for f in translate_families(lam)}) == 1 < len(translate_families(lam))
+    rep = verify_level(cube, lam, (Vec3(0, 0, 0), Vec3(3, 3, 3)), samples=20, seed=2)
+    assert CornerFirst.calls > 3 * 20 and rep.level == 2
+    assert built == [lam.gamma]
+    # equal lattices built apart share one box; distinct lattices get one each
+    wide = lattice_from_vectors([E1 * 2, E2, E3])
+    union = LatticeUnion(
+        (
+            LatticeComponent(z3(), ZERO),
+            LatticeComponent(z3(), Vec3(Fraction(1, 3), 0, 0)),
+            LatticeComponent(wide, ZERO),
+            LatticeComponent(lattice_from_vectors([E1 * 2, E2, E3]), E1),
+        )
+    )
+    built.clear()
+    assert verify_level(cube, union, W6, samples=30, seed=1).level == 3
+    assert built == [z3(), wide]
