@@ -8,6 +8,7 @@ serialize/parse/serialize cycle is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any
 
@@ -38,6 +39,12 @@ __all__ = [
     "decimal_str",
     "export_off",
 ]
+
+
+# generator triples a JSON body may have, C(n, 3) for n generators: volume and
+# pave walk every triple, so this keeps n <= 107 within the 200,000-item limits
+# of the kernel and --materialize; checked before any generator is parsed
+_TRIPLE_LIMIT = 200_000
 
 
 def vec_to_json(v: Vec3) -> list[str]:
@@ -86,6 +93,9 @@ def zonotope_to_json(z: Zonotope) -> dict[str, Any]:
 def zonotope_from_json(obj) -> Zonotope:
     if not isinstance(obj, dict) or "generators" not in obj:
         raise ValueError("zonotope object needs a 'generators' field")
+    n = len(_shaped(obj["generators"], list, "generators"))
+    if (triples := math.comb(n, 3)) > _TRIPLE_LIMIT:
+        raise ValueError(f"{n} generators make {triples} triples, more than {_TRIPLE_LIMIT}")
     gens = _vecs(obj, "generators")
     translate = vec_from_json(obj.get("translate", ["0", "0", "0"]))
     return Zonotope(gens, translate)

@@ -11,8 +11,16 @@ count per coset. ``coverage``, ``verify_level``'s integer kernel,
 ``coverage`` counts one point in exact Fractions. ``verify_level`` counts all
 samples at once: in each family's lattice coordinates the body's facets become
 small integer thresholds, so membership is exact at any coordinate scale.
-Points on a contributing translate's boundary raise BoundaryHit in
-``coverage`` and are resampled by ``verify_level``.
+The big-integer work runs once per sample and lattice, which leaves each
+lattice coordinate as an integer part and a P-bit fixed-point fraction, with
+|G_f|_1 2^P < 2^62 for the largest facet row G_f. Per family, a sample's
+thresholds are then settled on int64 unless a coordinate of its fraction
+lies within about 2^-P of an integer or some G_f . fraction within about
+|G_f|_1 2^-P of one; those rows, and every row of a lattice whose
+coordinates or facet offsets reach 2^61, take the exact formula on Python
+ints. No float decides a count. Points on a contributing translate's
+boundary raise BoundaryHit in ``coverage`` and are resampled by
+``verify_level``.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,6 +55,8 @@ __all__ = [
 
 # kernel arrays stay int64 while every entry is below this
 _INT64_SAFE = 2**62
+# the int64 step runs while integer parts and h_f stay below this, so fl and q fit
+_PART_SAFE = 2**61
 # sample x candidate x facet cells compared in one broadcast
 _CHUNK = 1 << 20
 # boundary resample rounds before a window is given up
@@ -217,11 +227,40 @@ def translate_multiplicity(lam: LatticeUnion | SlabChoice, point: Vec3) -> int:
     return sum(fam.count_at(nums, den) for fam in translate_families(lam))
 
 
-def _offset_box(z: Zonotope, lat: Lattice):
-    """Facet rows (G_f, h_f) in lat's coordinates, offsets k and k @ G^T, as objects.
+class _OffsetBox(NamedTuple):
+    """A body's facet rows and candidate offsets in one lattice's coordinates."""
+
+    gh: np.ndarray  # (facets, 4) objects: G_f and h_f
+    ks: np.ndarray  # (offsets, 3) offsets k, int64 when they fit
+    gk: np.ndarray  # (offsets, facets) k @ G^T, int64 when it fits
+    gh64: np.ndarray | None  # gh as int64, None when the int64 step cannot run
+    bits: int  # P, the fixed-point fraction bits of the int64 step
+
+
+def _int64(t: np.ndarray) -> np.ndarray:
+    """t as int64 when every entry is below _INT64_SAFE in size, else t."""
+    return t.astype(np.int64) if np.abs(t).max(initial=0) < _INT64_SAFE else t
+
+
+def _fraction_bits(g1: int) -> int:
+    """P for facet rows of largest |G_f|_1 = g1: g1 * 2^P stays below 2^62."""
+    return 62 - g1.bit_length()
+
+
+def _fixed(u, d: int, bits: int):
+    """u // d and floor(2^bits * frac(u / d)), on ints or object arrays."""
+    fl = u // d
+    return fl, ((u - fl * d) << bits) // d
+
+
+def _offset_box(z: Zonotope, lat: Lattice) -> _OffsetBox:
+    """Facet rows (G_f, h_f) in lat's coordinates, offsets k and k @ G^T.
 
     For basis rows B_i over bden and a facet m . x <= h / zden, sum_i w_i b_i
     is on its inner side iff sum_i zden (m . B_i) w_i <= h bden (over the gcd).
+    The offsets are counted before any is built: at most _KERNEL_LIMIT, and
+    at most 6 * _KERNEL_LIMIT offset-facet cells (a 6-facet body at the
+    offset bound). The int64 step runs when |h_f| < 2^61 and P >= 1.
     """
     basis, bden = lat._basis_ints
     rows = []
@@ -233,9 +272,58 @@ def _offset_box(z: Zonotope, lat: Lattice):
               for r in lat._coord_rows]
     if (size := math.prod(map(len, ranges))) > _KERNEL_LIMIT:
         raise ValueError(f"body spans {size} lattice offsets, more than {_KERNEL_LIMIT}")
+    if (cells := size * len(rows)) > 6 * _KERNEL_LIMIT:
+        raise ValueError(
+            f"body spans {size} lattice offsets on {len(rows)} facets, {cells} cells,"
+            f" more than {6 * _KERNEL_LIMIT}"
+        )
     gh = np.array(rows, dtype=object)
     ks = np.array(list(product(*ranges)), dtype=object)
-    return gh, ks, ks @ gh[:, :3].T
+    bits = _fraction_bits(max(sum(map(abs, row[:3])) for row in rows))
+    fits = bits > 0 and max(abs(h) for *_, h in rows) < _PART_SAFE
+    gh64 = gh.astype(np.int64) if fits else None
+    return _OffsetBox(gh, _int64(ks), _int64(ks @ gh[:, :3].T), gh64, bits)
+
+
+def _settle(fu, fx, shift_parts, gh64: np.ndarray, bits: int):
+    """fl and q of one family from fixed-point lattice coordinates, on int64.
+
+    fu and fx are (N, 3) integer parts and P-bit fractions of x's lattice
+    coordinates, shift_parts those of the shift's. With a borrow, fl = fu - fc
+    (less 1 where fx < fxc) and F = fx - fxc (plus 2^P there). Each fraction
+    is off by less than 1 unit of 2^-P, so the true P-scaled fraction 2^P phi
+    of x - shift lies in (F - 1, F + 1), and 2^P G_f . phi lies strictly
+    between lo = G_f . F - |G_f|_1 and hi = G_f . F + |G_f|_1. A row is
+    settled when no coordinate of F is 0, so 0 < phi < 1 and fl is exact,
+    and lo >> P == hi >> P for every facet, so G_f . phi is not an integer
+    and its ceiling is (hi >> P) + 1: q = h_f - that ceiling and thr = q + 1.
+    The returned mask marks the settled rows; fl and q mean nothing elsewhere.
+    """
+    fc, fxc = (np.array(t, dtype=np.int64) for t in zip(*shift_parts))
+    f = fx - fxc
+    borrow = (f < 0).astype(np.int64)
+    f += borrow << bits
+    g, g1 = gh64[:, :3], np.abs(gh64[:, :3]).sum(axis=1)
+    gf = f @ g.T
+    floor = (gf + g1) >> bits
+    settled = ((gf - g1) >> bits == floor).all(axis=1) & f.all(axis=1)
+    return fu - fc - borrow, gh64[:, 3] - floor - 1, settled
+
+
+def _exact(nums: np.ndarray, den: int, fam: TranslateFamily, gh: np.ndarray):
+    """fl, q and thr of one family at the points nums / den, on Python ints."""
+    rows, (s0, s1, s2), sden = fam.rows, fam.shift_ints, fam.sden
+    # row i: r_i and r_i . shift, times rden * sden
+    a = np.array(
+        [(r0 * sden, r1 * sden, r2 * sden, r0 * s0 + r1 * s1 + r2 * s2) for r0, r1, r2 in rows],
+        dtype=object,
+    )
+    big = den * fam.rden * sden
+    y = nums @ a[:, :3].T - a[:, 3] * den
+    fl = y // big
+    side = gh[:, 3] * big - (y - fl * big) @ gh[:, :3].T
+    q = side // big
+    return fl, q, q + (side - q * big != 0)
 
 
 def _kernel_counts(
@@ -247,39 +335,57 @@ def _kernel_counts(
     indices listed. ``boxes`` maps each lattice to its ``_offset_box`` and is
     filled on first use, so families that share a lattice, and calls that
     share the map, build each box once. Per family, with lattice coordinates
-    y of x, the translate at lattice point floor(y) - k covers x iff
+    y of x - shift, the translate at lattice point floor(y) - k covers x iff
     k + frac(y) satisfies every facet G_f . w < h_f of the body's image;
     only the k of the image's bounding box can. Scaled to integers per facet:
     interior iff G_f . k < thr, closed iff G_f . k <= q,
     q = floor(h_f - G_f . frac(y)) and thr = q + 1 unless that floor is exact.
+
+    The big-integer work runs once per lattice: x's lattice coordinates as
+    integer parts and P-bit fractions, with |G_f|_1 2^P < 2^62 for every
+    facet (``_fraction_bits``). ``_settle`` finds fl, q and thr per family on
+    int64 for each row unless a coordinate of frac(y) lies within about 2^-P
+    of an integer or some G_f . frac(y) within about |G_f|_1 2^-P of one;
+    no boundary point settles. The other rows take ``_exact`` on Python
+    ints, as does every row of a lattice where h_f, or the samples' lattice
+    coordinates as bounded from their largest numerator, reach 2^61
+    (coordinates near 1e25, say), and of a family whose shift's integer parts
+    do. Both kinds of row feed one scan; no float is computed.
     """
     nums = np.array(nums, dtype=object).reshape(-1, 3)
     counts = np.zeros(len(nums), dtype=np.int64)
     border = np.zeros(len(nums), dtype=bool)
     boxes = {} if boxes is None else boxes
+    coords: dict[Lattice, tuple | None] = {}
     for fam in translate_families(lam):
         if (box := boxes.get(fam.lattice)) is None:
             box = boxes[fam.lattice] = _offset_box(z, fam.lattice)
-        gh, ks, gk = box
-        rows, (s0, s1, s2), sden = fam.rows, fam.shift_ints, fam.sden
-        # row i: r_i and r_i . shift, times rden * sden
-        a = np.array(
-            [(r0 * sden, r1 * sden, r2 * sden, r0 * s0 + r1 * s1 + r2 * s2) for r0, r1, r2 in rows],
-            dtype=object,
-        )
-        big = den * fam.rden * sden
-        y = nums @ a[:, :3].T - a[:, 3] * den
-        fl = y // big
-        g = gh[:, :3]
-        side = gh[:, 3] * big - (y - fl * big) @ g.T
-        q = side // big
-        thr = q + (side - q * big != 0)
-        if all(np.abs(t).max(initial=0) < _INT64_SAFE for t in (thr, gk, ks, fl)):
-            q, thr, gk, ks, fl = (t.astype(np.int64) for t in (q, thr, gk, ks, fl))
+        gh, ks, gk, gh64, bits = box
+        if fam.lattice not in coords:
+            coords[fam.lattice] = None
+            d, rmax = den * fam.rden, max(sum(map(abs, r)) for r in fam.rows)
+            # u = nums @ R^T has |u| <= rmax max|nums|, and |u // d| <= |u| // d + 1
+            if gh64 is not None and rmax * np.abs(nums).max(initial=0) // d + 1 < _PART_SAFE:
+                u = nums @ np.array(fam.rows, dtype=object).T
+                coords[fam.lattice] = tuple(t.astype(np.int64) for t in _fixed(u, d, bits))
+        rest = np.arange(len(nums))
+        if (xc := coords[fam.lattice]) is not None:
+            # the shift's lattice coordinates r_i . s / (sden rden), fixed-point
+            (a0, a1, a2), sd = fam.shift_ints, fam.sden * fam.rden
+            parts = [_fixed(r0 * a0 + r1 * a1 + r2 * a2, sd, bits) for r0, r1, r2 in fam.rows]
+            if max(abs(c) for c, _ in parts) < _PART_SAFE:
+                fl, q, settled = _settle(*xc, parts, gh64, bits)
+                thr = q + 1
+                rest = np.flatnonzero(~settled)
+        if len(rest) == len(nums):
+            fl, q, thr = (_int64(t) for t in _exact(nums, den, fam, gh))
+        elif len(rest):
+            # these values fit: fl is within 1 of fu - fc, and |q| <= |h_f| + |G_f|_1
+            fl[rest], q[rest], thr[rest] = _exact(nums[rest], den, fam, gh)
         step = max(1, _CHUNK // gk.size)
-        for s0 in range(0, len(nums), step):
-            si, ki = np.nonzero((gk[None] <= q[s0 : s0 + step, None]).all(axis=2))
-            si += s0
+        for c0 in range(0, len(nums), step):
+            si, ki = np.nonzero((gk[None] <= q[c0 : c0 + step, None]).all(axis=2))
+            si += c0
             inside = (gk[ki] < thr[si]).all(axis=1)
             m = fam.multiplicity(fl[si] - ks[ki])
             np.add.at(counts, si[inside], m[inside])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zonotile import cli, tiling
+from zonotile import io as zio
 from zonotile.cli import main
 from zonotile.io import (
     decimal_str,
@@ -503,3 +504,42 @@ def test_cli_verify_tiling_bounds_samples(tmp_path, capsys):
     assert main(argv + [str(cli._SAMPLES_LIMIT)]) == 2
     err = capsys.readouterr().err
     assert "absent.json" in err and "samples" not in err
+
+
+def test_json_refuses_generators_beyond_triple_bound(tmp_path, capsys, monkeypatch):
+    # 108 generators make C(108, 3) = 204,156 triples, one generator past the
+    # bound; the body is refused before any generator is parsed or built
+    n = 1
+    while math.comb(n + 1, 3) <= zio._TRIPLE_LIMIT:
+        n += 1
+    assert (n, math.comb(n + 1, 3)) == (107, 204_156)
+    monkeypatch.setattr(zio, "vec_from_json", lambda arr: pytest.fail("generator parsed"))
+    doc = {"generators": [["1", "0", "0"]] * (n + 1)}
+    with pytest.raises(ValueError, match="108 generators make 204156 triples"):
+        zonotope_from_json(doc)
+    body = write(tmp_path, "z.json", json.dumps(doc))
+    for cmd in (["pave", body], ["classify", body]):
+        assert_input_error(capsys, cmd)
+
+
+def test_json_generator_bound_is_inclusive(monkeypatch):
+    # four generators make C(4, 3) = 4 triples
+    gens = {"generators": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "1"]]}
+    monkeypatch.setattr(zio, "_TRIPLE_LIMIT", 4)
+    assert zonotope_from_json(gens).volume() == 4
+    monkeypatch.setattr(zio, "_TRIPLE_LIMIT", 3)
+    with pytest.raises(ValueError, match="4 generators make 4 triples, more than 3"):
+        zonotope_from_json(gens)
+
+
+def test_cli_verify_tiling_refuses_offset_facet_cells(tmp_path, capsys, monkeypatch):
+    # RD4 spans 3^3 = 27 offsets of Z^3 on 12 facets: 324 cells, 6 * 54
+    rd4 = '{"generators": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "1"]]}'
+    z = write(tmp_path, "z.json", rd4)
+    lam = write(tmp_path, "lam.json", json.dumps(translate_set_to_json(
+        LatticeUnion((LatticeComponent(lattice_from_vectors([E1, E2, E3]), ZERO),)))))
+    monkeypatch.setattr(tiling, "_KERNEL_LIMIT", 53)
+    assert_input_error(capsys, ["verify-tiling", z, lam, "--samples", "10"])
+    monkeypatch.setattr(tiling, "_KERNEL_LIMIT", 54)
+    assert main(["verify-tiling", z, lam, "--samples", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["level"] == 4

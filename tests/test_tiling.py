@@ -1,13 +1,15 @@
 """Coverage counting, level verification, and density."""
 import dataclasses
+import hashlib
 import math
 import random
 import time
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zonotile import tiling
 from zonotile.lattices import box_ranges, lattice_from_vectors
@@ -23,7 +25,7 @@ from zonotile.tiling import (
     translate_multiplicity,
     verify_level,
 )
-from zonotile.weird import build_construction, build_weird
+from zonotile.weird import build_construction, build_weird, construction_from_indices
 from zonotile.zonotope import BoundaryHit, Zonotope
 
 from conftest import E1, E2, E3, ZERO, random_zonotope
@@ -541,3 +543,213 @@ def test_verify_level_builds_each_offset_box_once(cube, monkeypatch):
     built.clear()
     assert verify_level(cube, union, W6, samples=30, seed=1).level == 3
     assert built == [z3(), wide]
+
+
+def test_kernel_refuses_offset_facet_cells_above_limit(z3_union):
+    # RD4 scaled by s spans the Z^3 coordinates 0..2s on each axis and has 12
+    # facets; take the least s whose offsets x 12 exceed 6 x _KERNEL_LIMIT,
+    # sized from the ranges alone, so the kernel never runs at that size
+    def offsets(s):
+        return math.prod(map(len, box_ranges(z3(), ZERO, ZERO, Vec3(2 * s, 2 * s, 2 * s))))
+
+    s = 1
+    while 12 * offsets(s) <= 6 * tiling._KERNEL_LIMIT:
+        s += 1
+    size = offsets(s)
+    cells = 6 * tiling._KERNEL_LIMIT
+    assert size <= tiling._KERNEL_LIMIT and cells < 12 * size < 1.1 * cells
+    body = Zonotope((E1 * s, E2 * s, E3 * s, Vec3(s, s, s)))
+    assert len(body._facet_sides) == 12
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"spans {size} lattice offsets on 12 facets"):
+        verify_level(body, z3_union, W6, samples=1)
+    assert time.perf_counter() - start < 1
+
+
+# -- the kernel's int64 fixed-point step against exact Fractions -------------
+
+
+@st.composite
+def settle_cases(draw):
+    """Facet rows with |G_f|_1 up to 2^60 (so P from 1 to 61), a shift c and x.
+
+    Fractions are (m + d) / 2^P for m at and next to 0 and 2^P - 1 and d in
+    [0, 1) at and next to its ends, so the fixed-point errors of x and c can
+    cancel or add up in either direction; or thirds and sevenths. c may also
+    have denominator 3, 7 or a power of two.
+    """
+    width = draw(st.integers(0, 2) | st.integers(0, 58))
+    entry = st.integers(-(2**width), 2**width)
+    g = draw(st.lists(st.tuples(entry, entry, entry).filter(any), min_size=1, max_size=4))
+    h = draw(st.lists(st.integers(-9, 9), min_size=len(g), max_size=len(g)))
+    bits = tiling._fraction_bits(max(sum(map(abs, r)) for r in g))
+    m = st.sampled_from([0, 1, 2**bits - 2, 2**bits - 1]) | st.integers(0, 2**bits - 1)
+    d = st.sampled_from([0, Fraction(1, 7), Fraction(6, 7), Fraction(1, 2**30), 1 - Fraction(1, 2**30)])
+    fixed = st.builds(lambda a, b: Fraction(a + b) / 2**bits, m, d)
+    ruled = st.builds(Fraction, st.integers(0, 20), st.sampled_from([3, 7, 21]))
+    sden = st.sampled_from([3, 7]) | st.integers(0, 64).map(lambda k: 2**k)
+    shift = fixed | ruled | sden.flatmap(lambda q: st.builds(Fraction, st.integers(0, 2 * q), st.just(q)))
+    c = [draw(st.integers(-5, 5)) + draw(shift) for _ in range(3)]
+    x = [t + draw(st.integers(-5, 5)) + draw(fixed | ruled) for t in c]
+    return g, h, bits, x, c
+
+
+# with G_f = (1, 1, 0) and P = 60, F = (2^P - 1, 2) makes G_f . F = 2^P + 1,
+# but the fixed-point errors add up: 2^P G_f . phi = 2^P - 4/7 lies below the
+# multiple 2^P = lo + 1, and only the full width |G_f|_1 keeps the row unsettled
+_P60 = 2**60
+_ERRORS_ADD_UP = (
+    [(1, 1, 0)], [0], 60,
+    [Fraction(7 * _P60 - 7, 7 * _P60), Fraction(15, 7 * _P60), Fraction(1, 3)],
+    [Fraction(6, 7 * _P60), Fraction(6, 7 * _P60), Fraction(0)],
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(settle_cases())
+@example(_ERRORS_ADD_UP)
+def test_settled_rows_match_exact_ceil_and_integrality(case):
+    g, h, bits, x, c = case
+    xd, cd = lcm(*(t.denominator for t in x)), lcm(*(t.denominator for t in c))
+    fu, fx = tiling._fixed(np.array([[int(t * xd) for t in x]], dtype=object), xd, bits)
+    parts = [tiling._fixed(int(t * cd), cd, bits) for t in c]
+    gh64 = np.array([[*r, hf] for r, hf in zip(g, h)], dtype=np.int64)
+    fl, q, settled = tiling._settle(fu.astype(np.int64), fx.astype(np.int64), parts, gh64, bits)
+    y = [a - b for a, b in zip(x, c)]
+    floor = [math.floor(t) for t in y]
+    phi = [t - f for t, f in zip(y, floor)]
+    dots = [sum(gi * p for gi, p in zip(r, phi)) for r in g]
+    if 0 in phi or any(d.denominator == 1 for d in dots):
+        assert not settled[0]  # a boundary row never settles
+    if settled[0]:
+        assert fl[0].tolist() == floor
+        assert q[0].tolist() == [hf - math.ceil(d) for hf, d in zip(h, dots)]
+        assert all(d.denominator != 1 for d in dots)  # so thr = q + 1
+
+
+def test_generic_rows_settle():
+    # random 64-bit numerators over 3 * 2^62 against the cube's facets, with a
+    # shift in sevenths: every row settles, so the exact formula runs on none
+    rng = random.Random(62)
+    bits = tiling._fraction_bits(1)
+    gh64 = np.array([[1, 0, 0, 1], [-1, 0, 0, 0], [0, 1, 0, 1], [0, -1, 0, 0],
+                     [0, 0, 1, 1], [0, 0, -1, 0]], dtype=np.int64)
+    u = np.array([[rng.getrandbits(64) - 2**63 for _ in range(3)] for _ in range(500)],
+                 dtype=object)
+    fu, fx = tiling._fixed(u, 2**62 * 3, bits)
+    parts = [tiling._fixed(t, 7, bits) for t in (1, 2, -3)]
+    _, _, settled = tiling._settle(fu.astype(np.int64), fx.astype(np.int64), parts, gh64, bits)
+    assert settled.all()
+
+
+def exact_rows_spy(monkeypatch):
+    """Record the rows each ``_exact`` call gets and whether ``_settle`` ran."""
+    seen = {"exact": [], "settle": 0}
+    real_exact, real_settle = tiling._exact, tiling._settle
+
+    def exact(nums, *args):
+        seen["exact"].append(len(nums))
+        return real_exact(nums, *args)
+
+    def settle(*args):
+        seen["settle"] += 1
+        return real_settle(*args)
+
+    monkeypatch.setattr(tiling, "_exact", exact)
+    monkeypatch.setattr(tiling, "_settle", settle)
+    return seen
+
+
+def test_kernel_near_1e25_takes_the_exact_path(cube, monkeypatch):
+    # lattice coordinates near 1e25 do not fit the int64 step: every row of
+    # both families takes the exact formula, boundary points included
+    big = 10**25
+    shift = Vec3(big + Fraction(1, 7), -big + Fraction(2, 3), Fraction(1, 3))
+    lam = LatticeUnion(
+        (LatticeComponent(z3(), shift), LatticeComponent(z3(), shift + Vec3(HALF, 0, 0), 2))
+    )
+    rng = random.Random(25)
+    xs = [
+        shift + Vec3(
+            Fraction(rng.randint(-12, 12), rng.choice([2, 3, 7])),
+            Fraction(rng.getrandbits(40), 2**40),
+            Fraction(rng.randint(-12, 12), rng.choice([1, 3, 7])),
+        )
+        for _ in range(60)
+    ]
+    seen = exact_rows_spy(monkeypatch)
+    assert_kernel_matches_coverage(cube, lam, xs)
+    assert seen == {"exact": [len(xs), len(xs)], "settle": 0}
+    assert None in kernel_counts(cube, lam, xs)[0]
+
+
+def test_kernel_on_facet_points_takes_fallback_rows(cube, monkeypatch):
+    # points on facets of the 1/3-shifted copy fall back to the exact formula,
+    # row by row; generic points settle on int64
+    lam = LatticeUnion((LatticeComponent(z3(), ZERO), LatticeComponent(z3(), Vec3(THIRD, 0, 0))))
+    rng = random.Random(3)
+    generic = [
+        Vec3(*(Fraction(rng.getrandbits(50), 2**50) * 6 - 3 for _ in range(3))) for _ in range(40)
+    ]
+    on_facets = [Vec3(Fraction(3 * rng.randint(-3, 3) + 1, 3), p.y, p.z) for p in generic[:10]]
+    seen = exact_rows_spy(monkeypatch)
+    assert_kernel_matches_coverage(cube, lam, generic + on_facets)
+    assert seen["settle"] == 2
+    assert seen["exact"] == [10]  # the Z^3 family settles every row
+    got, border = kernel_counts(cube, lam, generic + on_facets)
+    assert border == list(range(40, 50)) and got[:40] == [2] * 40
+
+
+# -- pinned verify_level reports ---------------------------------------------
+
+
+def pinned_report_cases():
+    cube = Zonotope((E1, E2, E3))
+    rd4 = Zonotope((E1, E2, E3, Vec3(1, 1, 1)))
+    w = (Vec3(-3, -3, -3), Vec3(3, 3, 3))
+    one = LatticeUnion((LatticeComponent(z3(), ZERO),))
+    two = LatticeUnion((LatticeComponent(z3(), ZERO), LatticeComponent(z3(), Vec3(HALF, HALF, HALF))))
+    con = construction_from_indices(cube, [0, 1], coefficients=(HALF, HALF))
+    slab = build_weird(con, {0: "T", 3: "T", -2: "T", 5: "S"})
+    thin, _ = thin_tiling(ZERO)
+    off = Vec3(10**11 + Fraction(3, 7), 10**11 + Fraction(5, 7), -10**11 + Fraction(2, 3))
+    far = thin_tiling(off)[1]
+    off25 = Vec3(10**25 + Fraction(3, 7), -10**25 + Fraction(1, 7), THIRD)
+    far25 = thin_tiling(off25)[1]
+    broken = LatticeUnion(
+        (
+            LatticeComponent(lattice_from_vectors([E1 * 2, E2, E3]), ZERO),
+            LatticeComponent(z3(), Vec3(THIRD, Fraction(1, 4), 0)),
+        )
+    )
+    return {
+        "lattice": (cube, one, w, 1),
+        "union": (cube, two, w, 2),
+        "rd4": (rd4, one, w, 3),
+        "slab": (cube, slab, (Vec3(-5, -5, -5), Vec3(5, 5, 5)), 4),
+        "far": (thin, far, (w[0] + off, w[1] + off), 5),
+        "far25": (thin, far25, (w[0] + off25, w[1] + off25), 6),
+        "broken": (cube, broken, w, 7),
+    }
+
+
+# sha256 of repr(verify_level(..., samples=400, seed)) per case, from the
+# kernel that computed every threshold on Python ints
+PINNED_REPORTS = {
+    "lattice": (1, 0, "90ecc12fd1389b2e39ccd86f66f1336ce1776a5af49b2bdaee73c558f176e365"),
+    "union": (2, 0, "c04daecbfb0ab166f521ad30995e7be9779e114337b9fb23315d31089f20db4b"),
+    "rd4": (4, 0, "672c4ece8af6dcda57a132a35c4e648751768fb0015c7e0829aaade9cc5d3f02"),
+    "slab": (2, 0, "ba6f645bbb45744713466b78630dd931297b1105e350872e6e3ae1b32764d469"),
+    "far": (1, 0, "c590a61d10d8c65a3b06d1ee8ad79dd8555f4ec27ed59ad1ca64a0fcb8e8e89a"),
+    "far25": (1, 0, "ff6a4880af16fa1abaa216387b6bee8de15bbe6e033f5733735be5b5e3c025f5"),
+    "broken": (None, 194, "8cb47ea4c265d1a056aa18db309add5742d1489d78e3dbcee4ab86a7a7ef8d2e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_verify_level_reports_are_pinned(name):
+    z, lam, window, seed = pinned_report_cases()[name]
+    rep = verify_level(z, lam, window, samples=400, seed=seed)
+    level, violations, digest = PINNED_REPORTS[name]
+    assert (rep.level, len(rep.violations)) == (level, violations)
+    assert hashlib.sha256(repr(rep).encode()).hexdigest() == digest
