@@ -11,16 +11,17 @@ count per coset. ``coverage``, ``verify_level``'s integer kernel,
 ``coverage`` counts one point in exact Fractions. ``verify_level`` counts all
 samples at once: in each family's lattice coordinates the body's facets become
 small integer thresholds, so membership is exact at any coordinate scale.
-The big-integer work runs once per sample and lattice, which leaves each
-lattice coordinate as an integer part and a P-bit fixed-point fraction, with
-|G_f|_1 2^P < 2^62 for the largest facet row G_f. Per family, a sample's
-thresholds are then settled on int64 unless a coordinate of its fraction
-lies within about 2^-P of an integer or some G_f . fraction within about
-|G_f|_1 2^-P of one; those rows, and every row of a lattice whose
-coordinates or facet offsets reach 2^61, take the exact formula on Python
-ints. No float decides a count. Points on a contributing translate's
-boundary raise BoundaryHit in ``coverage`` and are resampled by
-``verify_level``.
+Samples are kept as their 62-bit draws, one int64 (N, 3) array. Once per
+sample and lattice, the lattice coordinates are split into an integer part
+and a P-bit fixed-point fraction, with |G_f|_1 2^P < 2^62 for the largest
+facet row G_f; for window draws this runs on int64 limbs, else on Python
+ints. Per family, a sample's thresholds are then settled on int64 unless a
+coordinate of its fraction lies within about 2^-P of an integer or some
+G_f . fraction within about |G_f|_1 2^-P of one; those rows, and every row
+of a lattice whose facet offsets, or whose coordinates of x - shift, reach
+2^61, take the exact formula on Python ints. No float decides a count.
+Points on a contributing translate's boundary raise BoundaryHit in
+``coverage`` and are resampled by ``verify_level``.
 """
 
 from __future__ import annotations
@@ -57,6 +58,11 @@ __all__ = [
 _INT64_SAFE = 2**62
 # the int64 step runs while integer parts and h_f stay below this, so fl and q fit
 _PART_SAFE = 2**61
+# window draws take the int64 limb step while D = w rden and every |M_ij| stay below these
+_LIMB_DEN = 2**31
+_LIMB_M = 2**29
+_LOW31 = 2**31 - 1
+_LOW62 = 2**62 - 1
 # sample x candidate x facet cells compared in one broadcast
 _CHUNK = 1 << 20
 # boundary resample rounds before a window is given up
@@ -253,6 +259,81 @@ def _fixed(u, d: int, bits: int):
     return fl, ((u - fl * d) << bits) // d
 
 
+class _Draws(NamedTuple):
+    """Window samples kept as their 62-bit draws r, an int64 (N, 3) array.
+
+    Coordinate j of sample i is (lo_j + width_j r_ij / 2^62) / w, that is
+    the numerator (lo_j << 62) + width_j r_ij over den = w << 62.
+    """
+
+    r: np.ndarray
+    lo: tuple[int, int, int]
+    width: tuple[int, int, int]
+    w: int
+
+    @property
+    def den(self) -> int:
+        return self.w << 62
+
+    def nums(self, rows=slice(None)) -> np.ndarray:
+        """The Python-int numerators of the given rows, an (n, 3) object array."""
+        base = np.array([a << 62 for a in self.lo], dtype=object)
+        return self.r[rows].astype(object) * np.array(self.width, dtype=object) + base
+
+
+def _draw(rng: random.Random, n: int) -> np.ndarray:
+    """3n values of rng.getrandbits(62) as an int64 (n, 3) array, from one call.
+
+    getrandbits(62) takes two 32-bit words, low word first, and drops the two
+    low bits of the second; getrandbits(192 n) takes the same 6n words in the
+    same order, so the values and the generator's later state are the same.
+    """
+    w = np.frombuffer(rng.getrandbits(192 * n).to_bytes(24 * n, "little"), "<u4").astype(np.int64)
+    return (w[0::2] | (w[1::2] >> 2) << 32).reshape(n, 3)
+
+
+def _limb_coords(draws: _Draws, rows, rden: int, bits: int):
+    """fu - c, fx and c of the draws' lattice coordinates, on int64, or None.
+
+    For coordinate rows R over rden, let L = R lo and M = R diag(width), as
+    Python ints, and D = w rden. Coordinate i is u_i / d = (L_i + S_i / 2^62)
+    / D with S = r @ M^T. Split r = a 2^31 + b: A = a @ M^T and B = b @ M^T
+    are exact on int64 while |M| < 2^29, and with C = (A mod 2^31) 2^31 + B,
+    S = s_hi 2^62 + s_lo for s_hi = (A >> 31) + (C >> 62) and s_lo = C mod
+    2^62. With c = L // D and T = L - c D + s_hi, the integer part is
+    c + T // D, and the fraction's P bits are floor(2^P (m + s_lo / 2^62) / D)
+    for m = T mod D, found by long division in chunks of 62 - bitlen(D) bits;
+    each chunk is exact on int64, since the remainder stays below D. c is kept
+    apart, so fu - c stays small when the window is far from the origin.
+    None when D >= 2^31 or some |M_ij| >= 2^29.
+    """
+    d = draws.w * rden
+    m = [[rij * wj for rij, wj in zip(row, draws.width)] for row in rows]
+    if d >= _LIMB_DEN or max(abs(v) for row in m for v in row) >= _LIMB_M:
+        return None
+    big = [sum(rij * lj for rij, lj in zip(row, draws.lo)) for row in rows]
+    c = tuple(t // d for t in big)
+    mt = np.array(m, dtype=np.int64).T
+    a, b = draws.r >> 31, draws.r & _LOW31
+    hi = a @ mt
+    low = ((hi & _LOW31) << 31) + b @ mt
+    t = np.array([v - ci * d for v, ci in zip(big, c)], dtype=np.int64) + (hi >> 31) + (low >> 62)
+    fu = t // d
+    rem = t - fu * d
+    # the fraction's bits below m: the top P bits of s_lo
+    tail = (low & _LOW62) >> (62 - bits)
+    fx = np.zeros_like(rem)
+    step, left = 62 - d.bit_length(), bits
+    while left > 0:
+        k = min(step, left)
+        left -= k
+        rem = (rem << k) | ((tail >> left) & ((1 << k) - 1))
+        q = rem // d
+        rem -= q * d
+        fx = (fx << k) | q
+    return fu, fx, c
+
+
 def _offset_box(z: Zonotope, lat: Lattice) -> _OffsetBox:
     """Facet rows (G_f, h_f) in lat's coordinates, offsets k and k @ G^T.
 
@@ -289,7 +370,8 @@ def _settle(fu, fx, shift_parts, gh64: np.ndarray, bits: int):
     """fl and q of one family from fixed-point lattice coordinates, on int64.
 
     fu and fx are (N, 3) integer parts and P-bit fractions of x's lattice
-    coordinates, shift_parts those of the shift's. With a borrow, fl = fu - fc
+    coordinates, shift_parts those of the shift's; both integer parts may be
+    less the same c, which cancels. With a borrow, fl = fu - fc
     (less 1 where fx < fxc) and F = fx - fxc (plus 2^P there). Each fraction
     is off by less than 1 unit of 2^-P, so the true P-scaled fraction 2^P phi
     of x - shift lies in (F - 1, F + 1), and 2^P G_f . phi lies strictly
@@ -327,9 +409,14 @@ def _exact(nums: np.ndarray, den: int, fam: TranslateFamily, gh: np.ndarray):
 
 
 def _kernel_counts(
-    z: Zonotope, lam: LatticeUnion | SlabChoice, nums, den: int, boxes: dict | None = None
+    z: Zonotope,
+    lam: LatticeUnion | SlabChoice,
+    nums,
+    den: int | None = None,
+    boxes: dict | None = None,
 ) -> tuple[list[int | None], list[int]]:
-    """Exact coverage counts at the points nums / den (one numerator triple each).
+    """Exact coverage counts at the points nums / den (one numerator triple each),
+    or at window draws (``_Draws``, which carry their own den).
 
     Points on a contributing translate's boundary come back as None, their
     indices listed. ``boxes`` maps each lattice to its ``_offset_box`` and is
@@ -341,20 +428,31 @@ def _kernel_counts(
     interior iff G_f . k < thr, closed iff G_f . k <= q,
     q = floor(h_f - G_f . frac(y)) and thr = q + 1 unless that floor is exact.
 
-    The big-integer work runs once per lattice: x's lattice coordinates as
-    integer parts and P-bit fractions, with |G_f|_1 2^P < 2^62 for every
-    facet (``_fraction_bits``). ``_settle`` finds fl, q and thr per family on
-    int64 for each row unless a coordinate of frac(y) lies within about 2^-P
-    of an integer or some G_f . frac(y) within about |G_f|_1 2^-P of one;
-    no boundary point settles. The other rows take ``_exact`` on Python
-    ints, as does every row of a lattice where h_f, or the samples' lattice
-    coordinates as bounded from their largest numerator, reach 2^61
+    The coordinate step runs once per lattice: x's lattice coordinates as
+    integer parts fu and P-bit fractions fx, with |G_f|_1 2^P < 2^62 for
+    every facet (``_fraction_bits``). Window draws take ``_limb_coords`` on
+    int64 limbs while D = w rden < 2^31 and |M| < 2^29; it keeps a Python-int
+    c per lattice apart from fu, and c is taken off the shift's integer parts
+    instead, so fl = fu - fc - borrow is unchanged. Other points, and draws
+    past those bounds, take ``_fixed`` on Python-int numerators, with c = 0.
+    ``_settle`` finds fl, q and thr per family on int64 for each row unless
+    a coordinate of frac(y) lies within about 2^-P of an integer or some
+    G_f . frac(y) within about |G_f|_1 2^-P of one; no boundary point
+    settles. The other rows take ``_exact`` on Python ints, as does every row
+    of a lattice where h_f reaches 2^61, or, on the ``_fixed`` path, the
+    samples' lattice coordinates as bounded from their largest numerator
     (coordinates near 1e25, say), and of a family whose shift's integer parts
-    do. Both kinds of row feed one scan; no float is computed.
+    less c do. Python-int numerators of window draws are built only for the
+    rows and lattices that need them. Both kinds of row feed one scan; no
+    float is computed.
     """
-    nums = np.array(nums, dtype=object).reshape(-1, 3)
-    counts = np.zeros(len(nums), dtype=np.int64)
-    border = np.zeros(len(nums), dtype=bool)
+    if isinstance(nums, _Draws):
+        draws, den, n, nums = nums, nums.den, len(nums.r), None
+    else:
+        draws, nums = None, np.array(nums, dtype=object).reshape(-1, 3)
+        n = len(nums)
+    counts = np.zeros(n, dtype=np.int64)
+    border = np.zeros(n, dtype=bool)
     boxes = {} if boxes is None else boxes
     coords: dict[Lattice, tuple | None] = {}
     for fam in translate_families(lam):
@@ -362,28 +460,41 @@ def _kernel_counts(
             box = boxes[fam.lattice] = _offset_box(z, fam.lattice)
         gh, ks, gk, gh64, bits = box
         if fam.lattice not in coords:
-            coords[fam.lattice] = None
-            d, rmax = den * fam.rden, max(sum(map(abs, r)) for r in fam.rows)
-            # u = nums @ R^T has |u| <= rmax max|nums|, and |u // d| <= |u| // d + 1
-            if gh64 is not None and rmax * np.abs(nums).max(initial=0) // d + 1 < _PART_SAFE:
-                u = nums @ np.array(fam.rows, dtype=object).T
-                coords[fam.lattice] = tuple(t.astype(np.int64) for t in _fixed(u, d, bits))
-        rest = np.arange(len(nums))
+            xc = None
+            if gh64 is not None and draws is not None:
+                xc = _limb_coords(draws, fam.rows, fam.rden, bits)
+            if gh64 is not None and xc is None:
+                if nums is None:
+                    nums = draws.nums()
+                d, rmax = den * fam.rden, max(sum(map(abs, r)) for r in fam.rows)
+                # u = nums @ R^T has |u| <= rmax max|nums|, and |u // d| <= |u| // d + 1
+                if rmax * np.abs(nums).max(initial=0) // d + 1 < _PART_SAFE:
+                    u = nums @ np.array(fam.rows, dtype=object).T
+                    fu, fx = (t.astype(np.int64) for t in _fixed(u, d, bits))
+                    xc = fu, fx, (0, 0, 0)
+            coords[fam.lattice] = xc
+        rest = np.arange(n)
         if (xc := coords[fam.lattice]) is not None:
-            # the shift's lattice coordinates r_i . s / (sden rden), fixed-point
+            # the shift's lattice coordinates r_i . s / (sden rden), fixed-point,
+            # less the lattice's c
+            fu, fx, c = xc
             (a0, a1, a2), sd = fam.shift_ints, fam.sden * fam.rden
             parts = [_fixed(r0 * a0 + r1 * a1 + r2 * a2, sd, bits) for r0, r1, r2 in fam.rows]
-            if max(abs(c) for c, _ in parts) < _PART_SAFE:
-                fl, q, settled = _settle(*xc, parts, gh64, bits)
+            parts = [(fc - ci, fxc) for (fc, fxc), ci in zip(parts, c)]
+            if max(abs(fc) for fc, _ in parts) < _PART_SAFE:
+                fl, q, settled = _settle(fu, fx, parts, gh64, bits)
                 thr = q + 1
                 rest = np.flatnonzero(~settled)
-        if len(rest) == len(nums):
+        if len(rest) == n:
+            if nums is None:
+                nums = draws.nums()
             fl, q, thr = (_int64(t) for t in _exact(nums, den, fam, gh))
         elif len(rest):
             # these values fit: fl is within 1 of fu - fc, and |q| <= |h_f| + |G_f|_1
-            fl[rest], q[rest], thr[rest] = _exact(nums[rest], den, fam, gh)
+            rows = nums[rest] if nums is not None else draws.nums(rest)
+            fl[rest], q[rest], thr[rest] = _exact(rows, den, fam, gh)
         step = max(1, _CHUNK // gk.size)
-        for c0 in range(0, len(nums), step):
+        for c0 in range(0, n, step):
             si, ki = np.nonzero((gk[None] <= q[c0 : c0 + step, None]).all(axis=2))
             si += c0
             inside = (gk[ki] < thr[si]).all(axis=1)
@@ -418,29 +529,22 @@ def verify_level(
         raise ValueError("need at least one sample")
     _check_window(window)
     lo, hi = window
-    # coordinate lo + (hi - lo) * r / 2^62 as an integer numerator over den
+    # coordinate lo + (hi - lo) * r / 2^62, kept as the draws r
     (lo_ints, hi_ints), w = int_triples((lo, hi))
-    base = np.array([a << 62 for a in lo_ints], dtype=object)
-    width = np.array([b - a for a, b in zip(lo_ints, hi_ints)], dtype=object)
-    den = w << 62
+    width = tuple(b - a for a, b in zip(lo_ints, hi_ints))
     rng = random.Random(seed)
-
-    def draw(n: int) -> np.ndarray:
-        bits = np.array([rng.getrandbits(62) for _ in range(3 * n)], dtype=object)
-        return bits.reshape(n, 3) * width + base
-
-    nums = draw(samples)
+    r = _draw(rng, samples)
     counts = [0] * samples
     pending = list(range(samples))
     boxes: dict[Lattice, tuple] = {}
     for _ in range(_RESAMPLE_LIMIT):
-        got, border = _kernel_counts(z, lam, nums[pending], den, boxes)
+        got, border = _kernel_counts(z, lam, _Draws(r[pending], lo_ints, width, w), boxes=boxes)
         for slot, c in zip(pending, got):
             counts[slot] = c  # None on a boundary, replaced next round
         pending = [pending[i] for i in border]
         if not pending:
             break
-        nums[pending] = draw(len(pending))
+        r[pending] = _draw(rng, len(pending))
     else:
         raise ValueError(f"still on boundaries after {_RESAMPLE_LIMIT} resample rounds")
     hist = Counter(counts)
@@ -452,10 +556,10 @@ def verify_level(
     else:
         level = None
         mode = hist.most_common(1)[0][0]
+        off = [i for i, c in enumerate(counts) if c != mode]
+        draws = _Draws(r[off], lo_ints, width, w)
         violations = tuple(
-            (Vec3.from_ints(*nums[i], den), c)
-            for i, c in enumerate(counts)
-            if c != mode
+            (Vec3.from_ints(*p, draws.den), counts[i]) for i, p in zip(off, draws.nums())
         )
         consistent = None
     return CoverageReport(level, samples, violations, dens, consistent, window, seed)

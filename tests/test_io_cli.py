@@ -1,4 +1,5 @@
 """JSON schemas, OFF export, and the command line."""
+import functools
 import json
 import math
 from fractions import Fraction
@@ -10,19 +11,23 @@ from zonotile import cli, tiling
 from zonotile import io as zio
 from zonotile.cli import main
 from zonotile.io import (
+    coverage_report_to_json,
     decimal_str,
     dumps,
     export_off,
+    lattice_from_json,
+    lattice_to_json,
     translate_set_from_json,
     translate_set_to_json,
     vec_from_json,
+    vec_to_json,
     zonotope_from_json,
     zonotope_to_json,
 )
-from zonotile.lattices import lattice_from_vectors
-from zonotile.linalg import Vec3
+from zonotile.lattices import Lattice, lattice_from_vectors
+from zonotile.linalg import Vec3, rank_of
 from zonotile.structure import TwoFlatVerdict
-from zonotile.tiling import LatticeComponent, LatticeUnion
+from zonotile.tiling import LatticeComponent, LatticeUnion, verify_level
 from zonotile.weird import build_weird, construction_from_indices
 from zonotile.zonotope import Zonotope
 
@@ -57,6 +62,105 @@ def test_translate_set_round_trips_both_variants(cube):
         assert dumps(translate_set_to_json(back)) == text
     back = translate_set_from_json(json.loads(dumps(translate_set_to_json(slab))))
     assert back.choice == slab.choice and back.expected_level == slab.expected_level
+
+
+# -- JSON round trips as properties --------------------------------------------
+
+_rden = st.sampled_from([1, 2, 3, 7, 2**40])
+_rrat = st.builds(Fraction, st.integers(-40, 40) | st.integers(-(10**25), 10**25), _rden)
+_rvec = st.builds(Vec3, _rrat, _rrat, _rrat)
+_small_rvec = st.builds(Vec3, *[st.builds(Fraction, st.integers(-3, 3), _rden)] * 3)
+_generator = _small_rvec.filter(lambda v: not v.is_zero())
+
+
+def _independent(n: int, vec=_small_rvec):
+    return st.lists(vec, min_size=n, max_size=n).filter(lambda b: rank_of(b) == n)
+
+
+def _via_text(obj):
+    """obj after dumps and json.loads, as a file would give it back."""
+    return json.loads(dumps(obj))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(gens=st.lists(_generator, min_size=3, max_size=5), translate=_rvec)
+def test_zonotope_json_round_trip_property(gens, translate):
+    if rank_of(gens) < 3:
+        gens = [*gens, E1, E2 * Fraction(1, 3), E3 * 7][-5:]
+    z = Zonotope(tuple(gens), translate)
+    back = zonotope_from_json(_via_text(zonotope_to_json(z)))
+    assert back.generators == z.generators and back.translate == z.translate
+    assert dumps(zonotope_to_json(back)) == dumps(zonotope_to_json(z))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(basis=st.integers(1, 3).flatmap(lambda n: _independent(n, _rvec)))
+def test_lattice_json_round_trip_property(basis):
+    lat = Lattice(basis)
+    back = lattice_from_json(_via_text(lattice_to_json(lat)))
+    assert back == lat and back.rank == lat.rank
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    comps=st.lists(
+        st.tuples(_independent(3), _rvec, st.integers(1, 5)), min_size=1, max_size=3
+    )
+)
+def test_lattice_union_json_round_trip_property(comps):
+    lam = LatticeUnion(tuple(LatticeComponent(Lattice(b), o, w) for b, o, w in comps))
+    text = dumps(translate_set_to_json(lam))
+    back = translate_set_from_json(json.loads(text))
+    assert back == lam and dumps(translate_set_to_json(back)) == text
+
+
+@functools.cache
+def _construction(coefficients):
+    return construction_from_indices(Zonotope((E1, E2, E3)), [0, 1], coefficients=coefficients)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    coefficients=st.sampled_from([(HALF, HALF), (HALF, Fraction(2, 5))]),
+    choice=st.dictionaries(st.integers(-12, 12), st.sampled_from("ST"), max_size=6),
+)
+def test_slab_choice_json_round_trip_property(coefficients, choice):
+    lam = build_weird(_construction(coefficients), choice)
+    text = dumps(translate_set_to_json(lam))
+    back = translate_set_from_json(json.loads(text))
+    assert dumps(translate_set_to_json(back)) == text
+    assert (back.gamma, back.sub, back.s_offsets, back.t_offsets) == (
+        lam.gamma, lam.sub, lam.s_offsets, lam.t_offsets
+    )
+    assert back.choice == lam.choice and back.expected_level == lam.expected_level
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    offset=_small_rvec,
+    broken=st.booleans(),
+    corner=_rvec,
+    size=st.builds(Fraction, st.integers(1, 12), st.sampled_from([1, 3, 7])),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_coverage_report_dumps_is_stable(offset, broken, corner, size, seed):
+    # a Z^3 tiling, or one with a 2Z x Z x Z copy on top, which breaks the level
+    cube = Zonotope((E1, E2, E3))
+    comps = [LatticeComponent(lattice_from_vectors([E1, E2, E3]), offset)]
+    if broken:
+        comps.append(LatticeComponent(lattice_from_vectors([E1 * 2, E2, E3]), ZERO))
+    lam = LatticeUnion(tuple(comps))
+    window = (corner, corner + Vec3(size, size, size))
+    text = dumps(coverage_report_to_json(verify_level(cube, lam, window, samples=60, seed=seed)))
+    rep = verify_level(cube, lam, window, samples=60, seed=seed)
+    assert dumps(coverage_report_to_json(rep)) == text
+    back = (
+        zonotope_from_json(_via_text(zonotope_to_json(cube))),
+        translate_set_from_json(_via_text(translate_set_to_json(lam))),
+        tuple(vec_from_json(_via_text(vec_to_json(v))) for v in window),
+    )
+    again = verify_level(*back, samples=60, seed=seed)
+    assert dumps(coverage_report_to_json(again)) == text
 
 
 def test_json_rejects_inexact_numbers():

@@ -291,7 +291,7 @@ def thin_tiling(offset):
 
 @pytest.mark.parametrize("big", [10**11, 10**25])
 @pytest.mark.parametrize("far_shift", [False, True])
-def test_kernel_exact_near_faces_far_from_origin(big, far_shift):
+def test_kernel_exact_near_faces_far_from_origin(big, far_shift, monkeypatch):
     # faces at x = 1/7 + k/3; points within 4e-6 of the face x = big + 1/7,
     # reached by a far lattice point or by a far shift. The body tiles, so
     # every point off the faces is covered exactly once.
@@ -317,6 +317,26 @@ def test_kernel_exact_near_faces_far_from_origin(big, far_shift):
     window = (Vec3(face - eps, big, -big), Vec3(face + eps, big + 1, -big + 1))
     rep = verify_level(body, lam, window, samples=1200, seed=7)
     assert rep.level == 1 and rep.violations == () and rep.density_consistent is True
+    # put every tenth first-round sample on the face: only those rows reach
+    # _exact, and their redraws settle, unless x - shift itself is near 1e25
+    # (the window far, the shift not), where every row takes the exact path
+    real_draw, drawn = tiling._draw, []
+
+    def draw(rng, n):
+        r = real_draw(rng, n)
+        if not drawn:
+            r[::10, 0] = 2**61  # lo + width / 2, the face itself
+        drawn.append(n)
+        return r
+
+    monkeypatch.setattr(tiling, "_draw", draw)
+    seen = exact_rows_spy(monkeypatch)
+    rep = verify_level(body, lam, window, samples=1200, seed=7)
+    assert rep.level == 1 and rep.violations == () and drawn == [1200, 120]
+    if big == 10**25 and not far_shift:
+        assert seen == {"exact": [1200, 120], "settle": 0}
+    else:
+        assert seen == {"exact": [120], "settle": 2}
 
 
 def test_kernel_exact_for_a_body_translated_far():
@@ -640,6 +660,66 @@ def test_generic_rows_settle():
     parts = [tiling._fixed(t, 7, bits) for t in (1, 2, -3)]
     _, _, settled = tiling._settle(fu.astype(np.int64), fx.astype(np.int64), parts, gh64, bits)
     assert settled.all()
+
+
+# -- window draws: one bulk call, and lattice coordinates on int64 limbs ------
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+def test_bulk_draw_matches_per_call_getrandbits(n):
+    for seed in range(5):
+        bulk, calls = random.Random(seed), random.Random(seed)
+        r = tiling._draw(bulk, n)
+        assert r.dtype == np.int64 and r.shape == (n, 3)
+        assert r.ravel().tolist() == [calls.getrandbits(62) for _ in range(3 * n)]
+        assert bulk.getstate() == calls.getstate()
+
+
+# denominators 1, 3, 7 and 2^k, and window denominators around D = w rden = 2^31
+_DENS = st.sampled_from([1, 3, 7]) | st.integers(0, 12).map(lambda k: 2**k)
+_FAR_DENS = st.sampled_from([3**19, 7**11, 2**31 - 1, 2**31, 2**32])
+_DRAW = st.sampled_from([0, 1, 2**61, 2**62 - 1]) | st.integers(0, 2**62 - 1)
+
+
+@st.composite
+def limb_cases(draw):
+    """Window draws r over w, lattice rows R over rden and P bits."""
+    w, rden = draw(_DENS | _FAR_DENS), draw(_DENS)
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=3, max_size=3))
+    lo = draw(st.tuples(*[st.integers(-40, 40) | st.integers(-(10**30), 10**30)] * 3))
+    width = draw(st.lists(st.integers(1, 2**26), min_size=3, max_size=3))
+    if draw(st.booleans()):
+        # |M| = |R_ij| width_j at, around and past 2^29
+        width[draw(st.integers(0, 2))] = draw(st.sampled_from([2**28, 2**29 - 1, 2**29]))
+    width = tuple(width)
+    r = draw(st.lists(st.tuples(*[_DRAW] * 3), min_size=1, max_size=6))
+    bits = draw(st.integers(1, 61))
+    return rows, rden, tiling._Draws(np.array(r, dtype=np.int64), lo, width, w), bits
+
+
+_INSIDE = ([(1, 0, 0), (0, -1, 0), (1, 1, -1)], 1,
+           tiling._Draws(np.array([[1, 2**62 - 1, 0], [2**62 - 1, 1, 2**61]]),
+                         (-7, 3, -(10**25)), (2**29 - 1, 2**29 - 1, 1), 2**31 - 1), 61)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(limb_cases())
+@example(_INSIDE)
+@example((_INSIDE[0], 2, _INSIDE[2], 30))  # D = 2^32 - 2, past the bound
+@example((_INSIDE[0], 1, _INSIDE[2]._replace(width=(2**29, 1, 1)), 30))  # |M| = 2^29
+def test_limb_coords_match_fixed_on_python_ints(case):
+    rows, rden, draws, bits = case
+    got = tiling._limb_coords(draws, rows, rden, bits)
+    m = max(abs(rij * wj) for row in rows for rij, wj in zip(row, draws.width))
+    if draws.w * rden >= tiling._LIMB_DEN or m >= tiling._LIMB_M:
+        assert got is None
+        return
+    fu, fx, c = got
+    assert fu.dtype == fx.dtype == np.int64
+    u = draws.nums() @ np.array(rows, dtype=object).T
+    want_fu, want_fx = tiling._fixed(u, draws.den * rden, bits)
+    assert (fu.astype(object) + np.array(c, dtype=object) == want_fu).all()
+    assert (fx.astype(object) == want_fx).all()
 
 
 def exact_rows_spy(monkeypatch):
