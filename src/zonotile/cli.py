@@ -176,8 +176,8 @@ def _cmd_weird_gen(args) -> int:
 
 
 def _cmd_fourier_eval(args) -> int:
-    if args.tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < args.tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     z = _load_zonotope(args.zonotope)
     xi_raw = _read_json(args.points)
     if not isinstance(xi_raw, list):

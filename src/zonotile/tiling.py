@@ -11,15 +11,17 @@ count per coset. ``coverage``, ``verify_level``'s integer kernel,
 ``coverage`` counts one point in exact Fractions. ``verify_level`` counts all
 samples at once: in each family's lattice coordinates the body's facets become
 small integer thresholds, so membership is exact at any coordinate scale.
-Samples are kept as their 62-bit draws, one int64 (N, 3) array. Once per
-sample and lattice, the lattice coordinates are split into an integer part
-and a P-bit fixed-point fraction, with |G_f|_1 2^P < 2^62 for the largest
-facet row G_f; for window draws this runs on int64 limbs, else on Python
-ints. Per family, a sample's thresholds are then settled on int64 unless a
-coordinate of its fraction lies within about 2^-P of an integer or some
-G_f . fraction within about |G_f|_1 2^-P of one; those rows, and every row
-of a lattice whose facet offsets, or whose coordinates of x - shift, reach
-2^61, take the exact formula on Python ints. No float decides a count.
+Samples are kept as their 62-bit draws, one int64 (N, 3) array, and reach
+each lattice's coordinates by one of two routes. While the window's and the
+lattice's denominators are small (D = w rden < 2^31), the coordinates are
+split on int64 limbs into an integer part and a P-bit fixed-point fraction,
+with |G_f|_1 2^P < 2^62 for the largest facet row G_f, and per family a
+sample's thresholds are settled on int64 unless a coordinate of its fraction
+lies within about 2^-P of an integer or some G_f . fraction within about
+|G_f|_1 2^-P of one; those rows take the exact formula on Python ints.
+Otherwise, and where facet offsets or the coordinates of x - shift reach
+2^61, every row of the lattice takes the exact formula. No float decides a
+count.
 Points on a contributing translate's boundary raise BoundaryHit in
 ``coverage`` and are resampled by ``verify_level``.
 """
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -58,7 +59,7 @@ __all__ = [
 _INT64_SAFE = 2**62
 # the int64 step runs while integer parts and h_f stay below this, so fl and q fit
 _PART_SAFE = 2**61
-# window draws take the int64 limb step while D = w rden and every |M_ij| stay below these
+# draws take the int64 limb step while D = w rden and every |M_ij| stay below these
 _LIMB_DEN = 2**31
 _LIMB_M = 2**29
 _LOW31 = 2**31 - 1
@@ -339,10 +340,13 @@ def _offset_box(z: Zonotope, lat: Lattice) -> _OffsetBox:
 
     For basis rows B_i over bden and a facet m . x <= h / zden, sum_i w_i b_i
     is on its inner side iff sum_i zden (m . B_i) w_i <= h bden (over the gcd).
-    The offsets are counted before any is built: at most _KERNEL_LIMIT, and
-    at most 6 * _KERNEL_LIMIT offset-facet cells (a 6-facet body at the
-    offset bound). The int64 step runs when |h_f| < 2^61 and P >= 1.
+    The box is built once per body and lattice and kept on the body. The
+    offsets are counted before any is built: at most _KERNEL_LIMIT, and at
+    most 6 * _KERNEL_LIMIT offset-facet cells (a 6-facet body at the offset
+    bound). The int64 step runs when |h_f| < 2^61 and P >= 1.
     """
+    if (box := z._boxes.get(lat)) is not None:
+        return box
     basis, bden = lat._basis_ints
     rows = []
     for (m0, m1, m2), h, *_ in z._facet_sides:
@@ -363,7 +367,8 @@ def _offset_box(z: Zonotope, lat: Lattice) -> _OffsetBox:
     bits = _fraction_bits(max(sum(map(abs, row[:3])) for row in rows))
     fits = bits > 0 and max(abs(h) for *_, h in rows) < _PART_SAFE
     gh64 = gh.astype(np.int64) if fits else None
-    return _OffsetBox(gh, _int64(ks), _int64(ks @ gh[:, :3].T), gh64, bits)
+    box = z._boxes[lat] = _OffsetBox(gh, _int64(ks), _int64(ks @ gh[:, :3].T), gh64, bits)
+    return box
 
 
 def _settle(fu, fx, shift_parts, gh64: np.ndarray, bits: int):
@@ -409,72 +414,44 @@ def _exact(nums: np.ndarray, den: int, fam: TranslateFamily, gh: np.ndarray):
 
 
 def _kernel_counts(
-    z: Zonotope,
-    lam: LatticeUnion | SlabChoice,
-    nums,
-    den: int | None = None,
-    boxes: dict | None = None,
-) -> tuple[list[int | None], list[int]]:
-    """Exact coverage counts at the points nums / den (one numerator triple each),
-    or at window draws (``_Draws``, which carry their own den).
+    z: Zonotope, lam: LatticeUnion | SlabChoice, draws: _Draws
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact coverage counts at window draws, and a mask of boundary points.
 
-    Points on a contributing translate's boundary come back as None, their
-    indices listed. ``boxes`` maps each lattice to its ``_offset_box`` and is
-    filled on first use, so families that share a lattice, and calls that
-    share the map, build each box once. Per family, with lattice coordinates
-    y of x - shift, the translate at lattice point floor(y) - k covers x iff
-    k + frac(y) satisfies every facet G_f . w < h_f of the body's image;
-    only the k of the image's bounding box can. Scaled to integers per facet:
-    interior iff G_f . k < thr, closed iff G_f . k <= q,
+    A point on a contributing translate's boundary is marked in the mask, and
+    its count means nothing. Per family, with lattice coordinates y of
+    x - shift, the translate at lattice point floor(y) - k covers x iff
+    k + frac(y) satisfies every facet G_f . w < h_f of the body's image; only
+    the k of the image's bounding box (``_offset_box``) can. Scaled to
+    integers per facet: interior iff G_f . k < thr, closed iff G_f . k <= q,
     q = floor(h_f - G_f . frac(y)) and thr = q + 1 unless that floor is exact.
 
-    The coordinate step runs once per lattice: x's lattice coordinates as
-    integer parts fu and P-bit fractions fx, with |G_f|_1 2^P < 2^62 for
-    every facet (``_fraction_bits``). Window draws take ``_limb_coords`` on
-    int64 limbs while D = w rden < 2^31 and |M| < 2^29; it keeps a Python-int
-    c per lattice apart from fu, and c is taken off the shift's integer parts
-    instead, so fl = fu - fc - borrow is unchanged. Other points, and draws
-    past those bounds, take ``_fixed`` on Python-int numerators, with c = 0.
-    ``_settle`` finds fl, q and thr per family on int64 for each row unless
-    a coordinate of frac(y) lies within about 2^-P of an integer or some
+    The coordinate step runs once per lattice, by one of two routes. While
+    D = w rden < 2^31 and |M| < 2^29, ``_limb_coords`` gives x's lattice
+    coordinates on int64 limbs as integer parts fu and P-bit fractions fx,
+    with |G_f|_1 2^P < 2^62 for every facet (``_fraction_bits``), and a
+    Python-int c per lattice kept apart from fu; c is taken off the shift's
+    integer parts instead, so fl = fu - fc - borrow is unchanged. ``_settle``
+    then finds fl, q and thr per family on int64 for each row unless a
+    coordinate of frac(y) lies within about 2^-P of an integer or some
     G_f . frac(y) within about |G_f|_1 2^-P of one; no boundary point
-    settles. The other rows take ``_exact`` on Python ints, as does every row
-    of a lattice where h_f reaches 2^61, or, on the ``_fixed`` path, the
-    samples' lattice coordinates as bounded from their largest numerator
-    (coordinates near 1e25, say), and of a family whose shift's integer parts
-    less c do. Python-int numerators of window draws are built only for the
-    rows and lattices that need them. Both kinds of row feed one scan; no
-    float is computed.
+    settles, and the other rows take ``_exact`` on Python ints. Otherwise
+    every row takes ``_exact``: past the limb bounds, where h_f reaches 2^61,
+    and for a family whose shift's integer parts less c do. Python-int
+    numerators of the draws are built only for the rows that need them. Both
+    kinds of row feed one scan; no float is computed.
     """
-    if isinstance(nums, _Draws):
-        draws, den, n, nums = nums, nums.den, len(nums.r), None
-    else:
-        draws, nums = None, np.array(nums, dtype=object).reshape(-1, 3)
-        n = len(nums)
+    n, den, nums = len(draws.r), draws.den, None
     counts = np.zeros(n, dtype=np.int64)
     border = np.zeros(n, dtype=bool)
-    boxes = {} if boxes is None else boxes
     coords: dict[Lattice, tuple | None] = {}
     for fam in translate_families(lam):
-        if (box := boxes.get(fam.lattice)) is None:
-            box = boxes[fam.lattice] = _offset_box(z, fam.lattice)
-        gh, ks, gk, gh64, bits = box
-        if fam.lattice not in coords:
-            xc = None
-            if gh64 is not None and draws is not None:
-                xc = _limb_coords(draws, fam.rows, fam.rden, bits)
-            if gh64 is not None and xc is None:
-                if nums is None:
-                    nums = draws.nums()
-                d, rmax = den * fam.rden, max(sum(map(abs, r)) for r in fam.rows)
-                # u = nums @ R^T has |u| <= rmax max|nums|, and |u // d| <= |u| // d + 1
-                if rmax * np.abs(nums).max(initial=0) // d + 1 < _PART_SAFE:
-                    u = nums @ np.array(fam.rows, dtype=object).T
-                    fu, fx = (t.astype(np.int64) for t in _fixed(u, d, bits))
-                    xc = fu, fx, (0, 0, 0)
-            coords[fam.lattice] = xc
+        lat = fam.lattice
+        gh, ks, gk, gh64, bits = _offset_box(z, lat)
+        if lat not in coords:
+            coords[lat] = None if gh64 is None else _limb_coords(draws, fam.rows, fam.rden, bits)
         rest = np.arange(n)
-        if (xc := coords[fam.lattice]) is not None:
+        if (xc := coords[lat]) is not None:
             # the shift's lattice coordinates r_i . s / (sden rden), fixed-point,
             # less the lattice's c
             fu, fx, c = xc
@@ -501,8 +478,7 @@ def _kernel_counts(
             m = fam.multiplicity(fl[si] - ks[ki])
             np.add.at(counts, si[inside], m[inside])
             border[si[~inside & (m > 0)]] = True
-    got = [None if b else c for c, b in zip(counts.tolist(), border.tolist())]
-    return got, np.flatnonzero(border).tolist()
+    return counts, border
 
 
 def _check_window(window: tuple[Vec3, Vec3]) -> None:
@@ -534,32 +510,32 @@ def verify_level(
     width = tuple(b - a for a, b in zip(lo_ints, hi_ints))
     rng = random.Random(seed)
     r = _draw(rng, samples)
-    counts = [0] * samples
-    pending = list(range(samples))
-    boxes: dict[Lattice, tuple] = {}
+    counts = np.zeros(samples, dtype=np.int64)
+    pending = np.arange(samples)
     for _ in range(_RESAMPLE_LIMIT):
-        got, border = _kernel_counts(z, lam, _Draws(r[pending], lo_ints, width, w), boxes=boxes)
-        for slot, c in zip(pending, got):
-            counts[slot] = c  # None on a boundary, replaced next round
-        pending = [pending[i] for i in border]
-        if not pending:
+        # a boundary sample's count is replaced next round
+        counts[pending], border = _kernel_counts(z, lam, _Draws(r[pending], lo_ints, width, w))
+        pending = pending[border]
+        if not len(pending):
             break
         r[pending] = _draw(rng, len(pending))
     else:
         raise ValueError(f"still on boundaries after {_RESAMPLE_LIMIT} resample rounds")
-    hist = Counter(counts)
+    values, first, freq = np.unique(counts, return_index=True, return_counts=True)
     dens = density(lam)
-    if len(hist) == 1:
-        level = counts[0]
+    if len(values) == 1:
+        level = int(values[0])
         violations: tuple[tuple[Vec3, int], ...] = ()
         consistent = dens * z.volume() == level
     else:
         level = None
-        mode = hist.most_common(1)[0][0]
-        off = [i for i, c in enumerate(counts) if c != mode]
+        # the most frequent count; a tie goes to the count seen first
+        top = freq == freq.max()
+        mode = values[top][np.argmin(first[top])]
+        off = np.flatnonzero(counts != mode)
         draws = _Draws(r[off], lo_ints, width, w)
         violations = tuple(
-            (Vec3.from_ints(*p, draws.den), counts[i]) for i, p in zip(off, draws.nums())
+            (Vec3.from_ints(*p, draws.den), c) for p, c in zip(draws.nums(), counts[off].tolist())
         )
         consistent = None
     return CoverageReport(level, samples, violations, dens, consistent, window, seed)

@@ -211,6 +211,8 @@ def slab_identity_check(
     and any disagreement is reported. Boundary hits are resampled, at most
     _RESAMPLE_LIMIT times per sample.
     """
+    if samples < 1:
+        raise ValueError("need at least one sample")
     rng = random.Random(seed)
     if window is None:
         lo, hi = c.zonotope.bounding_box()
@@ -341,6 +343,8 @@ def irregularity_certificate(
     multiset contain gamma1 * l once when l is red and not at all when l is
     black. Any mismatch is an implementation error and raises.
     """
+    if lo > hi:
+        raise ValueError("coset line range needs lo <= hi")
     if c.cosets is None:
         raise ValueError("rank-2 base group required")
     for u in c.s_offsets + c.t_offsets:

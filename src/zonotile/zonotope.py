@@ -222,8 +222,9 @@ class Zonotope:
 
     Generators must be nonzero and span R^3. The direction classes, the
     facets' integer half-spaces and the bounding box are computed at
-    construction; the ``Facet`` tuple, the frames and the paving are built on
-    first use and cached. Treat instances as immutable.
+    construction; the ``Facet`` tuple, the frames, the paving and the counting
+    kernel's offset boxes are built on first use and cached. Treat instances
+    as immutable.
     """
 
     def __init__(self, generators: Iterable[Vec3], translate: Vec3 = VEC_ZERO):
@@ -253,6 +254,7 @@ class Zonotope:
         self._facets: tuple[Facet, ...] | None = None
         self._frames: tuple[Frame, ...] | None = None
         self._paving: Paving | None = None
+        self._boxes: dict = {}  # lattice -> tiling._offset_box
 
     # -- construction helpers ------------------------------------------------
 

@@ -393,6 +393,17 @@ def test_cli_fourier_eval(tmp_path, capsys):
     assert all(f["in_zero_set"] and f["abs"] <= 1e-9 for f in first)
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_cli_fourier_eval_refuses_bad_tolerance(tmp_path, capsys, tol):
+    # nan would report "near_zero": false at abs 0.0, and inf would call
+    # every value near zero
+    z = write(tmp_path, "z.json", CUBE_JSON)
+    pts = write(tmp_path, "pts.json", json.dumps([["0", "0", "0"]]))
+    assert main(["fourier-eval", z, pts, "--tol", tol]) == 2
+    assert "tolerance must be positive and finite" in capsys.readouterr().err
+    assert main(["fourier-eval", z, pts, "--tol", "1e-300"]) == 0
+
+
 def test_cli_export_mesh(tmp_path, capsys):
     z = write(tmp_path, "z.json", CUBE_JSON)
     out = str(tmp_path / "cube.off")

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from zonotile import tiling
 from zonotile.lattices import box_ranges, lattice_from_vectors
-from zonotile.linalg import Vec3, int_row, rank_of
+from zonotile.linalg import Vec3, int_row, int_triples, rank_of
 from zonotile.tiling import (
     LatticeComponent,
     LatticeUnion,
@@ -39,9 +39,17 @@ def z3():
 
 
 def kernel_counts(z, lam, xs):
-    """The batch kernel on Vec3 points, put over one common denominator."""
-    den = lcm(*(t.denominator for x in xs for t in x))
-    return _kernel_counts(z, lam, [[int(t * den) for t in x] for x in xs], den)
+    """The batch kernel's counts and boundary mask at Vec3 points, as window draws.
+
+    Over the points' common denominator w, lo is the least numerator per axis
+    and width a power of two above the span, so r = (X - lo) 2^62 / width is
+    an exact draw.
+    """
+    nums, w = int_triples(xs)
+    lo = tuple(map(min, zip(*nums)))
+    width = tuple(1 << (max(col) - a).bit_length() for col, a in zip(zip(*nums), lo))
+    r = [[(x - a) * 2**62 // b for x, a, b in zip(p, lo, width)] for p in nums]
+    return _kernel_counts(z, lam, tiling._Draws(np.array(r, dtype=np.int64), lo, width, w))
 
 
 def test_component_validation():
@@ -182,12 +190,15 @@ def test_kernel_refuses_offset_box_above_limit(z3_union):
 
 def test_kernel_offset_bound_is_inclusive(z3_union, monkeypatch):
     # the cube of side 2 spans 3^3 = 27 offsets of Z^3
-    body = Zonotope((E1 * 2, E2 * 2, E3 * 2))
+    def body():
+        return Zonotope((E1 * 2, E2 * 2, E3 * 2))
+
     monkeypatch.setattr(tiling, "_KERNEL_LIMIT", 27)
-    assert verify_level(body, z3_union, W6, samples=20).level == 8
+    assert verify_level(body(), z3_union, W6, samples=20).level == 8
     monkeypatch.setattr(tiling, "_KERNEL_LIMIT", 26)
+    # a fresh body, since a body keeps the boxes it has built
     with pytest.raises(ValueError, match="spans 27 lattice offsets"):
-        verify_level(body, z3_union, W6, samples=20)
+        verify_level(body(), z3_union, W6, samples=20)
 
 
 def test_batch_counts_agree_with_single_point_coverage(cube):
@@ -209,7 +220,7 @@ def test_batch_counts_agree_with_single_point_coverage(cube):
             )
             xs.append(x)
         got, border = kernel_counts(cube, lam, xs)
-        assert not border
+        assert not border.any()
         for x, c in zip(xs, got):
             assert c == coverage(cube, lam, x)
 
@@ -217,8 +228,8 @@ def test_batch_counts_agree_with_single_point_coverage(cube):
 def test_batch_counts_flags_boundary_points(cube, z3_union):
     xs = [Vec3(HALF, HALF, HALF), Vec3(0, HALF, HALF), Vec3(1, HALF, HALF)]
     got, border = kernel_counts(cube, z3_union, xs)
-    assert got == [1, None, None]
-    assert border == [1, 2]
+    assert got[0] == 1
+    assert border.tolist() == [False, True, True]
 
 
 def test_verify_level_unit_tiling(cube, z3_union):
@@ -310,7 +321,7 @@ def test_kernel_exact_near_faces_far_from_origin(big, far_shift, monkeypatch):
         for _ in range(600)
     ]
     got, border = kernel_counts(body, lam, xs)
-    assert not border and got == [1] * len(xs)
+    assert not border.any() and (got == 1).all()
     for x in xs[:10]:
         assert coverage(body, lam, x) == 1
     eps = Fraction(4, 10**6)
@@ -354,7 +365,7 @@ def test_kernel_exact_for_a_body_translated_far():
         for _ in range(200)
     ]
     got, border = kernel_counts(body, lam, xs)
-    assert not border and got == [1] * len(xs)
+    assert not border.any() and (got == 1).all()
     for x in xs[:10]:
         assert coverage(body, lam, x) == 1
 
@@ -391,9 +402,9 @@ def assert_kernel_matches_coverage(z, lam, xs):
         try:
             want = coverage(z, lam, x)
         except BoundaryHit:
-            want = None
-        assert got[i] == want
-        assert (i in border) == (want is None)
+            assert border[i]
+        else:
+            assert not border[i] and got[i] == want
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -542,13 +553,24 @@ def test_verify_level_builds_each_offset_box_once(cube, monkeypatch):
             return 0 if CornerFirst.calls <= 3 * 20 else super().getrandbits(k)
 
     built = []
-    real = tiling._offset_box
-    monkeypatch.setattr(tiling, "_offset_box", lambda z, lat: built.append(lat) or real(z, lat))
+
+    class Boxes(dict):
+        """A body's box cache that lists the lattices it is filled for."""
+
+        def __setitem__(self, lat, box):
+            built.append(lat)
+            super().__setitem__(lat, box)
+
     monkeypatch.setattr(tiling.random, "Random", CornerFirst)
     lam = build_weird(build_construction(cube), choice={0: "T", 3: "T"})
     assert len({f.lattice for f in translate_families(lam)}) == 1 < len(translate_families(lam))
-    rep = verify_level(cube, lam, (Vec3(0, 0, 0), Vec3(3, 3, 3)), samples=20, seed=2)
+    cube._boxes = Boxes()
+    window = (Vec3(0, 0, 0), Vec3(3, 3, 3))
+    rep = verify_level(cube, lam, window, samples=20, seed=2)
     assert CornerFirst.calls > 3 * 20 and rep.level == 2
+    assert built == [lam.gamma]
+    # the body keeps its boxes: a second call builds none
+    assert verify_level(cube, lam, window, samples=20, seed=3).level == 2
     assert built == [lam.gamma]
     # equal lattices built apart share one box; distinct lattices get one each
     wide = lattice_from_vectors([E1 * 2, E2, E3])
@@ -560,8 +582,12 @@ def test_verify_level_builds_each_offset_box_once(cube, monkeypatch):
             LatticeComponent(lattice_from_vectors([E1 * 2, E2, E3]), E1),
         )
     )
+    body = Zonotope(cube.generators)
+    body._boxes = Boxes()
     built.clear()
-    assert verify_level(cube, union, W6, samples=30, seed=1).level == 3
+    assert verify_level(body, union, W6, samples=30, seed=1).level == 3
+    assert built == [z3(), wide]
+    assert verify_level(body, union, W6, samples=30, seed=2).level == 3
     assert built == [z3(), wide]
 
 
@@ -760,16 +786,17 @@ def test_kernel_near_1e25_takes_the_exact_path(cube, monkeypatch):
     seen = exact_rows_spy(monkeypatch)
     assert_kernel_matches_coverage(cube, lam, xs)
     assert seen == {"exact": [len(xs), len(xs)], "settle": 0}
-    assert None in kernel_counts(cube, lam, xs)[0]
+    assert kernel_counts(cube, lam, xs)[1].any()
 
 
 def test_kernel_on_facet_points_takes_fallback_rows(cube, monkeypatch):
     # points on facets of the 1/3-shifted copy fall back to the exact formula,
-    # row by row; generic points settle on int64
+    # row by row; generic points settle on int64. Denominators 3 2^20 keep
+    # D = w rden inside the limb bound.
     lam = LatticeUnion((LatticeComponent(z3(), ZERO), LatticeComponent(z3(), Vec3(THIRD, 0, 0))))
     rng = random.Random(3)
     generic = [
-        Vec3(*(Fraction(rng.getrandbits(50), 2**50) * 6 - 3 for _ in range(3))) for _ in range(40)
+        Vec3(*(Fraction(rng.getrandbits(20), 2**20) * 6 - 3 for _ in range(3))) for _ in range(40)
     ]
     on_facets = [Vec3(Fraction(3 * rng.randint(-3, 3) + 1, 3), p.y, p.z) for p in generic[:10]]
     seen = exact_rows_spy(monkeypatch)
@@ -777,7 +804,7 @@ def test_kernel_on_facet_points_takes_fallback_rows(cube, monkeypatch):
     assert seen["settle"] == 2
     assert seen["exact"] == [10]  # the Z^3 family settles every row
     got, border = kernel_counts(cube, lam, generic + on_facets)
-    assert border == list(range(40, 50)) and got[:40] == [2] * 40
+    assert np.flatnonzero(border).tolist() == list(range(40, 50)) and (got[:40] == 2).all()
 
 
 # -- pinned verify_level reports ---------------------------------------------
@@ -802,19 +829,30 @@ def pinned_report_cases():
             LatticeComponent(z3(), Vec3(THIRD, Fraction(1, 4), 0)),
         )
     )
+    # a body over its own lattice, in a window whose denominators 65537 and
+    # 65539 put D = w rden past the int64 limb bound
+    body = Zonotope((E1, E2 * HALF, Vec3(THIRD, 0, Fraction(3, 2))))
+    shift = Vec3(Fraction(1, 7), Fraction(2, 3), 0)
+    own = LatticeUnion((LatticeComponent(lattice_from_vectors(body.generators), shift),))
+    wide = (Vec3(Fraction(-2, 65537), Fraction(-1, 65539), Fraction(-3, 2)),
+            Vec3(Fraction(150000, 65537), 2, Fraction(7, 3)))
     return {
-        "lattice": (cube, one, w, 1),
-        "union": (cube, two, w, 2),
-        "rd4": (rd4, one, w, 3),
-        "slab": (cube, slab, (Vec3(-5, -5, -5), Vec3(5, 5, 5)), 4),
-        "far": (thin, far, (w[0] + off, w[1] + off), 5),
-        "far25": (thin, far25, (w[0] + off25, w[1] + off25), 6),
-        "broken": (cube, broken, w, 7),
+        "lattice": (cube, one, w, 1, 400),
+        "union": (cube, two, w, 2, 400),
+        "rd4": (rd4, one, w, 3, 400),
+        "slab": (cube, slab, (Vec3(-5, -5, -5), Vec3(5, 5, 5)), 4, 400),
+        "far": (thin, far, (w[0] + off, w[1] + off), 5, 400),
+        "far25": (thin, far25, (w[0] + off25, w[1] + off25), 6, 400),
+        "broken": (cube, broken, w, 7, 400),
+        # counts 2 then 1: the tie goes to the count seen first, the larger one
+        "broken2": (cube, broken, w, 1, 2),
+        "fallback": (body, own, wide, 8, 400),
     }
 
 
-# sha256 of repr(verify_level(..., samples=400, seed)) per case, from the
-# kernel that computed every threshold on Python ints
+# sha256 of repr(verify_level(..., samples, seed)) per case, from the kernel
+# that computed every threshold on Python ints ("broken2" and "fallback": from
+# the kernel with the Python-int coordinate path for draws past the limb bounds)
 PINNED_REPORTS = {
     "lattice": (1, 0, "90ecc12fd1389b2e39ccd86f66f1336ce1776a5af49b2bdaee73c558f176e365"),
     "union": (2, 0, "c04daecbfb0ab166f521ad30995e7be9779e114337b9fb23315d31089f20db4b"),
@@ -823,13 +861,15 @@ PINNED_REPORTS = {
     "far": (1, 0, "c590a61d10d8c65a3b06d1ee8ad79dd8555f4ec27ed59ad1ca64a0fcb8e8e89a"),
     "far25": (1, 0, "ff6a4880af16fa1abaa216387b6bee8de15bbe6e033f5733735be5b5e3c025f5"),
     "broken": (None, 194, "8cb47ea4c265d1a056aa18db309add5742d1489d78e3dbcee4ab86a7a7ef8d2e"),
+    "broken2": (None, 1, "6ed3f4c676283a0fe0d013f136731b8fc4c51e12be9e593f1f1e2e6f47779b14"),
+    "fallback": (1, 0, "15f2d9e2c6434715abcff0c64f7eccc6b5454f9ff2f2d153273fb1a6ae740892"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
 def test_verify_level_reports_are_pinned(name):
-    z, lam, window, seed = pinned_report_cases()[name]
-    rep = verify_level(z, lam, window, samples=400, seed=seed)
+    z, lam, window, seed, samples = pinned_report_cases()[name]
+    rep = verify_level(z, lam, window, samples=samples, seed=seed)
     level, violations, digest = PINNED_REPORTS[name]
     assert (rep.level, len(rep.violations)) == (level, violations)
     assert hashlib.sha256(repr(rep).encode()).hexdigest() == digest

@@ -169,3 +169,18 @@ def test_slab_identity_check_rejects_flat_window(cube):
     c = build_construction(cube)
     with pytest.raises(ValueError):
         slab_identity_check(c, window=(Vec3(0, 0, 0), Vec3(1, 0, 1)), samples=4)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_slab_identity_check_refuses_no_samples(cube, samples):
+    # no sample would pass vacuously
+    with pytest.raises(ValueError, match="at least one sample"):
+        slab_identity_check(cube_construction(cube), samples=samples)
+
+
+def test_irregularity_certificate_refuses_empty_range(cube):
+    # an empty coset line would certify nothing and still report ok
+    c = cube_construction(cube)
+    with pytest.raises(ValueError, match="lo <= hi"):
+        irregularity_certificate(c, ap_coloring(40), 5, 4)
+    assert len(irregularity_certificate(c, ap_coloring(40), 4, 4).entries) == 1
