@@ -205,8 +205,8 @@ def _cmd_fourier_eval(args) -> int:
 
 
 def _cmd_export_mesh(args) -> int:
-    if args.precision < 0:
-        raise ValueError("precision must be nonnegative")
+    if not 0 <= args.precision <= zio._PRECISION_LIMIT:
+        raise ValueError(f"precision must be between 0 and {zio._PRECISION_LIMIT}")
     z = _load_zonotope(args.zonotope)
     _emit(zio.export_off(z, args.precision), args.out)
     return 0

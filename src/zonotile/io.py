@@ -45,6 +45,9 @@ __all__ = [
 # pave walk every triple, so this keeps n <= 107 within the 200,000-item limits
 # of the kernel and --materialize; checked before any generator is parsed
 _TRIPLE_LIMIT = 200_000
+# decimal places export_off writes at most: Python's default int-string limit,
+# past which a fraction's digits could not be printed
+_PRECISION_LIMIT = 4300
 
 
 def vec_to_json(v: Vec3) -> list[str]:
@@ -268,8 +271,8 @@ def dumps(obj) -> str:
 
 def decimal_str(q: Fraction, precision: int) -> str:
     """Fixed-point decimal rendering, half away from zero, exact arithmetic."""
-    if precision < 0:
-        raise ValueError("precision must be nonnegative")
+    if not 0 <= precision <= _PRECISION_LIMIT:
+        raise ValueError(f"precision must be between 0 and {_PRECISION_LIMIT}")
     scaled = abs(q) * 10**precision
     n = scaled.numerator // scaled.denominator
     if 2 * (scaled - n) >= 1:

@@ -1,9 +1,9 @@
 """Rational lattices of rank 1..3 in R^3: duals, membership, cosets, enumeration.
 
 A lattice puts its basis and its dual coordinate rows over one denominator
-each, once, at construction. Box enumeration, the spectral candidate scan and
-translate multiplicities read those integers, and box points are built as
-``Vec3``s straight from their numerators.
+each, once, at construction. Membership, coset indexing, box enumeration, the
+spectral candidate scan and translate multiplicities read those integers, and
+box points are built as ``Vec3``s straight from their numerators.
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ from .linalg import (
 class Lattice:
     """Free abelian group of rational 3-vectors with an explicit basis.
 
-    Rank 1, 2, or 3. The dual coordinate rows are precomputed so membership
-    tests and box enumeration are constant-size exact arithmetic. The basis
-    and the coordinate rows are also kept over one denominator each:
-    ``_basis_ints`` is (triples B_i, d) with b_i = B_i / d, and ``_coord_ints``
-    is (triples R_i, d) with coordinate i of p equal to R_i . p / d.
+    Rank 1, 2, or 3. The basis is completed by normals to its span (b1 x b2;
+    at rank 1, n and b1 x n), and the rows dual to that completed basis are
+    kept over one denominator: ``_coord_ints`` is (triples R_i, d), where
+    R_i . p / d is coordinate i of p for i < rank and vanishes on the span
+    for i >= rank. ``_coord_rows`` holds the first rank rows as ``Vec3``s,
+    and ``_basis_ints`` is (triples B_i, d) with b_i = B_i / d.
     """
 
     def __init__(self, basis: Iterable[Vec3]):
@@ -45,25 +46,16 @@ class Lattice:
             raise ValueError("basis not linearly independent")
         self.basis = basis
         self.rank = len(basis)
-        # rows dual to the basis: coordinate i of p is coord_rows[i] . p
-        if self.rank == 3:
-            self._coord_rows = inverse_rows(*basis)
-            self._span_normal = None
-        elif self.rank == 2:
-            b1, b2 = basis
-            g11, g12, g22 = b1.dot(b1), b1.dot(b2), b2.dot(b2)
-            det = Fraction(g11 * g22 - g12 * g12)
-            self._coord_rows = (
-                b1 * (g22 / det) - b2 * (g12 / det),
-                b2 * (g11 / det) - b1 * (g12 / det),
-            )
-            self._span_normal = b1.cross(b2)
-        else:
-            (b1,) = basis
-            self._coord_rows = (b1.geometric_inverse(),)
-            self._span_normal = None  # rank 1 handled via cross test
+        full = basis
+        if self.rank == 1:
+            (x, y, _), _ = int_row(basis[0])
+            full += (Vec3.from_ints(-y, x, 0) if x or y else Vec3.from_ints(1, 0, 0),)
+        if len(full) == 2:
+            full += (full[0].cross(full[1]),)
+        rows = inverse_rows(*full)
+        self._coord_rows = rows[: self.rank]
         self._basis_ints = int_triples(basis)
-        self._coord_ints = int_triples(self._coord_rows)
+        self._coord_ints = int_triples(rows)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Lattice) and self.basis == other.basis
@@ -74,12 +66,22 @@ class Lattice:
     def __repr__(self) -> str:
         return f"Lattice({list(self.basis)!r})"
 
+    def _point_coords(self, nums: Sequence[int], den: int) -> list[int] | None:
+        """Integer coordinates of the point nums / den, or None off the lattice."""
+        (rows, rden), (p0, p1, p2) = self._coord_ints, nums
+        big = den * rden
+        k = []
+        for i, (r0, r1, r2) in enumerate(rows):
+            c, rem = divmod(r0 * p0 + r1 * p1 + r2 * p2, big)
+            if rem or (c and i >= self.rank):
+                return None
+            k.append(c)
+        return k[: self.rank]
+
     def in_span(self, p: Vec3) -> bool:
-        if self.rank == 3:
-            return True
-        if self.rank == 2:
-            return self._span_normal.dot(p) == 0
-        return self.basis[0].cross(p).is_zero()
+        (p0, p1, p2), _ = int_row(p)
+        rows, _ = self._coord_ints
+        return not any(r0 * p0 + r1 * p1 + r2 * p2 for r0, r1, r2 in rows[self.rank :])
 
     def coords(self, p: Vec3) -> tuple[Fraction, ...] | None:
         """Rational coordinates of p in this basis, or None if p is off-span."""
@@ -88,8 +90,7 @@ class Lattice:
         return tuple(r.dot(p) for r in self._coord_rows)
 
     def contains(self, p: Vec3) -> bool:
-        c = self.coords(p)
-        return c is not None and all(t.denominator == 1 for t in c)
+        return self._point_coords(*int_row(p)) is not None
 
     def covolume(self) -> Fraction:
         if self.rank != 3:
@@ -163,12 +164,9 @@ class CosetEnumeration:
     def __init__(self, gamma: Lattice, sub: Lattice):
         if gamma.rank != 3 or sub.rank != 2:
             raise ValueError("rank mismatch: need full-rank gamma and rank-2 g")
-        coords = []
-        for b in sub.basis:
-            c = gamma.coords(b)
-            if c is None or any(t.denominator != 1 for t in c):
-                raise ValueError("not a sublattice")
-            coords.append([int(t) for t in c])
+        coords = [gamma._point_coords(*int_row(b)) for b in sub.basis]
+        if None in coords:
+            raise ValueError("not a sublattice")
         # columns of m are g's basis in gamma coordinates
         m = [[coords[j][i] for j in range(2)] for i in range(3)]
         u, s, _v = smith_normal_form(m)
@@ -226,10 +224,10 @@ class CosetEnumeration:
 
     def index_of(self, p: Vec3) -> int:
         """Index of the coset of p; p must be a point of gamma."""
-        c = self.gamma.coords(p)
-        if c is None or any(t.denominator != 1 for t in c):
+        c = self.gamma._point_coords(*int_row(p))
+        if c is None:
             raise ValueError("point not in gamma")
-        return self.index_of_coords([int(t) for t in c])
+        return self.index_of_coords(c)
 
 
 def coset_reps(gamma: Lattice, sub: Lattice) -> CosetEnumeration:
@@ -248,7 +246,7 @@ def box_ranges(lat: Lattice, shift: Vec3, lo: Vec3, hi: Vec3) -> list[range]:
     (s, l, h), d = int_triples((shift, lo, hi))
     big = rden * d
     ranges = []
-    for r in rows:
+    for r in rows[: lat.rank]:
         rs = r[0] * s[0] + r[1] * s[1] + r[2] * s[2]
         terms = [(a * b, a * c) for a, b, c in zip(r, l, h)]
         low = sum(map(min, terms)) - rs

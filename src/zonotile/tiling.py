@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -93,14 +93,9 @@ class TranslateFamily:
     def count_at(self, nums: Sequence[int], den: int) -> int:
         """How often the translate nums / den occurs (0 if off the lattice)."""
         (p0, p1, p2), (s0, s1, s2), sden = nums, self.shift_ints, self.sden
-        v0, v1, v2 = sden * p0 - den * s0, sden * p1 - den * s1, sden * p2 - den * s2
-        big = den * sden * self.rden
-        k = []
-        for r0, r1, r2 in self.rows:
-            c, rem = divmod(r0 * v0 + r1 * v1 + r2 * v2, big)
-            if rem:
-                return 0
-            k.append(c)
+        v = (sden * p0 - den * s0, sden * p1 - den * s1, sden * p2 - den * s2)
+        if (k := self.lattice._point_coords(v, den * sden)) is None:
+            return 0
         if not self.counts:
             return self.weight
         return self.counts.get(self.cosets.index_of_coords(k), self.weight)
@@ -280,6 +275,10 @@ class _Draws(NamedTuple):
         """The Python-int numerators of the given rows, an (n, 3) object array."""
         base = np.array([a << 62 for a in self.lo], dtype=object)
         return self.r[rows].astype(object) * np.array(self.width, dtype=object) + base
+
+    def points(self, rows=slice(None)) -> list[Vec3]:
+        """The samples of the given rows as ``Vec3``s."""
+        return [Vec3.from_ints(*p, self.den) for p in self.nums(rows)]
 
 
 def _draw(rng: random.Random, n: int) -> np.ndarray:
@@ -481,10 +480,38 @@ def _kernel_counts(
     return counts, border
 
 
-def _check_window(window: tuple[Vec3, Vec3]) -> None:
-    lo, hi = window
-    if not all(a < b for a, b in zip(lo, hi)):
+def _sample(
+    window: tuple[Vec3, Vec3],
+    samples: int,
+    seed: int,
+    count: Callable[[_Draws], tuple[np.ndarray, np.ndarray]],
+) -> tuple[_Draws, np.ndarray]:
+    """Draw window samples from random.Random(seed) and count them with count.
+
+    count(draws) returns the draws' counts and a mask of those on a boundary,
+    whose counts mean nothing; these are redrawn in slot order and counted
+    again, for at most _RESAMPLE_LIMIT counting rounds. Returns draws, counts.
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    (lo, hi), w = int_triples(window)
+    width = tuple(b - a for a, b in zip(lo, hi))
+    if min(width) <= 0:
         raise ValueError("window needs lo < hi in every coordinate")
+    rng = random.Random(seed)
+    r = _draw(rng, samples)
+    counts, border = count(_Draws(r, lo, width, w))
+    pending = np.flatnonzero(border)
+    for _ in range(_RESAMPLE_LIMIT - 1):
+        if not len(pending):
+            break
+        r[pending] = _draw(rng, len(pending))
+        # a boundary sample's count is replaced
+        counts[pending], border = count(_Draws(r[pending], lo, width, w))
+        pending = pending[border]
+    if len(pending):
+        raise ValueError(f"still on boundaries after {_RESAMPLE_LIMIT} resample rounds")
+    return _Draws(r, lo, width, w), counts
 
 
 def verify_level(
@@ -497,30 +524,11 @@ def verify_level(
     """Sample coverage at random window points and report the observed level.
 
     level is the common count when all samples agree, else None with the
-    off-mode samples listed as violations. Boundary hits are resampled, for
-    at most _RESAMPLE_LIMIT rounds. density_consistent compares
-    density * volume against the observed level.
+    off-mode samples listed as violations. Boundary hits are resampled by
+    ``_sample``. density_consistent compares density * volume against the
+    observed level.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    _check_window(window)
-    lo, hi = window
-    # coordinate lo + (hi - lo) * r / 2^62, kept as the draws r
-    (lo_ints, hi_ints), w = int_triples((lo, hi))
-    width = tuple(b - a for a, b in zip(lo_ints, hi_ints))
-    rng = random.Random(seed)
-    r = _draw(rng, samples)
-    counts = np.zeros(samples, dtype=np.int64)
-    pending = np.arange(samples)
-    for _ in range(_RESAMPLE_LIMIT):
-        # a boundary sample's count is replaced next round
-        counts[pending], border = _kernel_counts(z, lam, _Draws(r[pending], lo_ints, width, w))
-        pending = pending[border]
-        if not len(pending):
-            break
-        r[pending] = _draw(rng, len(pending))
-    else:
-        raise ValueError(f"still on boundaries after {_RESAMPLE_LIMIT} resample rounds")
+    draws, counts = _sample(window, samples, seed, lambda d: _kernel_counts(z, lam, d))
     values, first, freq = np.unique(counts, return_index=True, return_counts=True)
     dens = density(lam)
     if len(values) == 1:
@@ -533,9 +541,6 @@ def verify_level(
         top = freq == freq.max()
         mode = values[top][np.argmin(first[top])]
         off = np.flatnonzero(counts != mode)
-        draws = _Draws(r[off], lo_ints, width, w)
-        violations = tuple(
-            (Vec3.from_ints(*p, draws.den), c) for p, c in zip(draws.nums(), counts[off].tolist())
-        )
+        violations = tuple(zip(draws.points(off), counts[off].tolist()))
         consistent = None
     return CoverageReport(level, samples, violations, dens, consistent, window, seed)

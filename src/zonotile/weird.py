@@ -13,11 +13,12 @@ tiling that no quasi-periodic structure can match.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .lattices import (
     CosetEnumeration,
@@ -27,9 +28,9 @@ from .lattices import (
     lattice_points_in_box,
     plane_section,
 )
-from .linalg import VEC_ZERO, Vec3, int_triples, primitive, rank_of, rat
+from .linalg import VEC_ZERO, Vec3, int_row, primitive, rank_of, rat
 from .structure import TwoFlatVerdict, two_flat
-from .tiling import _RESAMPLE_LIMIT, SlabChoice, _check_window, translate_multiplicity
+from .tiling import SlabChoice, _sample, translate_multiplicity
 from .zonotope import BoundaryHit, Zonotope
 
 __all__ = [
@@ -48,6 +49,9 @@ __all__ = [
 
 RED = "red"
 BLACK = "black"
+# subset sums of the selected generators a construction builds at most (16
+# generators); checked before any sum is built
+_SUBSET_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -106,10 +110,9 @@ def choose_coefficients(g: Lattice, v: Sequence[Vec3]) -> tuple[Fraction, ...]:
     for t in range(1, 65):
         m = [t**i for i in range(len(v))]
         sums = _subset_sums(v, m)[1:]
-        coords = [g.coords(s) for s in sums]
-        if any(c is None for c in coords):
+        rows = [g._point_coords(*int_row(s)) for s in sums]
+        if None in rows:
             raise ValueError("generator outside its own group")
-        rows = [[int(x) for x in c] for c in coords]
         if any(all(x == 0 for x in row) for row in rows):
             continue
         for p in islice(_primes(), 300):
@@ -129,6 +132,8 @@ def construction_from_indices(
         raise ValueError("empty generator selection")
     if vi[0] < 0 or vi[-1] >= len(z.generators):
         raise IndexError("generator index out of range")
+    if (size := 1 << len(vi)) > _SUBSET_LIMIT:
+        raise ValueError(f"{len(vi)} generators give {size} subset sums, more than {_SUBSET_LIMIT}")
     wi = tuple(i for i in range(len(z.generators)) if i not in vi)
     v = [z.generators[i] for i in vi]
     g = lattice_from_vectors(v)
@@ -204,42 +209,34 @@ def slab_identity_check(
     samples: int = 64,
     seed: int = 0,
 ) -> SlabIdentityReport:
-    """Sample the two group-convolved offset sums and compare exactly.
+    """Sample the slab identity 1_P * delta_G * (delta_S - delta_T) = 0.
 
     Both offset families, convolved with the body indicator and the group,
-    must give identical functions; each sample point is counted against both
-    and any disagreement is reported. Boundary hits are resampled, at most
-    _RESAMPLE_LIMIT times per sample.
+    must give the same function. It is checked only at random window points
+    (default: the bounding box grown by 1), each counted exactly for both;
+    a disagreement is reported as (point, S count, T count). Points on a
+    translate's boundary are redrawn by ``tiling._sample``.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = random.Random(seed)
     if window is None:
         lo, hi = c.zonotope.bounding_box()
         pad = Vec3.of(1, 1, 1)
         window = (lo - pad, hi + pad)
-    _check_window(window)
-    # coordinate lo + (hi - lo) * r / 2^62 as an integer numerator over den
-    (lo_ints, hi_ints), w = int_triples(window)
-    den = w << 62
-    mismatches = []
-    for _ in range(samples):
-        for _ in range(_RESAMPLE_LIMIT):
-            x = Vec3.from_ints(
-                *((a << 62) + (b - a) * rng.getrandbits(62) for a, b in zip(lo_ints, hi_ints)),
-                den,
-            )
+    families = (c.s_offsets, c.t_offsets)
+
+    def count(draws):
+        counts = np.zeros((len(draws.r), 2), dtype=np.int64)
+        border = np.zeros(len(draws.r), dtype=bool)
+        for i, x in enumerate(draws.points()):
             try:
-                s_count = sum(_group_count(c, x, u) for u in c.s_offsets)
-                t_count = sum(_group_count(c, x, u) for u in c.t_offsets)
+                counts[i] = [sum(_group_count(c, x, u) for u in f) for f in families]
             except BoundaryHit:
-                continue
-            break
-        else:
-            raise ValueError(f"{_RESAMPLE_LIMIT} resamples in a row hit boundaries")
-        if s_count != t_count:
-            mismatches.append((x, s_count, t_count))
-    return SlabIdentityReport(not mismatches, samples, tuple(mismatches), seed)
+                border[i] = True
+        return counts, border
+
+    draws, counts = _sample(window, samples, seed, count)
+    off = np.flatnonzero(counts[:, 0] != counts[:, 1])
+    mismatches = tuple((x, s, t) for x, (s, t) in zip(draws.points(off), counts[off].tolist()))
+    return SlabIdentityReport(not mismatches, samples, mismatches, seed)
 
 
 def build_weird(

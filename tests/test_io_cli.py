@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zonotile import cli, tiling
+from zonotile import cli, tiling, weird
 from zonotile import io as zio
 from zonotile.cli import main
 from zonotile.io import (
@@ -409,6 +409,35 @@ def test_cli_export_mesh(tmp_path, capsys):
     out = str(tmp_path / "cube.off")
     assert main(["export-mesh", z, "--precision", "3", "--out", out]) == 0
     assert off_counts(open(out).read()) == (8, 6, 12)
+
+
+def test_cli_export_mesh_bounds_precision(tmp_path, capsys, monkeypatch):
+    # a body with vertex coordinates in thirds prints every decimal place it
+    # is asked for: the bound is the most Python prints by default
+    body = {"generators": [["1/3", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+    z = write(tmp_path, "z.json", json.dumps(body))
+    bound = zio._PRECISION_LIMIT
+    assert main(["export-mesh", z, "--precision", str(bound)]) == 0
+    assert "0." + "3" * bound in capsys.readouterr().out
+    with pytest.raises(ValueError, match="precision"):
+        export_off(zonotope_from_json(body), bound + 1)
+    # refused before the body is read
+    monkeypatch.setattr(zio, "zonotope_from_json", lambda doc: pytest.fail("body read"))
+    for precision in (bound + 1, -1):
+        assert_input_error(capsys, ["export-mesh", z, "--precision", str(precision)])
+    assert main(["export-mesh", z, "--precision", str(bound + 1)]) == 2
+    assert f"precision must be between 0 and {bound}" in capsys.readouterr().err
+
+
+def test_cli_weird_gen_refuses_too_many_subset_sums(tmp_path, capsys):
+    # one in-plane generator past the subset-sum bound, plus one across the plane
+    n = weird._SUBSET_LIMIT.bit_length()
+    gens = [[str(1 + i), str(i * i % 7), "0"] for i in range(n)] + [["0", "0", "1"]]
+    z = write(tmp_path, "z.json", json.dumps({"generators": gens}))
+    assert_input_error(capsys, ["weird-gen", z])
+    assert_input_error(capsys, ["weird-gen", z, "--v-indices", " ".join(map(str, range(n)))])
+    assert main(["weird-gen", z, "--v-indices", " ".join(map(str, range(n)))]) == 2
+    assert f"{1 << n} subset sums, more than {weird._SUBSET_LIMIT}" in capsys.readouterr().err
 
 
 def test_cli_pave_and_frames(tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zonotile.lattices import (
@@ -18,7 +18,7 @@ from zonotile.lattices import (
     plane_section,
     subspace_dual,
 )
-from zonotile.linalg import Vec3, rank_of
+from zonotile.linalg import VEC_ZERO, Vec3, int_row, inverse_rows, rank_of
 
 from conftest import corner_box_points, corner_ranges
 
@@ -242,3 +242,81 @@ def test_one_coset_triple_matches_the_array_path_and_the_coset(ab, coords):
         assert ce.index_of_coords(tuple(c)) == ce.index_of_coords(np.array(c, dtype=object)) == j
         # the coset index names the coset of the point: it and rep(j) differ by g
         assert ce.sub.contains(gamma.point(c) - ce.rep(one))
+
+
+def span_dual_rows(lat):
+    """Rows dual to the basis inside its span, by one formula per rank: the
+    inverse at rank 3, the Gram inverse at rank 2 and b / |b|^2 at rank 1."""
+    if lat.rank == 3:
+        return inverse_rows(*lat.basis)
+    if lat.rank == 2:
+        b1, b2 = lat.basis
+        g11, g12, g22 = b1.dot(b1), b1.dot(b2), b2.dot(b2)
+        det = g11 * g22 - g12 * g12
+        return (b1 * (g22 / det) - b2 * (g12 / det), b2 * (g11 / det) - b1 * (g12 / det))
+    (b1,) = lat.basis
+    return (b1 * (1 / b1.dot(b1)),)
+
+
+def fraction_coords(lat, p):
+    """p's coordinates in the basis, in Fractions, or None off the span: the
+    in-span dual rows give the only candidate, and it must rebuild p."""
+    c = tuple(r.dot(p) for r in span_dual_rows(lat))
+    q = VEC_ZERO
+    for t, b in zip(c, lat.basis):
+        q = q + b * t
+    return c if q == p else None
+
+
+def span_normals(basis):
+    """The vectors that complete the basis: b1 x b2, or n = (-y, x, 0) (e1 when
+    that is 0) and b1 x n. A lattice point plus an integer combination of them
+    has integer coordinates in the completed basis, yet lies off the span."""
+    if len(basis) == 2:
+        return [basis[0].cross(basis[1])]
+    if len(basis) == 3:
+        return []
+    (x, y, _), _ = int_row(basis[0])
+    n = Vec3(-y, x, 0) if x or y else E1
+    return [n, basis[0].cross(n)]
+
+
+@st.composite
+def lattices_and_points(draw):
+    """A lattice of rank 1 to 3 and a point on it, in its span, or off it."""
+    rank = draw(st.integers(1, 3))
+    basis = draw(st.lists(rat_vec, min_size=rank, max_size=rank))
+    assume(rank_of(basis) == rank)
+    kind = draw(st.sampled_from(["lattice", "span", "off", "normal"]))
+    coeffs = st.integers(-5, 5)
+    if kind == "span":
+        coeffs = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([2, 3, 5]))
+    p = VEC_ZERO
+    for b in basis:
+        p = p + b * draw(coeffs)
+    if kind == "off":
+        p = p + draw(rat_vec)
+    if kind == "normal":
+        for n in span_normals(basis):
+            p = p + n * draw(st.integers(-2, 2))
+    return Lattice(basis), p
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(lattices_and_points())
+@example((Lattice([Vec3(0, 0, 2)]), Vec3(0, 0, -4)))
+@example((Lattice([Vec3(0, 0, 2)]), Vec3(Fraction(1, 3), 0, -4)))
+@example((Lattice([Vec3(1, 2, 0), Vec3(0, 0, 3)]), Vec3(2, 4, Fraction(3, 2))))
+def test_point_coords_match_a_fraction_solve(case):
+    lat, p = case
+    assert lat._coord_rows == span_dual_rows(lat)
+    want = fraction_coords(lat, p)
+    nums, den = int_row(p)
+    got = lat._point_coords(nums, den)
+    assert lat._point_coords([3 * n for n in nums], 3 * den) == got  # any denominator
+    assert lat.in_span(p) == (want is not None)
+    assert lat.coords(p) == want
+    if want is not None and all(t.denominator == 1 for t in want):
+        assert got == [int(t) for t in want] and lat.contains(p)
+    else:
+        assert got is None and not lat.contains(p)

@@ -1,9 +1,12 @@
 """The coset slab construction, its identities, and the aperiodicity certificate."""
+import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from zonotile import tiling, weird
 from zonotile.lattices import lattice_from_vectors, plane_section
 from zonotile.linalg import Vec3, primitive
 from zonotile.tiling import verify_level
@@ -19,7 +22,7 @@ from zonotile.weird import (
     irregularity_certificate,
     slab_identity_check,
 )
-from zonotile.zonotope import Zonotope
+from zonotile.zonotope import Location, Zonotope
 
 from conftest import E1, E2, E3, ZERO
 
@@ -87,6 +90,17 @@ def test_choose_coefficients_avoids_plane_section():
     c = construction_from_indices(z, [0, 1])
     for u in c.s_offsets + c.t_offsets:
         assert u.is_zero() or not c.gamma.contains(u)
+
+
+def test_choose_coefficients_refuses_generators_off_the_group():
+    # e1 lies in the plane of (2e1, e2) but not in their lattice, so its
+    # subset sums have no integer coordinates there
+    g = lattice_from_vectors([E1 * 2, E2])
+    with pytest.raises(ValueError, match="outside its own group"):
+        choose_coefficients(g, [E1, E2])
+    with pytest.raises(ValueError, match="outside its own group"):
+        choose_coefficients(g, [E3])
+    assert choose_coefficients(g, [E1 * 2, E2]) == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_user_coefficients_may_collide_with_gamma_but_certificate_refuses():
@@ -184,3 +198,114 @@ def test_irregularity_certificate_refuses_empty_range(cube):
     with pytest.raises(ValueError, match="lo <= hi"):
         irregularity_certificate(c, ap_coloring(40), 5, 4)
     assert len(irregularity_certificate(c, ap_coloring(40), 4, 4).entries) == 1
+
+
+# -- slab identity: failing constructions, the shared sampler, pinned reports --
+
+
+def moved_construction(c):
+    """c with its first T offset moved off its subset sum, across G's plane."""
+    moved = c.t_offsets[0] + Vec3(0, 0, Fraction(1, 4))
+    return dataclasses.replace(c, t_offsets=(moved, *c.t_offsets[1:]))
+
+
+def brute_slab_count(c, x, offsets, reach=6):
+    """How many pairs (u, g), u an offset and g = a g1 + b g2 with |a|, |b| <= reach,
+    put x - u - g inside the body; every such g must lie well inside the reach."""
+    total = 0
+    for u in offsets:
+        for a in range(-reach, reach + 1):
+            for b in range(-reach, reach + 1):
+                loc = c.zonotope.contains(x - u - c.g.point((a, b)))
+                assert loc is not Location.BOUNDARY
+                if loc is Location.INTERIOR:
+                    assert max(abs(a), abs(b)) < reach
+                    total += 1
+    return total
+
+
+def test_slab_identity_check_fails_on_moved_offset(cube):
+    c = moved_construction(cube_construction(cube))
+    rep = slab_identity_check(c, samples=64, seed=5)
+    assert rep.passed is False and rep.mismatches
+    for x, s, t in rep.mismatches:
+        assert s != t
+        assert (s, t) == (brute_slab_count(c, x, c.s_offsets), brute_slab_count(c, x, c.t_offsets))
+
+
+def test_slab_identity_check_redraws_first_round_facet_samples(cube, monkeypatch):
+    # every fourth first-round sample is put on the plane x = 0 inside the
+    # slab 0 < z < 1, a facet of the translates over G; only those are redrawn
+    real_draw, drawn = tiling._draw, []
+
+    def draw(rng, n):
+        r = real_draw(rng, n)
+        if not drawn:
+            r[::4, 0] = 2**61  # x = -2 + 4 * 2^61 / 2^62 = 0
+            r[::4, 2] = 2**61 + 2**59  # z = 1/2
+        drawn.append(n)
+        return r
+
+    monkeypatch.setattr(tiling, "_draw", draw)
+    window = (Vec3(-2, -2, -2), Vec3(2, 2, 2))
+    rep = slab_identity_check(cube_construction(cube), window=window, samples=64, seed=1)
+    assert rep.passed and rep.samples == 64 and drawn == [64, 16]
+
+
+def test_slab_identity_check_caps_boundary_resamples(cube, monkeypatch):
+    class Stuck(random.Random):
+        def getrandbits(self, k):
+            return 0  # every sample is the window corner, a cube vertex
+
+    monkeypatch.setattr(tiling.random, "Random", Stuck)
+    with pytest.raises(ValueError, match="resample"):
+        slab_identity_check(cube_construction(cube), window=(ZERO, Vec3(1, 1, 1)), samples=5)
+
+
+def pinned_slab_cases():
+    cube = Zonotope((E1, E2, E3))
+    con = cube_construction(cube)
+    skew = Zonotope((Vec3(1, 1, 0), Vec3(1, -1, 0), E3, Vec3(1, 0, 1)))
+    wide = (Vec3(-2, Fraction(-1, 3), 0), Vec3(3, 2, Fraction(5, 7)))
+    return {
+        "cube": (con, None, 3, 200),
+        "singleton": (construction_from_indices(cube, [2]), None, 4, 100),
+        "skew": (build_construction(skew), None, 2, 64),
+        "window": (con, wide, 9, 64),
+        "broken": (moved_construction(con), None, 5, 64),
+    }
+
+
+# sha256 of repr(slab_identity_check(c, window, samples, seed)) per case, from
+# the check that drew each sample with its own getrandbits calls and retried it
+# on the spot after a boundary hit
+PINNED_SLAB_REPORTS = {
+    "cube": (True, 0, "d0537e322452876a3ba223c1d7f97b49092fc57b0d7a4ef89f8e4c16099b9222"),
+    "singleton": (True, 0, "4f9d65567c03c8c989852464f4d3237ae5a4c4e691ab8f2ed848a19b594db180"),
+    "skew": (True, 0, "ad3b31db935d92f3349609a9286e76a65d7249dccaf988b7bdab687904a07abe"),
+    "window": (True, 0, "48d170c66251bec9caae7f2217d19d0bf846e4a928ea21ada0b598a768d4226f"),
+    "broken": (False, 18, "5936fd7cb5e9debc354fbc9931dd560b74def5b2e2649eeb3eebcd33980bb43f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SLAB_REPORTS))
+def test_slab_identity_reports_are_pinned(name):
+    c, window, seed, samples = pinned_slab_cases()[name]
+    rep = slab_identity_check(c, window=window, samples=samples, seed=seed)
+    passed, mismatches, digest = PINNED_SLAB_REPORTS[name]
+    assert (rep.passed, len(rep.mismatches)) == (passed, mismatches)
+    assert hashlib.sha256(repr(rep).encode()).hexdigest() == digest
+
+
+def test_construction_refuses_too_many_subset_sums(monkeypatch):
+    # one generator past the bound, in one plane, plus one across it; the
+    # refusal comes before any subset sum is built
+    n = weird._SUBSET_LIMIT.bit_length()
+    assert 1 << n > weird._SUBSET_LIMIT >= 1 << (n - 1)
+    z = Zonotope(tuple(Vec3(1 + i, i * i % 7, 0) for i in range(n)) + (E3,))
+    monkeypatch.setattr(weird, "_subset_sums", lambda *a: pytest.fail("subset sums built"))
+    monkeypatch.setattr(weird, "choose_coefficients", lambda *a: pytest.fail("coefficients chosen"))
+    with pytest.raises(ValueError, match=f"{1 << n} subset sums, more than"):
+        construction_from_indices(z, range(n))
+    with pytest.raises(ValueError, match="subset sums"):
+        build_construction(z)
