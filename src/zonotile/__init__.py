@@ -10,12 +10,10 @@ periodic multiple tilings for bodies that admit them.
 from .lattices import (
     CosetEnumeration,
     Lattice,
-    coset_reps,
     dual_lattice,
     lattice_from_vectors,
     lattice_points_in_box,
     plane_section,
-    subspace_dual,
 )
 from .linalg import Vec3, rat, rat_str
 from .spectral import (
@@ -80,9 +78,7 @@ __all__ = [
     "rat_str",
     "Lattice",
     "CosetEnumeration",
-    "coset_reps",
     "dual_lattice",
-    "subspace_dual",
     "plane_section",
     "lattice_from_vectors",
     "lattice_points_in_box",

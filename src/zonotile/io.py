@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Any
 
-from .lattices import Lattice, coset_reps
+from .lattices import CosetEnumeration, Lattice
 from .linalg import Vec3, rat, rat_str
 from .structure import Classification, IntersectionVerdict, TwoFlatVerdict
 from .tiling import CoverageReport, LatticeComponent, LatticeUnion, SlabChoice
@@ -160,7 +160,7 @@ def translate_set_from_json(obj) -> LatticeUnion | SlabChoice:
         return SlabChoice(
             gamma=gamma,
             sub=sub,
-            cosets=coset_reps(gamma, sub),
+            cosets=CosetEnumeration(gamma, sub),
             s_offsets=_vecs(obj, "s_offsets"),
             t_offsets=_vecs(obj, "t_offsets"),
             choice=choice,
@@ -241,7 +241,8 @@ def _frame_to_json(fr: Frame) -> dict[str, Any]:
 def frames_to_json(z: Zonotope) -> dict[str, Any]:
     return {
         "frames": [_frame_to_json(fr) for fr in z.frames()],
-        "degenerate_frames": [_frame_to_json(fr) for fr in z.degenerate_frames()],
+        # no frame of a zonotope is degenerate (see ``Zonotope._build_frames``)
+        "degenerate_frames": [],
     }
 
 

@@ -78,17 +78,6 @@ class Lattice:
             k.append(c)
         return k[: self.rank]
 
-    def in_span(self, p: Vec3) -> bool:
-        (p0, p1, p2), _ = int_row(p)
-        rows, _ = self._coord_ints
-        return not any(r0 * p0 + r1 * p1 + r2 * p2 for r0, r1, r2 in rows[self.rank :])
-
-    def coords(self, p: Vec3) -> tuple[Fraction, ...] | None:
-        """Rational coordinates of p in this basis, or None if p is off-span."""
-        if not self.in_span(p):
-            return None
-        return tuple(r.dot(p) for r in self._coord_rows)
-
     def contains(self, p: Vec3) -> bool:
         return self._point_coords(*int_row(p)) is not None
 
@@ -110,13 +99,6 @@ def dual_lattice(lat: Lattice) -> Lattice:
     if lat.rank != 3:
         raise ValueError("full-rank lattice required")
     return Lattice(inverse_rows(*lat.basis))
-
-
-def subspace_dual(lat: Lattice) -> Lattice:
-    """Dual of a rank-2 lattice taken inside its own plane (Gram inverse)."""
-    if lat.rank != 2:
-        raise ValueError("rank-2 lattice required")
-    return Lattice(lat._coord_rows)
 
 
 def lattice_from_vectors(vectors: Iterable[Vec3]) -> Lattice:
@@ -178,19 +160,10 @@ class CosetEnumeration:
         self.d = (d1, d2)
         self.torsion_order = d1 * d2
         self._u = u
-        du = det_int(u)
-        if du not in (1, -1):
+        if det_int(u) not in (1, -1):
             raise ValueError("non-unimodular transform (internal error)")
-        # adjugate times sign(det) is the exact integer inverse of a unimodular u
-        self._u_inv = [
-            [
-                du
-                * (u[(j + 1) % 3][(i + 1) % 3] * u[(j + 2) % 3][(i + 2) % 3]
-                   - u[(j + 1) % 3][(i + 2) % 3] * u[(j + 2) % 3][(i + 1) % 3])
-                for j in range(3)
-            ]
-            for i in range(3)
-        ]
+        # the rows of u's inverse, integral since u is unimodular
+        self._u_inv = [int_row(r)[0] for r in inverse_rows(*(Vec3.from_ints(*c) for c in zip(*u)))]
         self.gamma1 = self.rep(self.torsion_order)
         # |index| <= _bound * max |coordinate|
         self._bound = max(sum(map(abs, row)) for row in u) * (self.torsion_order + 1)
@@ -228,10 +201,6 @@ class CosetEnumeration:
         if c is None:
             raise ValueError("point not in gamma")
         return self.index_of_coords(c)
-
-
-def coset_reps(gamma: Lattice, sub: Lattice) -> CosetEnumeration:
-    return CosetEnumeration(gamma, sub)
 
 
 def box_ranges(lat: Lattice, shift: Vec3, lo: Vec3, hi: Vec3) -> list[range]:

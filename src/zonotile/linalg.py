@@ -250,15 +250,6 @@ class Vec3:
         b0, b1, b2, _bd = other._nd
         return not (a1 * b2 - a2 * b1 or a2 * b0 - a0 * b2 or a0 * b1 - a1 * b0)
 
-    def geometric_inverse(self) -> "Vec3":
-        """x / |x|^2, the reciprocal point used for plane family spacing."""
-        n0, n1, n2, d = self._nd
-        q = n0 * n0 + n1 * n1 + n2 * n2
-        if not q:
-            raise ZeroDivisionError("geometric inverse of the zero vector")
-        # (n / d) / (q / d^2) = n d / q
-        return _reduced(n0 * d, n1 * d, n2 * d, q)
-
     def as_floats(self) -> tuple[float, float, float]:
         n0, n1, n2, d = self._nd
         return (n0 / d, n1 / d, n2 / d)

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .lattices import box_point_ints, dual_lattice, lattice_points_in_box
+from .lattices import box_count, box_point_ints, dual_lattice, lattice_points_in_box
 from .linalg import VEC_ZERO, Vec3, int_row, rat
 from .tiling import LatticeUnion
 from .zonotope import Frame, Zonotope
@@ -46,6 +46,9 @@ __all__ = [
     "leg_level_zero_check",
     "gaussian_leg_pairing",
 ]
+
+# dual box points support_bound_check builds at most, as ``--materialize``
+_CANDIDATE_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
@@ -235,7 +238,8 @@ def support_bound_check(z: Zonotope, lam: LatticeUnion, radius) -> SupportReport
 
     Frequencies are integer triples X over one denominator q, xi = X / q: the
     ball test, dual membership (<xi, b> integral for every basis vector b)
-    and the phase numerators <offset, xi> are integer dot products.
+    and the phase numerators <offset, xi> are integer dot products. The dual
+    box points are counted before any is built: at most _CANDIDATE_LIMIT.
     """
     if not isinstance(lam, LatticeUnion):
         raise ValueError("periodic description required")
@@ -243,8 +247,10 @@ def support_bound_check(z: Zonotope, lam: LatticeUnion, radius) -> SupportReport
     if r <= 0:
         raise ValueError("radius must be positive")
     corner = Vec3(r, r, r)
-    boxes = [box_point_ints(dual_lattice(c.lattice), VEC_ZERO, -corner, corner)
-             for c in lam.components]
+    duals = [dual_lattice(c.lattice) for c in lam.components]
+    if (size := sum(box_count(d, VEC_ZERO, -corner, corner) for d in duals)) > _CANDIDATE_LIMIT:
+        raise ValueError(f"radius {r} spans {size} dual points, more than {_CANDIDATE_LIMIT}")
+    boxes = [box_point_ints(d, VEC_ZERO, -corner, corner) for d in duals]
     q = math.lcm(*(den for _, den in boxes))
     # |X|^2 / q^2 <= r^2, cleared of denominators
     ball = (r.numerator * q) ** 2
@@ -362,8 +368,12 @@ def leg_level_zero_check(
     For each trial a unit Gaussian is centered at a random point of the first
     component's basis box; the pairing must vanish to within tol. A failing
     report (not an exception) is returned when it does not, so callers can
-    surface the offending values.
+    surface the offending values. Needs trials >= 1 and a finite tol > 0.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     rng = random.Random(seed)
     basis = lam.components[0].lattice.basis
     vals = []

@@ -41,7 +41,7 @@ import numpy as np
 
 from .lattices import CosetEnumeration, Lattice, lattice_points_in_box
 from .linalg import Vec3, int_row, int_triples
-from .zonotope import BoundaryHit, Location, Zonotope
+from .zonotope import BoundaryHit, Zonotope
 
 __all__ = [
     "LatticeComponent",
@@ -204,22 +204,31 @@ def density(lam: LatticeUnion | SlabChoice) -> Fraction:
     )
 
 
-def coverage(z: Zonotope, lam: LatticeUnion | SlabChoice, x: Vec3) -> int:
+def coverage(
+    z: Zonotope, lam: LatticeUnion | SlabChoice | tuple[TranslateFamily, ...], x: Vec3
+) -> int:
     """Exact multiplicity sum_t [x in interior(z + t)] over the multiset.
 
-    Raises BoundaryHit when x lies on the boundary of a contributing
-    translate, since interior counts are ill-defined there.
+    lam is a multiset or a tuple of family records, over lattices of any
+    rank. A family without ``counts`` needs no ``count_at``: each of its box
+    points is a lattice point, of multiplicity ``weight``. Raises BoundaryHit
+    at x when x lies on the boundary of a contributing translate, since
+    interior counts are ill-defined there.
     """
     lo_p, hi_p = z.bounding_box()
+    lo, hi = x - hi_p, x - lo_p
     total = 0
-    for fam in translate_families(lam):
-        for p in lattice_points_in_box(fam.lattice, fam.shift, x - hi_p, x - lo_p):
-            loc = z.contains(x - p)
-            if loc is Location.OUTSIDE or not (m := fam.count_at(*int_row(p))):
-                continue
-            if loc is Location.BOUNDARY:
-                raise BoundaryHit(x)
-            total += m
+    try:
+        for fam in lam if isinstance(lam, tuple) else translate_families(lam):
+            pts = lattice_points_in_box(fam.lattice, fam.shift, lo, hi)
+            if fam.counts:
+                ms = [(p, m) for p in pts if (m := fam.count_at(*int_row(p)))]
+                inside = z.interior_mask([x - p for p, _ in ms])
+                total += sum(m for (_, m), i in zip(ms, inside) if i)
+            elif fam.weight:
+                total += fam.weight * sum(z.interior_mask([x - p for p in pts]))
+    except BoundaryHit:
+        raise BoundaryHit(x) from None
     return total
 
 

@@ -465,10 +465,6 @@ class Zonotope:
             self._build_frames()
         return self._frames
 
-    def degenerate_frames(self) -> tuple[Frame, ...]:
-        """Always empty: no frame of a zonotope is degenerate (see ``_build_frames``)."""
-        return ()
-
     def _build_frames(self) -> None:
         """Frames of every facet pair, on the integer generators over ``_den``.
 

@@ -29,7 +29,7 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"  criterion {key}: {_criterion_results[key]}")
 
 from zonotile.lattices import lattice_from_vectors
-from zonotile.linalg import Vec3, rank_of
+from zonotile.linalg import VEC_ZERO, Vec3, inverse_rows, rank_of
 from zonotile.tiling import LatticeComponent, LatticeUnion
 from zonotile.zonotope import Zonotope
 
@@ -127,3 +127,27 @@ def corner_box_points(lat, shift: Vec3, lo: Vec3, hi: Vec3) -> list[Vec3]:
     for ks, b in zip(corner_ranges(lat, shift, lo, hi), lat.basis):
         points = [p + b * k for p in points for k in ks]
     return points
+
+
+def span_dual_rows(lat):
+    """Rows dual to the basis inside its span, by one formula per rank: the
+    inverse at rank 3, the Gram inverse at rank 2 and b / |b|^2 at rank 1."""
+    if lat.rank == 3:
+        return inverse_rows(*lat.basis)
+    if lat.rank == 2:
+        b1, b2 = lat.basis
+        g11, g12, g22 = b1.dot(b1), b1.dot(b2), b2.dot(b2)
+        det = g11 * g22 - g12 * g12
+        return (b1 * (g22 / det) - b2 * (g12 / det), b2 * (g11 / det) - b1 * (g12 / det))
+    (b1,) = lat.basis
+    return (b1 * (1 / b1.dot(b1)),)
+
+
+def fraction_coords(lat, p):
+    """p's coordinates in the basis, in Fractions, or None off the span: the
+    in-span dual rows give the only candidate, and it must rebuild p."""
+    c = tuple(r.dot(p) for r in span_dual_rows(lat))
+    q = VEC_ZERO
+    for t, b in zip(c, lat.basis):
+        q = q + b * t
+    return c if q == p else None

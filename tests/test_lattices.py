@@ -11,16 +11,14 @@ from zonotile.lattices import (
     CosetEnumeration,
     Lattice,
     box_count,
-    coset_reps,
     dual_lattice,
     lattice_from_vectors,
     lattice_points_in_box,
     plane_section,
-    subspace_dual,
 )
-from zonotile.linalg import VEC_ZERO, Vec3, int_row, inverse_rows, rank_of
+from zonotile.linalg import VEC_ZERO, Vec3, int_row, rank_of
 
-from conftest import corner_box_points, corner_ranges
+from conftest import corner_box_points, corner_ranges, fraction_coords, span_dual_rows
 
 E1, E2, E3 = Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)
 
@@ -39,10 +37,9 @@ def test_membership_and_coords_round_trip():
         c = [rng.randint(-4, 4) for _ in range(3)]
         p = lat.point(c)
         assert lat.contains(p)
-        got = lat.coords(p)
-        assert got is not None and [int(t) for t in got] == c
+        assert lat._point_coords(*int_row(p)) == c
     assert not lat.contains(Vec3(0, 1, 0))
-    assert lat.coords(Vec3(0, 0, Fraction(3, 2))) == (0, 0, Fraction(1, 2))
+    assert lat._point_coords(*int_row(Vec3(0, 0, Fraction(3, 2)))) is None
 
 
 def test_covolume():
@@ -65,21 +62,10 @@ def test_dual_lattice_pairing():
     )
 
 
-def test_subspace_dual_gram_relation():
-    # rank-2 in-plane dual: <d_i, b_j> = delta_ij solved through the Gram matrix
-    lat = lattice_from_vectors([Vec3(1, 1, 0), Vec3(0, 2, 0)])
-    dual = subspace_dual(lat)
-    assert dual.rank == 2
-    for i, d in enumerate(dual.basis):
-        assert lat.in_span(d)
-        for j, b in enumerate(lat.basis):
-            assert d.dot(b) == (1 if i == j else 0)
-
-
 def test_coset_enumeration_free_part_only():
     gamma = lattice_from_vectors([E1, E2, E3])
     sub = lattice_from_vectors([E1, E2])
-    ce = coset_reps(gamma, sub)
+    ce = CosetEnumeration(gamma, sub)
     assert ce.torsion_order == 1
     for j in range(-5, 6):
         r = ce.rep(j)
@@ -92,7 +78,7 @@ def test_coset_enumeration_free_part_only():
 def test_coset_enumeration_with_torsion():
     gamma = lattice_from_vectors([E1, E2, E3])
     sub = lattice_from_vectors([E1 * 2, E2 * 3])
-    ce = coset_reps(gamma, sub)
+    ce = CosetEnumeration(gamma, sub)
     assert ce.torsion_order == 6
     seen = set()
     for j in range(-18, 18):
@@ -108,7 +94,7 @@ def test_coset_enumeration_with_torsion():
 def test_index_of_coords_matches_index_of():
     gamma = lattice_from_vectors([Vec3(1, 1, 0), Vec3(0, 2, 1), Vec3(1, 0, 3)])
     sub = lattice_from_vectors([gamma.basis[0] * 2, gamma.basis[1]])
-    ce = coset_reps(gamma, sub)
+    ce = CosetEnumeration(gamma, sub)
     rng = random.Random(3)
     for _ in range(30):
         c = [rng.randint(-6, 6) for _ in range(3)]
@@ -118,7 +104,7 @@ def test_index_of_coords_matches_index_of():
 def test_index_of_coords_array_matches_scalar():
     gamma = lattice_from_vectors([Vec3(1, 1, 0), Vec3(0, 2, 1), Vec3(1, 0, 3)])
     sub = lattice_from_vectors([gamma.basis[0] * 2, gamma.basis[1]])
-    ce = coset_reps(gamma, sub)
+    ce = CosetEnumeration(gamma, sub)
     rng = random.Random(5)
     # small coordinates stay int64; ones near 2^62 and 1e30 go through Python ints
     for span in (6, 2**62, 10**30):
@@ -131,7 +117,7 @@ def test_index_of_coords_array_matches_scalar():
 def test_coset_enumeration_rejects_non_sublattice():
     gamma = lattice_from_vectors([E1 * 2, E2, E3])
     with pytest.raises(ValueError):
-        coset_reps(gamma, lattice_from_vectors([E1, E2]))
+        CosetEnumeration(gamma, lattice_from_vectors([E1, E2]))
 
 
 def test_plane_section_basic():
@@ -244,30 +230,6 @@ def test_one_coset_triple_matches_the_array_path_and_the_coset(ab, coords):
         assert ce.sub.contains(gamma.point(c) - ce.rep(one))
 
 
-def span_dual_rows(lat):
-    """Rows dual to the basis inside its span, by one formula per rank: the
-    inverse at rank 3, the Gram inverse at rank 2 and b / |b|^2 at rank 1."""
-    if lat.rank == 3:
-        return inverse_rows(*lat.basis)
-    if lat.rank == 2:
-        b1, b2 = lat.basis
-        g11, g12, g22 = b1.dot(b1), b1.dot(b2), b2.dot(b2)
-        det = g11 * g22 - g12 * g12
-        return (b1 * (g22 / det) - b2 * (g12 / det), b2 * (g11 / det) - b1 * (g12 / det))
-    (b1,) = lat.basis
-    return (b1 * (1 / b1.dot(b1)),)
-
-
-def fraction_coords(lat, p):
-    """p's coordinates in the basis, in Fractions, or None off the span: the
-    in-span dual rows give the only candidate, and it must rebuild p."""
-    c = tuple(r.dot(p) for r in span_dual_rows(lat))
-    q = VEC_ZERO
-    for t, b in zip(c, lat.basis):
-        q = q + b * t
-    return c if q == p else None
-
-
 def span_normals(basis):
     """The vectors that complete the basis: b1 x b2, or n = (-y, x, 0) (e1 when
     that is 0) and b1 x n. A lattice point plus an integer combination of them
@@ -314,8 +276,6 @@ def test_point_coords_match_a_fraction_solve(case):
     nums, den = int_row(p)
     got = lat._point_coords(nums, den)
     assert lat._point_coords([3 * n for n in nums], 3 * den) == got  # any denominator
-    assert lat.in_span(p) == (want is not None)
-    assert lat.coords(p) == want
     if want is not None and all(t.denominator == 1 for t in want):
         assert got == [int(t) for t in want] and lat.contains(p)
     else:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from zonotile import spectral
 from zonotile.lattices import Lattice, dual_lattice, lattice_from_vectors
 from zonotile.linalg import Vec3, det3, rank_of
 from zonotile.spectral import (
@@ -22,7 +23,7 @@ from zonotile.spectral import (
     zero_set_member,
 )
 from zonotile.tiling import LatticeComponent, LatticeUnion
-from zonotile.zonotope import Zonotope
+from zonotile.zonotope import Frame, Zonotope
 
 from conftest import E1, E2, E3, ZERO, corner_box_points, corner_ranges
 
@@ -55,7 +56,7 @@ def sample_in_family(rng: random.Random, fam, j: int | None = None) -> Vec3:
     p2 = x.cross(p1)
     t1 = Fraction(rng.randint(-12, 12), rng.randint(1, 7))
     t2 = Fraction(rng.randint(-12, 12), rng.randint(1, 7))
-    return x.geometric_inverse() * j + p1 * t1 + p2 * t2
+    return x * (j / x.norm_sq()) + p1 * t1 + p2 * t2
 
 
 def test_legs_have_zero_total_mass(cube, rd4):
@@ -82,7 +83,7 @@ def test_leg_ft_vanishes_on_offset_planes(cube):
     m = leg_measure(fr)
     # build xi with <xi, tau1> = 1 by scaling
     t = fr.tau1
-    xi = t.geometric_inverse()
+    xi = t * (1 / t.norm_sq())
     assert abs(leg_ft(m, xi)) < 1e-12
 
 
@@ -210,6 +211,45 @@ def test_support_bound_requires_periodic_input(cube):
 
     with pytest.raises(ValueError, match="periodic"):
         support_bound_check(cube, FakeSlab(), 2)
+
+
+def test_support_bound_check_refuses_large_boxes_before_building(cube, monkeypatch):
+    lat = lattice_from_vectors([E1, E2, E3])
+    one = LatticeUnion((LatticeComponent(lat, ZERO),))
+    two = LatticeUnion((LatticeComponent(lat, ZERO), LatticeComponent(lat, Vec3.of("1/2", 0, 0))))
+    monkeypatch.setattr(spectral, "box_point_ints", lambda *a: pytest.fail("box points built"))
+    # radius 29: 59^3 = 205,379 dual points in one box
+    with pytest.raises(ValueError, match="205379 dual points, more than 200000"):
+        support_bound_check(cube, one, 29)
+    # radius 23: 47^3 = 103,823 in each box, 207,646 summed over both
+    with pytest.raises(ValueError, match="207646 dual points"):
+        support_bound_check(cube, two, 23)
+
+
+def test_leg_measure_refuses_a_degenerate_frame():
+    # e and tau1 are parallel, so det(e, tau1, tau2) = 0; no zonotope builds
+    # such a frame, but one built by hand reaches the check
+    fr = Frame(E1, ZERO, E1 * 2, E2, 0)
+    assert det3(*fr.vectors()) == 0
+    with pytest.raises(ValueError, match="degenerate"):
+        leg_measure(fr)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"trials": 0}, "trials"),
+        ({"trials": -2}, "trials"),
+        ({"tol": 0.0}, "tol"),
+        ({"tol": -1e-6}, "tol"),
+        ({"tol": math.inf}, "tol"),
+        ({"tol": math.nan}, "tol"),
+    ],
+)
+def test_leg_level_zero_check_refuses_vacuous_arguments(cube, z3_union, kwargs, name):
+    m = leg_measure(cube.frames()[0])
+    with pytest.raises(ValueError, match=name):
+        leg_level_zero_check(m, z3_union, **kwargs)
 
 
 def test_gaussian_pairing_level_zero(cube, z3_union):

@@ -28,7 +28,7 @@ from zonotile.tiling import (
 from zonotile.weird import build_construction, build_weird, construction_from_indices
 from zonotile.zonotope import BoundaryHit, Zonotope
 
-from conftest import E1, E2, E3, ZERO, random_zonotope
+from conftest import E1, E2, E3, ZERO, fraction_coords, random_zonotope
 
 HALF = Fraction(1, 2)
 W6 = (Vec3(-3, -3, -3), Vec3(3, 3, 3))
@@ -85,8 +85,12 @@ def test_coverage_hand_values(cube, z3_union):
 
 
 def test_coverage_boundary_raises(cube, z3_union):
-    with pytest.raises(BoundaryHit):
-        coverage(cube, z3_union, Vec3(0, HALF, HALF))
+    x = Vec3(0, HALF, HALF)
+    with pytest.raises(BoundaryHit) as hit:
+        coverage(cube, z3_union, x)
+    assert hit.value.point == x
+    # a family record of weight 0 contributes no translate, so no boundary
+    assert coverage(cube, (tiling._family(z3(), ZERO, 0),), x) == 0
 
 
 def test_coverage_translation_equivariance(cube):
@@ -449,7 +453,7 @@ def test_kernel_matches_coverage_slab_choice(choice, families, xs):
 
 
 def coords_multiplicity(lam, p):
-    """Multiplicity of the translate p from ``Lattice.coords`` and coset indices."""
+    """Multiplicity of the translate p from Fraction lattice coordinates and coset indices."""
     if isinstance(lam, LatticeUnion):
         return sum(c.weight for c in lam.components if on_lattice(c.lattice, p - c.offset))
     total = 0
@@ -493,7 +497,8 @@ def pointwise_multiplicity(lam, p):
 
 
 def on_lattice(lat, v):
-    return all(t.denominator == 1 for t in lat.coords(v))
+    c = fraction_coords(lat, v)
+    return c is not None and all(t.denominator == 1 for t in c)
 
 
 @st.composite

@@ -5,11 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zonotile import tiling, weird
 from zonotile.lattices import lattice_from_vectors, plane_section
 from zonotile.linalg import Vec3, primitive
-from zonotile.tiling import verify_level
+from zonotile.tiling import coverage, verify_level
 from zonotile.weird import (
     BLACK,
     RED,
@@ -22,7 +23,7 @@ from zonotile.weird import (
     irregularity_certificate,
     slab_identity_check,
 )
-from zonotile.zonotope import Location, Zonotope
+from zonotile.zonotope import BoundaryHit, Location, Zonotope
 
 from conftest import E1, E2, E3, ZERO
 
@@ -211,13 +212,15 @@ def moved_construction(c):
 
 def brute_slab_count(c, x, offsets, reach=6):
     """How many pairs (u, g), u an offset and g = a g1 + b g2 with |a|, |b| <= reach,
-    put x - u - g inside the body; every such g must lie well inside the reach."""
+    put x - u - g inside the body; every such g must lie well inside the reach.
+    None when x - u - g lies on the body's boundary for some pair."""
     total = 0
     for u in offsets:
         for a in range(-reach, reach + 1):
             for b in range(-reach, reach + 1):
                 loc = c.zonotope.contains(x - u - c.g.point((a, b)))
-                assert loc is not Location.BOUNDARY
+                if loc is Location.BOUNDARY:
+                    return None
                 if loc is Location.INTERIOR:
                     assert max(abs(a), abs(b)) < reach
                     total += 1
@@ -231,6 +234,33 @@ def test_slab_identity_check_fails_on_moved_offset(cube):
     for x, s, t in rep.mismatches:
         assert s != t
         assert (s, t) == (brute_slab_count(c, x, c.s_offsets), brute_slab_count(c, x, c.t_offsets))
+
+
+def slab_constructions():
+    cube = Zonotope((E1, E2, E3))
+    skew = Zonotope((Vec3(1, 1, 0), Vec3(1, -1, 0), E3, Vec3(1, 0, 1)))
+    return {"cube": cube_construction(cube), "two_flat": build_construction(skew)}
+
+
+SLAB_CONSTRUCTIONS = slab_constructions()
+# coordinates in [-3, 4] over 24, so that some points land on a facet of a translate
+slab_coords = st.integers(-72, 96).map(lambda n: Fraction(n, 24))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(SLAB_CONSTRUCTIONS)), slab_coords, slab_coords, slab_coords)
+def test_slab_family_coverage_matches_brute_force(name, x0, x1, x2):
+    c, x = SLAB_CONSTRUCTIONS[name], Vec3(x0, x1, x2)
+    for offsets in (c.s_offsets, c.t_offsets):
+        # the records slab_identity_check counts: each offset u is u + G, weight 1
+        families = tuple(tiling._family(c.g, u, 1) for u in offsets)
+        want = brute_slab_count(c, x, offsets, reach=10)
+        if want is None:
+            with pytest.raises(BoundaryHit) as hit:
+                coverage(c.zonotope, families, x)
+            assert hit.value.point == x
+        else:
+            assert coverage(c.zonotope, families, x) == want
 
 
 def test_slab_identity_check_redraws_first_round_facet_samples(cube, monkeypatch):
