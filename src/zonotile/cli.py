@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -212,7 +213,10 @@ def _cmd_export_mesh(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls, each
+    # returns a fresh Namespace
     p = argparse.ArgumentParser(
         prog="zonotile",
         description="Exact structure theory of multiple tilings by zonotopes",

@@ -2,7 +2,11 @@
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -455,6 +459,46 @@ def test_cli_check_intersection(tmp_path, capsys):
     assert main(["check-intersection", z]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["holds"] is False and rep["witness"]
+
+
+def test_cli_reused_parser_matches_fresh_processes(tmp_path, capsys):
+    # one process runs every command through the one cached parser; each
+    # command also runs in its own interpreter, which builds a parser afresh
+    z = write(tmp_path, "z.json", CUBE_JSON)
+    runs = [
+        [
+            "weird-gen", z, "--v-indices", "0 1", "--coefficients", "1/2 1/2",
+            "--choice", "0=T", "--materialize", "--window", "-1 1 -1 1 -1 1",
+        ],
+        ["classify", z],
+        ["weird-gen", z, "--materialize", "--no-such-option"],
+        ["weird-gen", z],
+    ]
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    codes = []
+    for i, argv in enumerate(runs):
+        here, fresh = tmp_path / f"here{i}.json", tmp_path / f"fresh{i}.json"
+        try:
+            code = main([*argv, "--out", str(here)])
+        except SystemExit as exc:
+            code = exc.code
+        codes.append(code)
+        err = capsys.readouterr().err
+        proc = subprocess.run(
+            [sys.executable, "-m", "zonotile", *argv, "--out", str(fresh)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (code, err) == (proc.returncode, proc.stderr)
+        assert here.exists() == fresh.exists() == (code == 0)
+        if code == 0:
+            assert here.read_bytes() == fresh.read_bytes()
+    assert codes == [0, 0, 2, 0]
+    assert [json.loads((tmp_path / f"here{i}.json").read_text()).keys() for i in (0, 3)] == [
+        {"construction", "translate_set", "points"},
+        {"construction", "translate_set"},
+    ]
 
 
 def test_cli_input_errors_exit_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Leg-measure Fourier transforms, zero sets, and the support-bound check."""
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -162,6 +163,15 @@ def test_rou_sum_exact_cancellation():
     )
 
 
+def test_rou_sum_refuses_a_phase_denominator_past_the_limit():
+    # lcm(210, 143) = 30030: building phi_30030 alone took over a minute
+    terms = [(Fraction(1), Fraction(1, 210)), (Fraction(1), Fraction(1, 143))]
+    start = time.process_time()
+    with pytest.raises(ValueError, match="phase denominator 30030 is more than 4096"):
+        rou_sum_is_zero(terms)
+    assert time.process_time() - start < 1
+
+
 def ball_points(radius):
     r = int(radius)
     return [
@@ -193,6 +203,24 @@ def test_support_bound_two_tiling_cancellation(cube):
     # weights 1 + exp(-pi i a) cancel exactly at odd first coordinates
     odd = sum(1 for a, b, c in ball_points(3) if a % 2)
     assert len(rep.cancelled) == odd
+
+
+def test_support_bound_reduces_each_cancellation_key_once(cube, monkeypatch):
+    # Z^3 at 0 and at (1/2, 1/2, 1/2): weights 1 + exp(-pi i (a + b + c)), so
+    # every nonzero candidate has one of two keys, by the parity of a + b + c
+    lat = lattice_from_vectors([E1, E2, E3])
+    half = Fraction(1, 2)
+    lam = LatticeUnion((LatticeComponent(lat, ZERO), LatticeComponent(lat, Vec3(half, half, half))))
+    calls = []
+
+    def counting(terms):
+        calls.append(terms)
+        return rou_sum_is_zero(terms)
+
+    monkeypatch.setattr(spectral, "rou_sum_is_zero", counting)
+    rep = support_bound_check(cube, lam, 5)
+    assert rep.candidates == 515 and len(rep.cancelled) == 266 and rep.holds
+    assert len(calls) == 2
 
 
 def test_support_bound_detects_failure(cube):
