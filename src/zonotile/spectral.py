@@ -49,10 +49,13 @@ __all__ = [
 
 # dual box points support_bound_check builds at most, as ``--materialize``
 _CANDIDATE_LIMIT = 200_000
-# lcm of phase denominators rou_sum_is_zero reduces at most: building phi_q
-# with every divisor's cyclotomic polynomial takes up to 1.1 s CPU below it
-# (q = 3960) and 74 s at q = 30030 on a 2-core x86 box
-_PHASE_LIMIT = 4096
+# steps rou_sum_is_zero takes at most, counted as q * (q - phi(q) + 1) for q
+# the lcm of the phase denominators: building phi_q divides x^q - 1 by the
+# cyclotomic polynomial of every proper divisor of q, whose degrees sum to
+# q - phi(q), and the reduction takes at most (q - phi(q)) * phi(q) steps.
+# Below it a cold call takes at most about 0.6 s CPU on a 2-core x86 box (a
+# prime q near 2^20, whose count is 2q); q = 30030 counts 7.3e8 and took 74 s.
+_PHASE_WORK_LIMIT = 2**21
 
 
 @dataclass(frozen=True)
@@ -187,6 +190,19 @@ def _poly_div_int(num: list[int], den: tuple[int, ...]) -> list[int]:
     return out
 
 
+def _totient(n: int) -> int:
+    out, m, p = n, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            out -= out // p
+        p += 1
+    if m > 1:
+        out -= out // m
+    return out
+
+
 @lru_cache(maxsize=None)
 def _cyclotomic(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]
@@ -206,12 +222,17 @@ def rou_sum_is_zero(terms: Sequence[tuple[Fraction, Fraction]]) -> bool:
     integers (phi is monic with integer coefficients).
 
     Building phi_q divides x^q - 1 by the cyclotomic polynomial of every
-    proper divisor of q, so q above _PHASE_LIMIT is refused with ValueError
-    before the coefficient list or phi_q is built.
+    proper divisor of q, so the call takes about q * (q - phi(q) + 1) steps:
+    2q for a prime q, far more for a q with many divisors. Raises
+    ValueError, before the coefficient list or phi_q is built, when that
+    count passes _PHASE_WORK_LIMIT.
     """
     nums, q = int_row(phase for _, phase in terms)
-    if q > _PHASE_LIMIT:
-        raise ValueError(f"phase denominator {q} is more than {_PHASE_LIMIT}")
+    # the count is at least q, so q alone refuses a large one before it is factored
+    if q > _PHASE_WORK_LIMIT or q * (q - _totient(q) + 1) > _PHASE_WORK_LIMIT:
+        raise ValueError(
+            f"phase denominator {q} needs more than {_PHASE_WORK_LIMIT} reduction steps"
+        )
     weights, _ = int_row(coeff for coeff, _ in terms)
     coeffs = [0] * q
     for w, num in zip(weights, nums):
@@ -255,7 +276,9 @@ def support_bound_check(z: Zonotope, lam: LatticeUnion, radius) -> SupportReport
     (component index, phase numerator mod that component's denominator) over
     the components whose dual lattice holds it. Within one call each distinct
     key is reduced once, by rou_sum_is_zero, and its verdict is kept in a dict
-    that lives only for that call.
+    that lives only for that call. rou_sum_is_zero raises ValueError when a
+    key's phases need more than _PHASE_WORK_LIMIT reduction steps: offsets
+    with a denominator past about 2^20, or one with many divisors (30030).
     """
     if not isinstance(lam, LatticeUnion):
         raise ValueError("periodic description required")

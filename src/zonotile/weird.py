@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -289,33 +289,22 @@ def ap_coloring(num_steps: int) -> Coloring:
     first two uncolored members red then black (scanning a, a+d, a-d, ...),
     requeues it, and admits the next fresh progression in (d + a, d) order.
     Every progression is revisited forever, so in the limit each one carries
-    both colors; num_steps controls how much of that schedule runs. Each
-    progression keeps a cursor into its members: those before it are
-    assigned, and the assigned set only grows, so a visit resumes there.
-    A visit still steps one by one over the members that other progressions
-    assigned, so time grows about as num_steps^1.5 (1.7 s CPU at 32,000
-    steps on a 2-core x86 box). Memory is linear in num_steps, so no bound
-    is set.
+    both colors; num_steps controls how much of that schedule runs. Memory
+    is linear in num_steps, and time grows about as num_steps^1.5 (3.6 s CPU
+    at 32,000 steps on a 2-core x86 box), so no bound is set.
     """
     from collections import deque
 
+    queue: deque[tuple[int, int]] = deque()
     gen = _fresh_aps()
-
-    def fresh():
-        d, a = next(gen)
-        return d, a, _ap_members(d, a)
-
-    # each entry carries its progression's cursor
-    queue: deque[tuple[int, int, Iterator[int]]] = deque()
     assigned: dict[int, str] = {}
     processed: list[tuple[int, int]] = []
     for _ in range(num_steps):
         if not queue:
-            queue.append(fresh())
-        entry = queue.popleft()
-        d, a, members = entry
+            queue.append(next(gen))
+        d, a = queue.popleft()
         found: list[int] = []
-        for val in members:
+        for val in _ap_members(d, a):
             if val not in assigned:
                 found.append(val)
                 if len(found) == 2:
@@ -323,8 +312,8 @@ def ap_coloring(num_steps: int) -> Coloring:
         assigned[found[0]] = RED
         assigned[found[1]] = BLACK
         processed.append((d, a))
-        queue.append(entry)
-        queue.append(fresh())
+        queue.append((d, a))
+        queue.append(next(gen))
     return Coloring(assigned, tuple(processed))
 
 

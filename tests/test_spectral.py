@@ -163,13 +163,25 @@ def test_rou_sum_exact_cancellation():
     )
 
 
-def test_rou_sum_refuses_a_phase_denominator_past_the_limit():
-    # lcm(210, 143) = 30030: building phi_30030 alone took over a minute
-    terms = [(Fraction(1), Fraction(1, 210)), (Fraction(1), Fraction(1, 143))]
+@pytest.mark.parametrize("den1, den2, q", [(210, 143, 30030), (1048583, 1048583, 1048583)])
+def test_rou_sum_refuses_a_reduction_past_the_limit(den1, den2, q):
+    # lcm(210, 143) = 30030 counts 30030 * (30030 - 5760 + 1) steps (building
+    # phi_30030 alone took over a minute); the prime 1048583 > 2^20 counts 2q
+    terms = [(Fraction(1), Fraction(1, den1)), (Fraction(1), Fraction(2, den2))]
+    limit = spectral._PHASE_WORK_LIMIT
     start = time.process_time()
-    with pytest.raises(ValueError, match="phase denominator 30030 is more than 4096"):
+    with pytest.raises(ValueError, match=f"phase denominator {q} needs more than {limit} "):
         rou_sum_is_zero(terms)
     assert time.process_time() - start < 1
+
+
+def test_rou_sum_decides_a_prime_denominator_past_4096():
+    # a prime q counts only 2q steps, so q = 4099 is still reduced exactly
+    q = 4099
+    assert spectral._totient(q) == q - 1
+    assert rou_sum_is_zero([(Fraction(1), Fraction(k, q)) for k in range(q)])
+    assert not rou_sum_is_zero([(Fraction(1), Fraction(k, q)) for k in range(1, q)])
+    assert not rou_sum_is_zero([(Fraction(1), Fraction(1, q)), (Fraction(1), Fraction(2, q))])
 
 
 def ball_points(radius):

@@ -2,7 +2,6 @@
 import dataclasses
 import hashlib
 import random
-from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -163,37 +162,6 @@ def test_ap_coloring_defeats_every_processed_progression():
     for d, a in col.processed:
         colors = {col.color_of(a + k * d) for k in range(-200, 201)}
         assert colors == {RED, BLACK}
-
-
-def rescanning_ap_coloring(num_steps):
-    """The loop without cursors: every visit rescans its progression from a."""
-    queue = deque()
-    gen = weird._fresh_aps()
-    assigned = {}
-    processed = []
-    for _ in range(num_steps):
-        if not queue:
-            queue.append(next(gen))
-        d, a = queue.popleft()
-        found = []
-        for val in weird._ap_members(d, a):
-            if val not in assigned:
-                found.append(val)
-                if len(found) == 2:
-                    break
-        assigned[found[0]] = RED
-        assigned[found[1]] = BLACK
-        processed.append((d, a))
-        queue.append((d, a))
-        queue.append(next(gen))
-    return Coloring(assigned, tuple(processed))
-
-
-@pytest.mark.parametrize("num_steps", [1, 2, 200, 2000])
-def test_ap_coloring_cursors_match_rescanning(num_steps):
-    col, ref = ap_coloring(num_steps), rescanning_ap_coloring(num_steps)
-    assert list(col.assigned.items()) == list(ref.assigned.items())
-    assert col.processed == ref.processed
 
 
 def test_ap_coloring_deterministic_and_total():
