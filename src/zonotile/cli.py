@@ -14,13 +14,12 @@ import json
 import math
 import sys
 from functools import cache
-from itertools import product
 
 import numpy as np
 
 from . import io as zio
-from .lattices import box_count, box_point_ints, box_ranges, lattice_points_in_box
-from .linalg import Vec3, int_triples, rat, rat_str
+from .lattices import box_count, lattice_points_in_box
+from .linalg import Vec3, int_row, rat, rat_str
 from .spectral import leg_ft, leg_measure, zero_set_member
 from .structure import classify, intersection_property
 from .tiling import SlabChoice, translate_families, translate_multiplicity, verify_level
@@ -126,10 +125,11 @@ def _parse_choice(spec: str) -> dict[int, str]:
 def _materialize(lam: SlabChoice, lo: Vec3, hi: Vec3) -> list[tuple[Vec3, int]]:
     """Every translate in [lo, hi] with its multiplicity, in ``Vec3`` order.
 
-    Each family's box points are read twice, in the same order: as integers
-    from ``box_point_ints``, put over one positive denominator so that the
-    window test, the dedupe and the sort are exact integer work, and as the
-    ``Vec3``s that ``lattice_points_in_box`` builds, which are emitted.
+    ``lattice_points_in_box`` gives each family's points in the window. Their
+    lattice coordinates, rows . (p - shift) / rden, are found on integers for
+    all of a family's points at once, and a point is kept when the family's
+    multiplicity there is not zero. Points are deduped on their reduced
+    numerators and denominator, which name a ``Vec3`` uniquely.
     """
     families = translate_families(lam)
     count = sum(box_count(f.lattice, f.shift, lo, hi) for f in families)
@@ -137,20 +137,16 @@ def _materialize(lam: SlabChoice, lo: Vec3, hi: Vec3) -> list[tuple[Vec3, int]]:
         raise ValueError(
             f"window holds {count} candidate translates, more than {_MATERIALIZE_LIMIT}"
         )
-    boxes = [box_point_ints(f.lattice, f.shift, lo, hi) for f in families]
-    ends, wden = int_triples((lo, hi))
-    den = math.lcm(wden, *(d for _, d in boxes))
-    l0, l1, l2, h0, h1, h2 = (e * (den // wden) for end in ends for e in end)
-    cand: dict[tuple[int, int, int], Vec3] = {}
-    for f, (pts, d) in zip(families, boxes):
-        # box points come in the order of the product of their coordinate ranges
-        ks = np.array(list(product(*box_ranges(f.lattice, f.shift, lo, hi))), dtype=object)
-        vecs = lattice_points_in_box(f.lattice, f.shift, lo, hi)
-        s = den // d
-        for (x, y, z), m, p in zip(pts, f.multiplicity(ks.reshape(-1, 3)), vecs):
-            if m and l0 <= x * s <= h0 and l1 <= y * s <= h1 and l2 <= z * s <= h2:
-                cand[x * s, y * s, z * s] = p
-    return [(cand[t], translate_multiplicity(lam, cand[t])) for t in sorted(cand)]
+    cand: dict[tuple[int, int, int, int], Vec3] = {}
+    for f in families:
+        pts = lattice_points_in_box(f.lattice, f.shift, lo, hi)
+        nd = [(*n, d) for n, d in map(int_row, pts)]
+        a = np.array(nd, dtype=object).reshape(-1, 4)
+        n, d = a[:, :3], a[:, 3:]
+        v = n * f.sden - d * np.array(f.shift_ints, dtype=object)
+        ks = v @ np.array(f.rows, dtype=object).T // (d * (f.sden * f.rden))
+        cand.update((t, p) for t, p, m in zip(nd, pts, f.multiplicity(ks)) if m)
+    return [(p, translate_multiplicity(lam, p)) for p in sorted(cand.values())]
 
 
 def _cmd_weird_gen(args) -> int:

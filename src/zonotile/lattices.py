@@ -2,8 +2,13 @@
 
 A lattice puts its basis and its dual coordinate rows over one denominator
 each, once, at construction. Membership, coset indexing, box enumeration, the
-spectral candidate scan and translate multiplicities read those integers, and
-box points are built as ``Vec3``s straight from their numerators.
+spectral candidate scan and translate multiplicities read those integers.
+``lattice_points_in_box`` returns exactly the lattice points in a closed box:
+which points lie inside is decided on integers, line by line, and a ``Vec3``
+is built straight from its numerators only for a point inside.
+``box_point_ints`` keeps the whole coordinate parallelepiped, which the
+spectral scan filters by a ball, and ``box_count`` sizes it before anything
+is built.
 """
 
 from __future__ import annotations
@@ -203,6 +208,57 @@ class CosetEnumeration:
         return self.index_of_coords(c)
 
 
+def _box_ints(shift: Vec3, lo: Vec3, hi: Vec3) -> tuple:
+    """(s, sden, l, h, wden): the shift as s / sden and the box ends as l / wden, h / wden."""
+    s, sden = int_row(shift)
+    l, ld = int_row(lo)
+    h, hd = int_row(hi)
+    if ld == hd:
+        return s, sden, l, h, ld
+    wden = math.lcm(ld, hd)
+    ls, hs = wden // ld, wden // hd
+    return s, sden, [v * ls for v in l], [v * hs for v in h], wden
+
+
+def _coord_ranges(lat: Lattice, box: tuple, count: int) -> list[range]:
+    """``box_ranges`` of the first count coordinates, on the integers of ``_box_ints``."""
+    (s0, s1, s2), sden, l, h, wden = box
+    rows, rden = lat._coord_ints
+    big = rden * sden * wden
+    ranges = []
+    for r in rows[:count]:
+        # the extremes of r . x over the box, times wden
+        low = high = 0
+        for a, b, c in zip(r, l, h):
+            if a > 0:
+                low, high = low + a * b, high + a * c
+            else:
+                low, high = low + a * c, high + a * b
+        rs = (r[0] * s0 + r[1] * s1 + r[2] * s2) * wden
+        ranges.append(range(-((rs - low * sden) // big), (high * sden - rs) // big + 1))
+    return ranges
+
+
+def _scaled(lat: Lattice, box: tuple) -> tuple[Sequence[tuple[int, ...]], tuple[int, ...], int]:
+    """(basis, start, den): the basis rows and the shift as numerators over one den."""
+    rows, bden = lat._basis_ints
+    (s0, s1, s2), sden = box[0], box[1]
+    if bden == sden:
+        return rows, (s0, s1, s2), sden
+    den = math.lcm(bden, sden)
+    bs, ss = den // bden, den // sden
+    basis = [(b0 * bs, b1 * bs, b2 * bs) for b0, b1, b2 in rows]
+    return basis, (s0 * ss, s1 * ss, s2 * ss), den
+
+
+def _grid(start: tuple[int, int, int], ranges, basis) -> list[tuple[int, int, int]]:
+    """start + sum k_i b_i over the ranges, nested loops, the last k fastest."""
+    pts = [start]
+    for ks, (b0, b1, b2) in zip(ranges, basis):
+        pts = [(x + k * b0, y + k * b1, z + k * b2) for x, y, z in pts for k in ks]
+    return pts
+
+
 def box_ranges(lat: Lattice, shift: Vec3, lo: Vec3, hi: Vec3) -> list[range]:
     """For each basis coordinate, the integers it takes on x - shift over the box.
 
@@ -211,21 +267,14 @@ def box_ranges(lat: Lattice, shift: Vec3, lo: Vec3, hi: Vec3) -> list[range]:
     their exact integer ceil and floor. Every point of shift + lat in the box
     has its coordinates in these ranges.
     """
-    rows, rden = lat._coord_ints
-    (s, l, h), d = int_triples((shift, lo, hi))
-    big = rden * d
-    ranges = []
-    for r in rows[: lat.rank]:
-        rs = r[0] * s[0] + r[1] * s[1] + r[2] * s[2]
-        terms = [(a * b, a * c) for a, b, c in zip(r, l, h)]
-        low = sum(map(min, terms)) - rs
-        high = sum(map(max, terms)) - rs
-        ranges.append(range(-(-low // big), high // big + 1))
-    return ranges
+    return _coord_ranges(lat, _box_ints(shift, lo, hi), lat.rank)
 
 
 def box_count(lat: Lattice, shift: Vec3, lo: Vec3, hi: Vec3) -> int:
-    """How many points ``lattice_points_in_box`` returns, without building them."""
+    """Size of the coordinate parallelepiped of ``box_ranges``, counted before
+    anything is built: the number of points ``box_point_ints`` returns, and an
+    upper bound on the number ``lattice_points_in_box`` returns.
+    """
     return math.prod(max(0, r.stop - r.start) for r in box_ranges(lat, shift, lo, hi))
 
 
@@ -234,32 +283,64 @@ def box_point_ints(
 ) -> tuple[list[tuple[int, int, int]], int]:
     """(numerator triples, den): the points shift + sum k_i b_i over ``box_ranges``.
 
-    Ordered like nested loops over k_1, k_2, k_3, the last coordinate fastest.
+    The whole coordinate parallelepiped, which holds every point of shift + lat
+    in the box and, on a skewed basis, many outside it. Ordered like nested
+    loops over k_1, k_2, k_3, the last coordinate fastest.
     """
-    rows, bden = lat._basis_ints
-    (s0, s1, s2), sden = int_row(shift)
-    den = math.lcm(bden, sden)
-    bs, ss = den // bden, den // sden
-    pts = [(s0 * ss, s1 * ss, s2 * ss)]
-    for ks, (b0, b1, b2) in zip(box_ranges(lat, shift, lo, hi), rows):
-        b0, b1, b2 = b0 * bs, b1 * bs, b2 * bs
-        pts = [(x + k * b0, y + k * b1, z + k * b2) for x, y, z in pts for k in ks]
-    return pts, den
+    box = _box_ints(shift, lo, hi)
+    basis, start, den = _scaled(lat, box)
+    return _grid(start, _coord_ranges(lat, box, lat.rank), basis), den
 
 
 def lattice_points_in_box(
     lat: Lattice, shift: Vec3, lo: Vec3, hi: Vec3
 ) -> list[Vec3]:
-    """Points of shift + lat whose coordinates lie in the box's coordinate ranges.
+    """Exactly the points of shift + lat in the closed box [lo, hi].
 
-    Complete: every point of shift + lat inside the box [lo, hi] is produced.
-    Not exact: the result is every point of the coordinate parallelepiped
-    spanned by ``box_ranges``, which for a skewed basis or a lower rank holds
-    many points outside the box (on [-3, 3]^3 the Hermite basis of Z^3 with
-    rows (1, 2, -1), (0, 1, -2), (0, 0, 1) gives 4,921 points for 343 inside).
-    Callers filter with their own box or membership predicate. Each point is
-    built from the numerators of ``box_point_ints`` by ``Vec3.from_ints``,
-    with no ``Fraction`` in between.
+    Ordered like nested loops over the lattice coordinates k_1, k_2, k_3, the
+    last coordinate fastest. The leading coordinates run over their
+    ``box_ranges``. On each such line p + k b_last, the last coordinate takes
+    the integers k with lo <= p + k b_last <= hi on every axis: an exact
+    integer ceil and floor per axis along which the line moves, and one
+    comparison per axis along which it does not. A line costs a few integer
+    divisions, and a ``Vec3`` is built, by ``Vec3.from_ints`` on its
+    numerators, only for a point inside the box. On a skewed basis some
+    leading lines hold no point; at most ``box_count`` points are returned.
     """
-    pts, den = box_point_ints(lat, shift, lo, hi)
-    return [Vec3.from_ints(x, y, z, den) for x, y, z in pts]
+    box = _box_ints(shift, lo, hi)
+    *_, l, h, wden = box
+    basis, start, den = _scaled(lat, box)
+    *outer, last = basis[: lat.rank]
+    lines = _grid(start, _coord_ranges(lat, box, lat.rank - 1), outer)
+    # p + k c in the box on axis j, over den * wden: l_j den <= (p_j + k c_j) wden <= h_j den
+    # moving: (j, c_j wden, e, f), the box ends in the order a rising k meets them;
+    # fixed: (j, l_j den, h_j den), for the axes with c_j = 0
+    moving, fixed = [], []
+    for j in range(3):
+        c, a, b = last[j], l[j] * den, h[j] * den
+        if c > 0:
+            moving.append((j, c * wden, a, b))
+        elif c:
+            moving.append((j, c * wden, b, a))
+        else:  # the whole line is in or out of the box on this axis
+            fixed.append((j, a, b))
+    (j0, c0, e0, f0), *rest = moving
+    spans = []
+    for p in lines:
+        for j, a, b in fixed:
+            if not a <= p[j] * wden <= b:
+                break
+        else:
+            # with c = c_j wden: ceil((e - p_j wden) / c) <= k <= floor((f - p_j wden) / c)
+            pw = p[j0] * wden
+            k_lo, k_hi = -((pw - e0) // c0), (f0 - pw) // c0
+            for j, c, e, f in rest:
+                pw = p[j] * wden
+                k_lo, k_hi = max(k_lo, -((pw - e) // c)), min(k_hi, (f - pw) // c)
+            if k_lo <= k_hi:
+                spans.append((p, range(k_lo, k_hi + 1)))
+    b0, b1, b2 = last
+    from_ints = Vec3.from_ints
+    return [
+        from_ints(x + k * b0, y + k * b1, z + k * b2, den) for (x, y, z), ks in spans for k in ks
+    ]

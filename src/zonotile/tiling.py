@@ -210,10 +210,13 @@ def coverage(
     """Exact multiplicity sum_t [x in interior(z + t)] over the multiset.
 
     lam is a multiset or a tuple of family records, over lattices of any
-    rank. A family without ``counts`` needs no ``count_at``: each of its box
-    points is a lattice point, of multiplicity ``weight``. Raises BoundaryHit
-    at x when x lies on the boundary of a contributing translate, since
-    interior counts are ill-defined there.
+    rank. With [lo, hi] the bounding box of z, only a translate t in the
+    closed box [x - hi, x - lo] can hold x in z + t, inside or on the
+    boundary, and ``lattice_points_in_box`` returns exactly those. A family
+    without ``counts`` needs no ``count_at``: each of its box points is one
+    of its translates, of multiplicity ``weight``. Raises BoundaryHit at x
+    when x lies on the boundary of a contributing translate, since interior
+    counts are ill-defined there.
     """
     lo_p, hi_p = z.bounding_box()
     lo, hi = x - hi_p, x - lo_p

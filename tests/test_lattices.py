@@ -11,6 +11,7 @@ from zonotile.lattices import (
     CosetEnumeration,
     Lattice,
     box_count,
+    box_point_ints,
     dual_lattice,
     lattice_from_vectors,
     lattice_points_in_box,
@@ -159,24 +160,49 @@ def test_plane_section_rejects_orthogonal_normal():
         plane_section(lat, Vec3(0, 0, 0))
 
 
+def in_box(p: Vec3, lo: Vec3, hi: Vec3) -> bool:
+    return lo.x <= p.x <= hi.x and lo.y <= p.y <= hi.y and lo.z <= p.z <= hi.z
+
+
 def test_lattice_points_in_box_exact_for_full_rank():
     z3 = lattice_from_vectors([E1, E2, E3])
     pts = lattice_points_in_box(z3, Vec3(0, 0, 0), Vec3(0, 0, 0), Vec3(2, 2, 2))
     assert len(pts) == 27
     skew = lattice_from_vectors([Vec3(1, 1, 0), Vec3(0, 1, 1), Vec3(0, 0, 2)])
     lo, hi = Vec3(-2, -2, -2), Vec3(3, 3, 3)
-    got = set(lattice_points_in_box(skew, Vec3(Fraction(1, 2), 0, 0), lo, hi))
+    got = lattice_points_in_box(skew, Vec3(Fraction(1, 2), 0, 0), lo, hi)
     # brute force over a generous coefficient range
     brute = set()
     for a in range(-8, 9):
         for b in range(-8, 9):
             for c in range(-8, 9):
                 p = skew.point([a, b, c]) + Vec3(Fraction(1, 2), 0, 0)
-                if lo.x <= p.x <= hi.x and lo.y <= p.y <= hi.y and lo.z <= p.z <= hi.z:
+                if in_box(p, lo, hi):
                     brute.add(p)
-    assert brute <= got  # complete
-    for p in got:
-        assert skew.contains(p - Vec3(Fraction(1, 2), 0, 0))
+    assert len(got) == len(set(got))
+    assert set(got) == brute  # complete, and nothing outside the box
+
+
+@pytest.mark.parametrize(
+    "basis, inside, parallelepiped",
+    [
+        # the Hermite basis of Z^3 from (1, 2, -1), (0, 1, -2), (0, 0, 1)
+        ([(1, 2, -1), (0, 1, -2), (0, 0, 1)], 343, 4921),
+        # a skewed basis of a covolume-55 lattice
+        ([(-1, 0, -4), (7, -7, 4), (5, -9, -3)], 5, 637),
+    ],
+)
+def test_lattice_points_in_box_exact_on_skewed_bases(basis, inside, parallelepiped):
+    lat = Lattice(Vec3(*b) for b in basis)
+    lo, hi = Vec3(-3, -3, -3), Vec3(3, 3, 3)
+    got = lattice_points_in_box(lat, VEC_ZERO, lo, hi)
+    brute = [
+        p
+        for p in (Vec3(x, y, z) for x in range(-3, 4) for y in range(-3, 4) for z in range(-3, 4))
+        if lat.contains(p)
+    ]
+    assert len(got) == inside and set(got) == set(brute)
+    assert box_count(lat, VEC_ZERO, lo, hi) == parallelepiped
 
 
 small_rat = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
@@ -201,9 +227,14 @@ def test_box_enumeration_matches_corner_ranges(case):
     lat, shift, lo, hi = case
     ranges = corner_ranges(lat, shift, lo, hi)
     assume(np.prod([len(r) for r in ranges]) <= 4000)
+    parallelepiped = corner_box_points(lat, shift, lo, hi)
     got = lattice_points_in_box(lat, shift, lo, hi)
-    assert got == corner_box_points(lat, shift, lo, hi)  # same points, same order
-    assert box_count(lat, shift, lo, hi) == len(got)
+    # the parallelepiped's points inside the closed box, in the same order
+    assert got == [p for p in parallelepiped if in_box(p, lo, hi)]
+    count = box_count(lat, shift, lo, hi)
+    assert count == np.prod([len(r) for r in ranges]) >= len(got)
+    pts, den = box_point_ints(lat, shift, lo, hi)
+    assert [Vec3.from_ints(*t, den) for t in pts] == parallelepiped
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)

@@ -93,6 +93,32 @@ def test_coverage_boundary_raises(cube, z3_union):
     assert coverage(cube, (tiling._family(z3(), ZERO, 0),), x) == 0
 
 
+TWO_Z3 = lattice_from_vectors([E1 * 2, E2 * 2, E3 * 2])
+PLANE = lattice_from_vectors([E1, E2])  # the group G of the cube's slab construction
+SKEW_PLANE = lattice_from_vectors([Vec3(1, 1, 0), Vec3(1, -1, 0)])
+
+
+@pytest.mark.parametrize(
+    "lat, x",
+    [
+        (z3(), Vec3(0, HALF, HALF)),  # translates 0 and -e1 on two faces of the box
+        (z3(), Vec3(0, 0, 0)),  # eight translates on the corners
+        (TWO_Z3, Vec3(0, HALF, HALF)),  # only 0, on the face x = hi
+        (TWO_Z3, Vec3(1, 1, 1)),  # only 0, on the corner lo
+        (PLANE, Vec3(HALF, HALF, 0)),  # only 0, on the face z = hi, off the plane's span
+        (PLANE, Vec3(HALF, HALF, 1)),  # only 0, on the face z = lo
+        (SKEW_PLANE, Vec3(1, HALF, HALF)),  # only 0, on the face x = lo
+        (SKEW_PLANE, Vec3(HALF, 1, HALF)),  # only 0, on the face y = lo
+    ],
+)
+def test_coverage_boundary_raises_for_translates_on_the_closed_box(cube, lat, x):
+    # the translates z + t holding x on their boundary have t on the boundary
+    # of the box [x - 1, x] that coverage enumerates; an open box would miss them
+    with pytest.raises(BoundaryHit) as hit:
+        coverage(cube, (tiling._family(lat, ZERO, 1),), x)
+    assert hit.value.point == x
+
+
 def test_coverage_translation_equivariance(cube):
     rng = random.Random(3)
     for _ in range(8):
