@@ -111,7 +111,8 @@ def corner_ranges(lat, shift: Vec3, lo: Vec3, hi: Vec3) -> list[range]:
     """Coordinate ranges from the eight box corners, in Fraction arithmetic.
 
     The enumeration ``lattice_points_in_box`` used before its ranges moved to
-    integers, kept as the oracle for its ranges, points and order.
+    integers, kept as the oracle for the ranges and for the points and order
+    of ``box_point_ints``; filtered to the box, for ``lattice_points_in_box``.
     """
     corners = [Vec3(cx, cy, cz) for cx in (lo.x, hi.x) for cy in (lo.y, hi.y) for cz in (lo.z, hi.z)]
     ranges = []
