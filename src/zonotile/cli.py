@@ -15,8 +15,6 @@ import math
 import sys
 from functools import cache
 
-import numpy as np
-
 from . import io as zio
 from .lattices import box_count, lattice_points_in_box
 from .linalg import Vec3, int_row, rat, rat_str
@@ -125,11 +123,10 @@ def _parse_choice(spec: str) -> dict[int, str]:
 def _materialize(lam: SlabChoice, lo: Vec3, hi: Vec3) -> list[tuple[Vec3, int]]:
     """Every translate in [lo, hi] with its multiplicity, in ``Vec3`` order.
 
-    ``lattice_points_in_box`` gives each family's points in the window. Their
-    lattice coordinates, rows . (p - shift) / rden, are found on integers for
-    all of a family's points at once, and a point is kept when the family's
-    multiplicity there is not zero. Points are deduped on their reduced
-    numerators and denominator, which name a ``Vec3`` uniquely.
+    ``lattice_points_in_box`` gives each family's points in the window. They
+    are deduped on their reduced numerators and denominator, which name a
+    ``Vec3`` uniquely, and a point is kept when ``translate_multiplicity``,
+    the sum of every family's count there, is not zero.
     """
     families = translate_families(lam)
     count = sum(box_count(f.lattice, f.shift, lo, hi) for f in families)
@@ -139,14 +136,10 @@ def _materialize(lam: SlabChoice, lo: Vec3, hi: Vec3) -> list[tuple[Vec3, int]]:
         )
     cand: dict[tuple[int, int, int, int], Vec3] = {}
     for f in families:
-        pts = lattice_points_in_box(f.lattice, f.shift, lo, hi)
-        nd = [(*n, d) for n, d in map(int_row, pts)]
-        a = np.array(nd, dtype=object).reshape(-1, 4)
-        n, d = a[:, :3], a[:, 3:]
-        v = n * f.sden - d * np.array(f.shift_ints, dtype=object)
-        ks = v @ np.array(f.rows, dtype=object).T // (d * (f.sden * f.rden))
-        cand.update((t, p) for t, p, m in zip(nd, pts, f.multiplicity(ks)) if m)
-    return [(p, translate_multiplicity(lam, p)) for p in sorted(cand.values())]
+        for p in lattice_points_in_box(f.lattice, f.shift, lo, hi):
+            (n0, n1, n2), d = int_row(p)
+            cand[n0, n1, n2, d] = p
+    return [(p, m) for p in sorted(cand.values()) if (m := translate_multiplicity(lam, p))]
 
 
 def _cmd_weird_gen(args) -> int:

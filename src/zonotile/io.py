@@ -70,7 +70,7 @@ def _rat_field(value) -> Fraction:
 
 
 def _int_field(value) -> int:
-    if not isinstance(value, (int, str)):
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"not an integer: {value!r}")
     return int(value)
 

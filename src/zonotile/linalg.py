@@ -366,18 +366,14 @@ def _identity(n: int) -> list[list[int]]:
 
 
 def det_int(m: Sequence[Sequence[int]]) -> int:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if n == 3:
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-    raise ValueError("det_int supports n <= 3")
+    """Determinant of a 3x3 integer matrix."""
+    if len(m) != 3:
+        raise ValueError("det_int needs a 3x3 matrix")
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
 
 
 def smith_normal_form(

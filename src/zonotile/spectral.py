@@ -74,12 +74,6 @@ class PlaneFamily:
         if self.vector.is_zero():
             raise ValueError("zero vector")
 
-    def contains(self, xi: Vec3) -> bool:
-        s = xi.dot(self.vector)
-        if s.denominator != 1:
-            return False
-        return s != 0 if self.punctured else True
-
 
 @dataclass(frozen=True)
 class LegMeasure:

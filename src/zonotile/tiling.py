@@ -4,24 +4,25 @@ Two descriptions of a translate multiset are supported: a weighted finite
 union of shifted full-rank lattices, and a choice system that picks, per coset
 of a rank-2 sublattice, one of two finite offset families. Each multiset is
 read through ``TranslateFamily`` records, built once and kept on it: a shifted
-lattice cleared to integers, with a constant weight per lattice point or a
-count per coset. ``coverage``, ``verify_level``'s integer kernel,
-``translate_multiplicity`` and ``density`` all read them.
+lattice with a constant weight per lattice point or a count per coset.
+``coverage``, ``verify_level``'s integer kernel, ``translate_multiplicity``
+and ``density`` all read them, taking integers from the lattice and the shift.
 
-``coverage`` counts one point in exact Fractions. ``verify_level`` counts all
-samples at once: in each family's lattice coordinates the body's facets become
-small integer thresholds, so membership is exact at any coordinate scale.
-Samples are kept as their 62-bit draws, one int64 (N, 3) array, and reach
-each lattice's coordinates by one of two routes. While the window's and the
-lattice's denominators are small (D = w rden < 2^31), the coordinates are
-split on int64 limbs into an integer part and a P-bit fixed-point fraction,
-with |G_f|_1 2^P < 2^62 for the largest facet row G_f, and per family a
-sample's thresholds are settled on int64 unless a coordinate of its fraction
-lies within about 2^-P of an integer or some G_f . fraction within about
-|G_f|_1 2^-P of one; those rows take the exact formula on Python ints.
-Otherwise, and where facet offsets or the coordinates of x - shift reach
-2^61, every row of the lattice takes the exact formula. No float decides a
-count.
+``coverage`` counts one point, on integers: the translates in its box, the
+differences x - t and the facet tests run on numerators over a common
+denominator. ``verify_level`` counts all samples at once: in each family's
+lattice coordinates the body's facets become small integer thresholds, so
+membership is exact at any coordinate scale. Samples are kept as their
+62-bit draws, one int64 (N, 3) array, and reach each lattice's coordinates
+by one of two routes. While the window's and the lattice's denominators are
+small (D = w rden < 2^31), the coordinates are split on int64 limbs into an
+integer part and a P-bit fixed-point fraction, with |G_f|_1 2^P < 2^62 for
+the largest facet row G_f, and per family a sample's thresholds are settled
+on int64 unless a coordinate of its fraction lies within about 2^-P of an
+integer or some G_f . fraction within about |G_f|_1 2^-P of one; those rows
+take the exact formula on Python ints. Otherwise, and where facet offsets or
+the coordinates of x - shift reach 2^61, every row of the lattice takes the
+exact formula. No float decides a count.
 Points on a contributing translate's boundary raise BoundaryHit in
 ``coverage`` and are resampled by ``verify_level``.
 """
@@ -74,25 +75,22 @@ _KERNEL_LIMIT = 200_000
 
 @dataclass(frozen=True, eq=False)
 class TranslateFamily:
-    """The translates shift + lattice on integers: coordinate i of p - shift is
-    rows[i] . (p - shift) / rden, and shift is shift_ints / sden. The translate
-    at lattice coordinates k occurs counts[j] times if counts names its coset j
-    of ``cosets``, else ``weight`` times.
+    """The translates shift + lattice. The translate at lattice coordinates k
+    occurs counts[j] times if counts names its coset j of ``cosets``, else
+    ``weight`` times. The record keeps no integers of its own: readers take
+    the lattice's coordinate rows from ``lattice._coord_ints`` and the shift's
+    numerators from ``int_row(shift)``.
     """
 
     lattice: Lattice
     shift: Vec3
-    rows: tuple[tuple[int, int, int], ...]
-    rden: int
-    shift_ints: tuple[int, ...]
-    sden: int
     weight: int
-    cosets: CosetEnumeration | None
-    counts: Mapping[int, int]
+    cosets: CosetEnumeration | None = None
+    counts: Mapping[int, int] = field(default_factory=lambda: MappingProxyType({}))
 
     def count_at(self, nums: Sequence[int], den: int) -> int:
         """How often the translate nums / den occurs (0 if off the lattice)."""
-        (p0, p1, p2), (s0, s1, s2), sden = nums, self.shift_ints, self.sden
+        (p0, p1, p2), ((s0, s1, s2), sden) = nums, int_row(self.shift)
         v = (sden * p0 - den * s0, sden * p1 - den * s1, sden * p2 - den * s2)
         if (k := self.lattice._point_coords(v, den * sden)) is None:
             return 0
@@ -106,11 +104,6 @@ class TranslateFamily:
             return np.full(len(coords), self.weight, dtype=np.int64)
         keys, inverse = np.unique(self.cosets.index_of_coords(coords), return_inverse=True)
         return np.array([self.counts.get(int(j), self.weight) for j in keys])[inverse]
-
-
-def _family(lat, shift, weight, cosets=None, counts=MappingProxyType({})) -> TranslateFamily:
-    s, sden = int_row(shift)
-    return TranslateFamily(lat, shift, *lat._coord_ints, tuple(s), sden, weight, cosets, counts)
 
 
 @dataclass(frozen=True)
@@ -136,7 +129,7 @@ class LatticeUnion:
 
     @cached_property
     def _families(self) -> tuple[TranslateFamily, ...]:
-        return tuple(_family(c.lattice, c.offset, c.weight) for c in self.components)
+        return tuple(TranslateFamily(c.lattice, c.offset, c.weight) for c in self.components)
 
 
 @dataclass(frozen=True)
@@ -173,7 +166,8 @@ class SlabChoice:
         for u in dict.fromkeys(self.s_offsets + self.t_offsets):
             default = self.s_offsets.count(u)
             counts = {j: c for j in self.choice if (c := self.offsets_for(j).count(u)) != default}
-            out.append(_family(self.gamma, u, default, self.cosets, MappingProxyType(counts)))
+            counts = MappingProxyType(counts)
+            out.append(TranslateFamily(self.gamma, u, default, self.cosets, counts))
         return tuple(out)
 
 
@@ -410,13 +404,13 @@ def _settle(fu, fx, shift_parts, gh64: np.ndarray, bits: int):
 
 def _exact(nums: np.ndarray, den: int, fam: TranslateFamily, gh: np.ndarray):
     """fl, q and thr of one family at the points nums / den, on Python ints."""
-    rows, (s0, s1, s2), sden = fam.rows, fam.shift_ints, fam.sden
+    (rows, rden), ((s0, s1, s2), sden) = fam.lattice._coord_ints, int_row(fam.shift)
     # row i: r_i and r_i . shift, times rden * sden
     a = np.array(
         [(r0 * sden, r1 * sden, r2 * sden, r0 * s0 + r1 * s1 + r2 * s2) for r0, r1, r2 in rows],
         dtype=object,
     )
-    big = den * fam.rden * sden
+    big = den * rden * sden
     y = nums @ a[:, :3].T - a[:, 3] * den
     fl = y // big
     side = gh[:, 3] * big - (y - fl * big) @ gh[:, :3].T
@@ -458,16 +452,18 @@ def _kernel_counts(
     coords: dict[Lattice, tuple | None] = {}
     for fam in translate_families(lam):
         lat = fam.lattice
+        rows, rden = lat._coord_ints
         gh, ks, gk, gh64, bits = _offset_box(z, lat)
         if lat not in coords:
-            coords[lat] = None if gh64 is None else _limb_coords(draws, fam.rows, fam.rden, bits)
+            coords[lat] = None if gh64 is None else _limb_coords(draws, rows, rden, bits)
         rest = np.arange(n)
         if (xc := coords[lat]) is not None:
             # the shift's lattice coordinates r_i . s / (sden rden), fixed-point,
             # less the lattice's c
             fu, fx, c = xc
-            (a0, a1, a2), sd = fam.shift_ints, fam.sden * fam.rden
-            parts = [_fixed(r0 * a0 + r1 * a1 + r2 * a2, sd, bits) for r0, r1, r2 in fam.rows]
+            (a0, a1, a2), sd = int_row(fam.shift)
+            sd *= rden
+            parts = [_fixed(r0 * a0 + r1 * a1 + r2 * a2, sd, bits) for r0, r1, r2 in rows]
             parts = [(fc - ci, fxc) for (fc, fxc), ci in zip(parts, c)]
             if max(abs(fc) for fc, _ in parts) < _PART_SAFE:
                 fl, q, settled = _settle(fu, fx, parts, gh64, bits)

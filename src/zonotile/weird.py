@@ -30,7 +30,7 @@ from .lattices import (  # noqa: F401
 )
 from .linalg import VEC_ZERO, Vec3, int_row, primitive, rank_of, rat
 from .structure import TwoFlatVerdict, two_flat
-from .tiling import SlabChoice, _family, _sample, coverage, translate_multiplicity
+from .tiling import SlabChoice, TranslateFamily, _sample, coverage, translate_multiplicity
 from .zonotope import BoundaryHit, Zonotope
 
 __all__ = [
@@ -214,7 +214,7 @@ def slab_identity_check(
         pad = Vec3.of(1, 1, 1)
         window = (lo - pad, hi + pad)
     # each offset u is the family u + G of weight 1
-    families = [tuple(_family(c.g, u, 1) for u in f) for f in (c.s_offsets, c.t_offsets)]
+    families = [tuple(TranslateFamily(c.g, u, 1) for u in f) for f in (c.s_offsets, c.t_offsets)]
 
     def count(draws):
         counts = np.zeros((len(draws.r), 2), dtype=np.int64)

@@ -383,9 +383,8 @@ class Zonotope:
                 n2_raw = g[i].cross(g[j])
                 if n2_raw.is_zero():
                     continue
-                n1 = n2_raw.cross(g[i])  # in-plane normal of g[i]
-                if g[j].dot(n1) < 0:
-                    n1 = -n1
+                # in-plane normal of g[i], on g[j]'s side: g[j] . n1 > 0 by Cauchy-Schwarz
+                n1 = n2_raw.cross(g[i])
                 for m in range(j + 1, len(g)):
                     sm = g[m].dot(n2_raw)
                     if sm == 0:

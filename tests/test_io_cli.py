@@ -1,4 +1,5 @@
 """JSON schemas, OFF export, and the command line."""
+import dataclasses
 import functools
 import json
 import math
@@ -29,7 +30,7 @@ from zonotile.io import (
     zonotope_to_json,
 )
 from zonotile.lattices import Lattice, lattice_from_vectors
-from zonotile.linalg import Vec3, rank_of
+from zonotile.linalg import Vec3, int_row, rank_of
 from zonotile.structure import TwoFlatVerdict
 from zonotile.tiling import LatticeComponent, LatticeUnion, verify_level
 from zonotile.weird import build_weird, construction_from_indices
@@ -365,6 +366,33 @@ def test_cli_materialize_matches_brute_force(
     assert got == brute_force_materialize(lam, sides, shear, lo, hi)
 
 
+@pytest.mark.parametrize(
+    "k", [(1, 0, 0), (0, -2, 0), (0, 0, 1), (1, 1, -1)], ids=["e1", "e2", "g3", "mixed"]
+)
+def test_materialize_sums_families_that_share_points(k):
+    # the first T offset is moved to the first S offset plus the gamma vector
+    # k1 a e1 + k2 b e2 + k3 (s1, s2, c), so the two families share every
+    # point of that class; along e1 and e2 both pick the same coset, so at
+    # most one counts there, and one g3 step flips the alternating choice, so
+    # both count at half the shared points
+    sides, shear = (HALF, Fraction(2, 3), Fraction(3, 2)), (HALF, Fraction(-1, 3))
+    (a, b, c), (s1, s2) = sides, shear
+    z = Zonotope((Vec3(a, 0, 0), Vec3(0, b, 0), Vec3(s1, s2, c)))
+    con = construction_from_indices(z, [0, 1], (HALF, Fraction(1, 3)))
+    lam = build_weird(con, {j: "ST"[j % 2] for j in range(-6, 7)})
+    (k1, k2, k3), u = k, lam.s_offsets[0]
+    v = u + Vec3(k1 * a + k3 * s1, k2 * b + k3 * s2, k3 * c)
+    lam = dataclasses.replace(lam, t_offsets=(v, lam.t_offsets[1]))
+    lo, hi = Vec3(-2, -2, -2), Vec3(2, 2, 2)
+    got = cli._materialize(lam, lo, hi)
+    assert got == brute_force_materialize(lam, sides, shear, lo, hi)
+    fam = {f.shift: f for f in tiling.translate_families(lam)}
+    shared = [(p, m) for p, m in got if lam.gamma.contains(p - u)]
+    both = [m for p, m in shared if all(fam[w].count_at(*int_row(p)) for w in (u, v))]
+    assert shared and all(m == 2 for m in both)
+    assert bool(both) == (k3 % 2 == 1)
+
+
 def test_cli_verify_tiling_refuses_huge_offset_box(tmp_path, capsys, monkeypatch):
     # the cube of side 3 spans 4^3 = 64 offsets of Z^3, one above the bound
     monkeypatch.setattr(tiling, "_KERNEL_LIMIT", 63)
@@ -536,6 +564,7 @@ def assert_input_error(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    return err
 
 
 def test_cli_generators_not_an_array_exits_2(tmp_path, capsys):
@@ -552,6 +581,28 @@ def test_cli_malformed_component_exits_2(tmp_path, capsys, component):
     z = write(tmp_path, "z.json", CUBE_JSON)
     text = f'{{"kind": "lattice_union", "components": [{component}]}}'
     assert_input_error(capsys, ["verify-tiling", z, write(tmp_path, "lam.json", text)])
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_cli_boolean_weight_exits_2(tmp_path, capsys, flag):
+    # JSON true and false are not integers, although Python's bool is an int
+    z = write(tmp_path, "z.json", CUBE_JSON)
+    obj = translate_set_to_json(
+        LatticeUnion((LatticeComponent(lattice_from_vectors([E1, E2, E3]), ZERO),))
+    )
+    obj["components"][0]["weight"] = flag
+    lam = write(tmp_path, "lam.json", json.dumps(obj))
+    assert f"not an integer: {flag}" in assert_input_error(capsys, ["verify-tiling", z, lam])
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_cli_boolean_expected_level_exits_2(tmp_path, capsys, cube, flag):
+    z = write(tmp_path, "z.json", CUBE_JSON)
+    con = construction_from_indices(cube, [0, 1], coefficients=(HALF, HALF))
+    obj = translate_set_to_json(build_weird(con))
+    obj["expected_level"] = flag
+    lam = write(tmp_path, "lam.json", json.dumps(obj))
+    assert f"not an integer: {flag}" in assert_input_error(capsys, ["verify-tiling", z, lam])
 
 
 def test_cli_slab_choice_not_an_object_exits_2(tmp_path, capsys, cube):

@@ -90,7 +90,7 @@ def test_coverage_boundary_raises(cube, z3_union):
         coverage(cube, z3_union, x)
     assert hit.value.point == x
     # a family record of weight 0 contributes no translate, so no boundary
-    assert coverage(cube, (tiling._family(z3(), ZERO, 0),), x) == 0
+    assert coverage(cube, (tiling.TranslateFamily(z3(), ZERO, 0),), x) == 0
 
 
 TWO_Z3 = lattice_from_vectors([E1 * 2, E2 * 2, E3 * 2])
@@ -115,7 +115,7 @@ def test_coverage_boundary_raises_for_translates_on_the_closed_box(cube, lat, x)
     # the translates z + t holding x on their boundary have t on the boundary
     # of the box [x - 1, x] that coverage enumerates; an open box would miss them
     with pytest.raises(BoundaryHit) as hit:
-        coverage(cube, (tiling._family(lat, ZERO, 1),), x)
+        coverage(cube, (tiling.TranslateFamily(lat, ZERO, 1),), x)
     assert hit.value.point == x
 
 

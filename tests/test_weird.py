@@ -253,7 +253,7 @@ def test_slab_family_coverage_matches_brute_force(name, x0, x1, x2):
     c, x = SLAB_CONSTRUCTIONS[name], Vec3(x0, x1, x2)
     for offsets in (c.s_offsets, c.t_offsets):
         # the records slab_identity_check counts: each offset u is u + G, weight 1
-        families = tuple(tiling._family(c.g, u, 1) for u in offsets)
+        families = tuple(tiling.TranslateFamily(c.g, u, 1) for u in offsets)
         want = brute_slab_count(c, x, offsets, reach=10)
         if want is None:
             with pytest.raises(BoundaryHit) as hit:
