@@ -139,7 +139,8 @@ def _materialize(lam: SlabChoice, lo: Vec3, hi: Vec3) -> list[tuple[Vec3, int]]:
         for p in lattice_points_in_box(f.lattice, f.shift, lo, hi):
             (n0, n1, n2), d = int_row(p)
             cand[n0, n1, n2, d] = p
-    return [(p, m) for p in sorted(cand.values()) if (m := translate_multiplicity(lam, p))]
+    kept = [(p, m) for p in cand.values() if (m := translate_multiplicity(lam, p))]
+    return sorted(kept, key=lambda pm: pm[0])
 
 
 def _cmd_weird_gen(args) -> int:

@@ -372,9 +372,10 @@ def test_cli_materialize_matches_brute_force(
 def test_materialize_sums_families_that_share_points(k):
     # the first T offset is moved to the first S offset plus the gamma vector
     # k1 a e1 + k2 b e2 + k3 (s1, s2, c), so the two families share every
-    # point of that class; along e1 and e2 both pick the same coset, so at
-    # most one counts there, and one g3 step flips the alternating choice, so
-    # both count at half the shared points
+    # point of that class. A shared point lies in one coset for both when
+    # k3 = 0, so at most one family counts there; an odd k3 puts it in
+    # neighbouring cosets, whose alternating choices differ, so in every
+    # other coset both count and the point occurs twice
     sides, shear = (HALF, Fraction(2, 3), Fraction(3, 2)), (HALF, Fraction(-1, 3))
     (a, b, c), (s1, s2) = sides, shear
     z = Zonotope((Vec3(a, 0, 0), Vec3(0, b, 0), Vec3(s1, s2, c)))
