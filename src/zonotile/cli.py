@@ -33,11 +33,21 @@ _MATERIALIZE_LIMIT = 200_000
 _SAMPLES_LIMIT = 100_000
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's fields, refusing a key that appears twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"JSON object names {key!r} twice")
+        obj[key] = value
+    return obj
+
+
 def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # malformed JSON, a key named twice, or bytes that are not UTF-8
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -54,11 +64,9 @@ def _parse_window(spec: str) -> tuple[Vec3, Vec3]:
     if len(parts) != 6:
         raise ValueError("window must be six rationals: 'x0 x1 y0 y1 z0 z1'")
     vals = [rat(p) for p in parts]
-    lo = Vec3(vals[0], vals[2], vals[4])
-    hi = Vec3(vals[1], vals[3], vals[5])
-    if not (lo.x < hi.x and lo.y < hi.y and lo.z < hi.z):
+    if not all(a < b for a, b in zip(vals[0::2], vals[1::2])):
         raise ValueError("window is empty")
-    return lo, hi
+    return Vec3(*vals[0::2]), Vec3(*vals[1::2])
 
 
 def _load_zonotope(path: str) -> Zonotope:
@@ -109,17 +117,6 @@ def _cmd_verify_tiling(args) -> int:
     return 0
 
 
-def _parse_choice(spec: str) -> dict[int, str]:
-    choice = {}
-    for item in spec.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        j, _, fam = item.partition("=")
-        choice[int(j)] = fam
-    return choice
-
-
 def _materialize(lam: SlabChoice, lo: Vec3, hi: Vec3) -> list[tuple[Vec3, int]]:
     """Every translate in [lo, hi] with its multiplicity, in ``Vec3`` order.
 
@@ -147,12 +144,12 @@ def _cmd_weird_gen(args) -> int:
     z = _load_zonotope(args.zonotope)
     coeffs = args.coefficients.split() if args.coefficients else None
     if args.v_indices:
-        idx = [int(t) for t in args.v_indices.split()]
+        idx = [zio._int_field(t) for t in args.v_indices.split()]
         c = construction_from_indices(z, idx, coeffs)
     else:
         c = build_construction(z, coefficients=coeffs)
-    choice = _parse_choice(args.choice) if args.choice else None
-    lam = build_weird(c, choice)
+    items = (item.strip() for item in (args.choice or "").split(","))
+    lam = build_weird(c, zio.choice_from_pairs(item.partition("=")[::2] for item in items if item))
     report = {
         "construction": zio.construction_to_json(c),
         "translate_set": zio.translate_set_to_json(lam),

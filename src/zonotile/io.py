@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -28,6 +29,7 @@ __all__ = [
     "lattice_from_json",
     "translate_set_to_json",
     "translate_set_from_json",
+    "choice_from_pairs",
     "construction_to_json",
     "coverage_report_to_json",
     "classification_to_json",
@@ -48,6 +50,7 @@ _TRIPLE_LIMIT = 200_000
 # decimal places export_off writes at most: Python's default int-string limit,
 # past which a fraction's digits could not be printed
 _PRECISION_LIMIT = 4300
+_INTEGER = re.compile(r"[-+]?[0-9]+")
 
 
 def vec_to_json(v: Vec3) -> list[str]:
@@ -70,9 +73,21 @@ def _rat_field(value) -> Fraction:
 
 
 def _int_field(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+    """A JSON integer, or a string of ASCII digits with an optional sign."""
+    if type(value) is not int and not (type(value) is str and _INTEGER.fullmatch(value)):
         raise ValueError(f"not an integer: {value!r}")
     return int(value)
+
+
+def choice_from_pairs(pairs) -> dict[int, str]:
+    """A slab-choice map from (coset index, family) pairs, each index read by
+    ``_int_field``; an index named twice is refused."""
+    choice: dict[int, str] = {}
+    for key, family in pairs:
+        if (j := _int_field(key)) in choice:
+            raise ValueError(f"choice names coset {j} twice")
+        choice[j] = family
+    return choice
 
 
 def _shaped(value, kind: type, what: str):
@@ -155,7 +170,7 @@ def translate_set_from_json(obj) -> LatticeUnion | SlabChoice:
         return LatticeUnion(tuple(comps))
     if kind == "slab_choice":
         gamma, sub = (Lattice(_vecs(obj, key)) for key in ("gamma", "sub"))
-        choice = {int(j): v for j, v in _shaped(obj.get("choice", {}), dict, "choice").items()}
+        choice = choice_from_pairs(_shaped(obj.get("choice", {}), dict, "choice").items())
         level = obj.get("expected_level")
         return SlabChoice(
             gamma=gamma,

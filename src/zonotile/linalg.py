@@ -34,7 +34,9 @@ RationalLike = Fraction | int | str
 # a larger decimal exponent makes Fraction build a huge power of ten; the
 # bound mirrors Python's default int digit limit
 _MAX_EXPONENT = 4300
-_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+# the one ASCII string grammar for a rational, on every Python (Fraction's own
+# varies by version): a sign, then digits/digits or a decimal with an exponent
+_RATIONAL = re.compile(r"[-+]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?([0-9]+))?)")
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -44,8 +46,10 @@ def rat(value: RationalLike) -> Fraction:
     if isinstance(value, numbers.Rational):  # int, bool, numpy integers as Python ints
         return Fraction(int(value.numerator), int(value.denominator))
     if isinstance(value, str):
-        m = _EXPONENT.search(value)
-        digits = m.group(1).replace("_", "").lstrip("0") if m else ""
+        m = _RATIONAL.fullmatch(value)
+        if m is None:
+            raise ValueError(f"not a rational string: {value!r}")
+        digits = (m.group(1) or "").lstrip("0")
         if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
             raise ValueError(f"decimal exponent above {_MAX_EXPONENT} in {value!r}")
         return Fraction(value)
@@ -180,18 +184,6 @@ class Vec3:
             return NotImplemented
         a, b = self._cmp_keys(other)
         return a <= b
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        a, b = self._cmp_keys(other)
-        return a > b
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        a, b = self._cmp_keys(other)
-        return a >= b
 
     def __add__(self, other: "Vec3") -> "Vec3":
         a0, a1, a2, ad = self._nd

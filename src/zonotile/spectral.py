@@ -11,9 +11,9 @@ cancellation is never a floating-point judgement call.
 
 Both run on integers: a frequency is an integer triple over one denominator,
 the dual lattices and the frames carry their vectors cleared to integers, and
-every pairing (ball, dual membership, zero-set planes, phase numerators) is an
-integer dot product. ``Fraction`` values appear only as the phases handed to
-the root-of-unity reduction and in the reported frequencies.
+every pairing (ball, zero-set planes, phase numerators) is an integer dot
+product; dual membership is read off the dual box walks. ``Fraction`` values
+appear only as the root-of-unity phases and in the reported frequencies.
 """
 
 from __future__ import annotations
@@ -262,9 +262,11 @@ def support_bound_check(z: Zonotope, lam: LatticeUnion, radius) -> SupportReport
     exactly are exempt and reported separately.
 
     Frequencies are integer triples X over one denominator q, xi = X / q: the
-    ball test, dual membership (<xi, b> integral for every basis vector b)
-    and the phase numerators <offset, xi> are integer dot products. The dual
-    box points are counted before any is built: at most _CANDIDATE_LIMIT.
+    ball test and the phase numerators <offset, xi> are integer dot products.
+    Each component's dual box walk yields every point of its dual lattice in
+    the cube [-r, r]^3, which holds the ball, exactly once, so xi is in that
+    dual exactly when that walk yields it. The dual box points are counted
+    before any is built: at most _CANDIDATE_LIMIT.
 
     A frequency's weight depends only on its cancellation key: the pairs
     (component index, phase numerator mod that component's denominator) over
@@ -288,34 +290,30 @@ def support_bound_check(z: Zonotope, lam: LatticeUnion, radius) -> SupportReport
     # |X|^2 / q^2 <= r^2, cleared of denominators
     ball = (r.numerator * q) ** 2
     rd2 = r.denominator**2
-    cands: dict[tuple[int, int, int], None] = {}
-    for pts, den in boxes:
+    # ball point -> its key, built component by component, in first-seen order
+    keys: dict[tuple[int, int, int], tuple[tuple[int, int], ...]] = {}
+    # per component: weight / covolume and the offset's q-scaled denominator
+    comps = []
+    for i, ((pts, den), c) in enumerate(zip(boxes, lam.components)):
         s = q // den
+        (o0, o1, o2), oden = int_row(c.offset)
+        oq = oden * q
+        comps.append((Fraction(c.weight) / c.lattice.covolume(), oq))
         for x, y, w in pts:
             if (x * x + y * y + w * w) * s * s * rd2 <= ball:
-                cands[(x * s, y * s, w * s)] = None
-    # per component: basis rows and offset over q-scaled denominators, weight / covolume
-    comps = []
-    for c in lam.components:
-        rows, bden = c.lattice._basis_ints
-        off, oden = int_row(c.offset)
-        comps.append((rows, bden * q, off, oden * q, Fraction(c.weight) / c.lattice.covolume()))
+                p = (x * s, y * s, w * s)
+                keys[p] = keys.get(p, ()) + ((i, (o0 * p[0] + o1 * p[1] + o2 * p[2]) % oq),)
     frames = z.frames()
     violations: list[Vec3] = []
     cancelled: list[Vec3] = []
     verdicts: dict[tuple[tuple[int, int], ...], bool] = {}
-    for x, y, w in cands:
+    for (x, y, w), key in keys.items():
         if not (x or y or w):
             continue  # the weights are positive, so the zero frequency never cancels
-        key = tuple(
-            (i, (o0 * x + o1 * y + o2 * w) % oq)
-            for i, (rows, bq, (o0, o1, o2), oq, _) in enumerate(comps)
-            if all((b0 * x + b1 * y + b2 * w) % bq == 0 for b0, b1, b2 in rows)
-        )
         zero = verdicts.get(key)
         if zero is None:
             zero = verdicts[key] = rou_sum_is_zero(
-                [(comps[i][4], Fraction(n, comps[i][3])) for i, n in key]
+                [(comps[i][0], Fraction(n, comps[i][1])) for i, n in key]
             )
         xi = Vec3.from_ints(x, y, w, q)
         if zero:
@@ -323,7 +321,7 @@ def support_bound_check(z: Zonotope, lam: LatticeUnion, radius) -> SupportReport
         elif not all(zero_set_member(fr, xi) for fr in frames):
             violations.append(xi)
     return SupportReport(
-        r, len(cands), tuple(violations), tuple(cancelled), not violations
+        r, len(keys), tuple(violations), tuple(cancelled), not violations
     )
 
 

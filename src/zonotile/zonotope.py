@@ -447,11 +447,7 @@ class Zonotope:
             verts.append(verts[-1] + s)
         for s, _a, _b in ordered[:-1]:
             verts.append(verts[-1] - s)
-        # drop duplicate closing vertex handled implicitly; fix orientation
-        e1 = verts[1] - verts[0]
-        e2 = verts[2] - verts[1]
-        if e1.cross(e2).dot(f.normal) < 0:
-            verts.reverse()
+        # u1 x u2 = |u1|^2 n: a rising angle in (u1, u2) turns counterclockwise about n
         return verts
 
     def vertex_set(self) -> list[Vec3]:

@@ -624,6 +624,113 @@ def test_cli_huge_decimal_exponent_exits_2(tmp_path, capsys):
     assert_input_error(capsys, ["verify-tiling", z, lam, "--window", "0 1e5000 0 1 0 1"])
 
 
+# spellings Fraction reads on some Pythons only ("1_0", "1e1_000" from 3.11,
+# " 1 / 2 " from 3.12) or on all (" 3 ", an Arabic-Indic digit); the one
+# ASCII grammar refuses each on every version
+OFF_GRAMMAR = ["1_0", "1e1_000", " 1 / 2 ", " 3 ", "\u0663"]
+
+
+@pytest.mark.parametrize("text", OFF_GRAMMAR)
+def test_cli_rational_outside_the_grammar_exits_2(tmp_path, capsys, text):
+    z = write(tmp_path, "z.json", CUBE_JSON)
+    lam = write(tmp_path, "lam.json", Z3_UNION_JSON)
+    body = json.loads(CUBE_JSON)
+    body["generators"][0][0] = text
+    union = json.loads(Z3_UNION_JSON)
+    union["components"][0]["offset"][1] = text
+    runs = [
+        [write(tmp_path, "bad-z.json", json.dumps(body)), lam],
+        [z, write(tmp_path, "bad-lam.json", json.dumps(union))],
+    ]
+    if text.strip() == text:  # a window splits on spaces
+        runs.append([z, lam, "--window", f"-1 {text} 0 1 0 1"])
+    for args in runs:
+        assert repr(text) in assert_input_error(capsys, ["verify-tiling", *args])
+
+
+_digits = st.text("0123456789", min_size=1, max_size=12)
+_grammar_rational = st.builds(
+    lambda sign, body: sign + body,
+    st.sampled_from(["", "+", "-"]),
+    st.builds(lambda n, d: f"{n}/{d}", _digits, _digits.filter(lambda d: int(d) > 0))
+    | st.builds(
+        lambda whole, frac, exp: whole + frac + exp,
+        _digits,
+        st.sampled_from(["", "."]) | st.builds(lambda d: "." + d, _digits),
+        st.just("") | st.builds(lambda e, n: e + n, st.sampled_from(["e", "E", "e-", "E+"]),
+                                st.integers(0, 40).map(str)),
+    )
+    | st.builds(lambda d: "." + d, _digits),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(_grammar_rational, min_size=3, max_size=3))
+def test_grammar_rationals_round_trip(texts):
+    v = vec_from_json(texts)
+    assert tuple(v) == tuple(Fraction(t) for t in texts)
+    out = vec_to_json(v)
+    assert vec_from_json(out) == v and vec_to_json(vec_from_json(out)) == out
+
+
+def _slab_json(**fields):
+    con = construction_from_indices(Zonotope((E1, E2, E3)), [0, 1], coefficients=(HALF, HALF))
+    return {**translate_set_to_json(build_weird(con)), **fields}
+
+
+@pytest.mark.parametrize(
+    "choice, message",
+    [
+        ({"1": "S", "01": "T"}, "choice names coset 1 twice"),
+        ({"-2": "T", "-02": "S"}, "choice names coset -2 twice"),
+        ({"1": "S", " 1": "S"}, "not an integer: ' 1'"),
+        ({"1_0": "T"}, "not an integer: '1_0'"),
+    ],
+)
+def test_cli_choice_naming_a_coset_twice_exits_2(tmp_path, capsys, choice, message):
+    z = write(tmp_path, "z.json", CUBE_JSON)
+    lam = write(tmp_path, "lam.json", json.dumps(_slab_json(choice=choice)))
+    assert message in assert_input_error(capsys, ["verify-tiling", z, lam])
+
+
+def test_cli_json_key_named_twice_exits_2(tmp_path, capsys):
+    # json.load alone keeps the last of two equal keys
+    z = write(tmp_path, "z.json", CUBE_JSON)
+    text = json.dumps(_slab_json(choice={"1": "S"})).replace('"1": "S"', '"1": "S", "1": "T"')
+    assert '"choice": {"1": "S", "1": "T"}' in text
+    err = assert_input_error(capsys, ["verify-tiling", z, write(tmp_path, "lam.json", text)])
+    assert "lam.json" in err and "'1' twice" in err
+    twice = CUBE_JSON.replace("{", '{"translate": ["0", "0", "0"], "translate": ["1", "0", "0"], ')
+    body = write(tmp_path, "t.json", twice)
+    assert "'translate' twice" in assert_input_error(capsys, ["classify", body])
+
+
+def test_cli_choice_option_naming_a_coset_twice_exits_2(tmp_path, capsys):
+    z = write(tmp_path, "z.json", CUBE_JSON)
+    argv = ["weird-gen", z, "--v-indices", "0 1", "--coefficients", "1/2 1/2", "--choice"]
+    assert "choice names coset 1 twice" in assert_input_error(capsys, argv + ["1=S,1=T"])
+    assert "choice names coset 0 twice" in assert_input_error(capsys, argv + ["0=T, +0=T"])
+    assert "not an integer" in assert_input_error(capsys, argv + ["1_0=T"])
+    assert main(argv + ["0=T, 1=S,"]) == 0
+
+
+@pytest.mark.parametrize(
+    "window, message",
+    [
+        ("-1 1 -1 1 -1", "six rationals"),
+        ("-1 1 -1 1 -1 1 2", "six rationals"),
+        ("-1 1 1 -1 -1 1", "window is empty"),
+        ("-1 1 -1 1 1/2 2/4", "window is empty"),
+    ],
+)
+def test_cli_window_refusals_exit_2(tmp_path, capsys, window, message):
+    z = write(tmp_path, "z.json", CUBE_JSON)
+    lam = write(tmp_path, "lam.json", Z3_UNION_JSON)
+    assert message in assert_input_error(capsys, ["verify-tiling", z, lam, "--window", window])
+    argv = ["weird-gen", z, "--v-indices", "0 1", "--coefficients", "1/2 1/2", "--materialize"]
+    assert message in assert_input_error(capsys, argv + ["--window", window])
+
+
 # -- fuzz: any JSON document gives an exit code, never a traceback ----------
 
 _leaf = (

@@ -186,10 +186,12 @@ def test_int_row_clears_to_the_least_common_denominator():
 def test_rat_bounds_decimal_exponents():
     assert rat("1e4300") == 10**4300
     assert rat("2.5E-0004300") == Fraction(5, 2 * 10**4300)
-    assert rat("1e1_000") == 10**1000
     for text in ("1e4301", "1e-4301", "1E+5000", "3.5e00000000000000004301", "1e" + "9" * 5000):
         with pytest.raises(ValueError, match="exponent"):
             rat(text)
+    # Fraction reads an underscore from Python 3.11 on: the string grammar refuses it everywhere
+    with pytest.raises(ValueError):
+        rat("1e1_000")
 
 
 # Vec3 against Fraction-triple arithmetic: numerators beyond 2^64, mixed

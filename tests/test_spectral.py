@@ -371,6 +371,9 @@ def reference_support_check(z, lam, radius):
 
 oracle_rat = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
 oracle_vec = st.builds(Vec3, oracle_rat, oracle_rat, oracle_rat)
+# offsets near 10^12: the phase numerators are far past int64 before the mod
+far_rat = st.builds(Fraction, st.integers(-3, 3).map(lambda k: 10**12 + k), st.integers(1, 7))
+far_vec = st.builds(Vec3, far_rat, far_rat, oracle_rat)
 body_gen = st.builds(Vec3, *[st.integers(-1, 1)] * 3).filter(lambda v: not v.is_zero())
 radii = st.sampled_from([1, 2, 3, Fraction(3, 2), Fraction(5, 2), Fraction(7, 3)])
 shear = st.builds(Fraction, st.integers(-1, 1), st.sampled_from([1, 2, 3]))
@@ -385,7 +388,16 @@ def components(draw):
     b1, b2, b3 = Vec3(p1, s12, s13), Vec3(0, p2, s23), Vec3(0, 0, p3)
     k = draw(st.integers(-1, 1))
     basis = (b1 + b2 * k, b2 + b3 * draw(st.integers(-1, 1)), b3)
-    return LatticeComponent(Lattice(basis), draw(oracle_vec), draw(st.integers(1, 2)))
+    return LatticeComponent(Lattice(basis), draw(oracle_vec | far_vec), draw(st.integers(1, 2)))
+
+
+@st.composite
+def sublattice_of(draw, comp):
+    """A component on a proper sublattice of comp's lattice: its dual holds
+    comp's dual and more, so some frequencies lie in one dual but not both."""
+    b1, b2, b3 = comp.lattice.basis
+    basis = (b1 * draw(st.integers(2, 3)), b2 + b1 * draw(st.integers(-1, 1)), b3)
+    return LatticeComponent(Lattice(basis), draw(oracle_vec | far_vec), draw(st.integers(1, 2)))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -393,12 +405,16 @@ def components(draw):
     gens=st.lists(body_gen, min_size=3, max_size=5).filter(lambda g: rank_of(g) == 3),
     comps=st.lists(components(), min_size=1, max_size=3),
     twin=st.booleans(),
+    sub=st.booleans(),
     radius=radii,
+    data=st.data(),
 )
-def test_support_bound_matches_fraction_reference(gens, comps, twin, radius):
+def test_support_bound_matches_fraction_reference(gens, comps, twin, sub, radius, data):
     if twin:  # a copy half a period along b1 away: the weights cancel where <xi, b1> is odd
         c = comps[0]
         comps.append(LatticeComponent(c.lattice, c.offset + c.lattice.basis[0] * Fraction(1, 2), c.weight))
+    if sub:
+        comps.append(data.draw(sublattice_of(comps[0])))
     r = Fraction(radius)
     corner = Vec3(r, r, r)
     for c in comps:

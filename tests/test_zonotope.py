@@ -305,6 +305,24 @@ def rational_bodies(draw) -> Zonotope:
     return Zonotope(gens, draw(vecs))
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(rational_bodies())
+def test_facet_polygons_turn_counterclockwise_about_outward_normal(z):
+    # the orientation export_off promises: every turn of a facet's boundary,
+    # the closing ones included, is counterclockwise seen from outside
+    verts = z.vertex_set()
+    for i, f in enumerate(z.facets):
+        poly = z.facet_polygon(i)
+        assert len(set(poly)) == len(poly) >= 4
+        # outward: the facet's plane holds the body's largest <x, n>
+        assert max(v.dot(f.normal) for v in verts) == poly[0].dot(f.normal) == f.support
+        assert all(v.dot(f.normal) == f.support for v in poly)
+        k = len(poly)
+        for j in range(k):
+            a, b, c = poly[j], poly[(j + 1) % k], poly[(j + 2) % k]
+            assert (b - a).cross(c - b).dot(f.normal) > 0
+
+
 def combination(base: Vec3, vectors, ts) -> Vec3:
     for v, t in zip(vectors, ts):
         base = base + v * t
