@@ -681,13 +681,13 @@ def _slab_json(**fields):
 @pytest.mark.parametrize(
     "choice, message",
     [
-        ({"1": "S", "01": "T"}, "choice names coset 1 twice"),
+        ({"1": "S", "01": "T", " 1": "S"}, "choice names coset 1 twice"),
         ({"-2": "T", "-02": "S"}, "choice names coset -2 twice"),
         ({"1": "S", " 1": "S"}, "not an integer: ' 1'"),
         ({"1_0": "T"}, "not an integer: '1_0'"),
     ],
 )
-def test_cli_choice_naming_a_coset_twice_exits_2(tmp_path, capsys, choice, message):
+def test_cli_choice_key_twice_or_off_grammar_exits_2(tmp_path, capsys, choice, message):
     z = write(tmp_path, "z.json", CUBE_JSON)
     lam = write(tmp_path, "lam.json", json.dumps(_slab_json(choice=choice)))
     assert message in assert_input_error(capsys, ["verify-tiling", z, lam])
