@@ -102,12 +102,13 @@ def _cmd_pave(args) -> int:
 
 
 def _cmd_verify_tiling(args) -> int:
-    if not 1 <= args.samples <= _SAMPLES_LIMIT:
+    samples, seed = zio._int_field(args.samples), zio._int_field(args.seed)
+    if not 1 <= samples <= _SAMPLES_LIMIT:
         raise ValueError(f"samples must be between 1 and {_SAMPLES_LIMIT}")
     z = _load_zonotope(args.zonotope)
     lam = zio.translate_set_from_json(_read_json(args.translates))
     window = _parse_window(args.window)
-    rep = verify_level(z, lam, window, samples=args.samples, seed=args.seed)
+    rep = verify_level(z, lam, window, samples=samples, seed=seed)
     _emit(zio.dumps(zio.coverage_report_to_json(rep)), args.out)
     if rep.level is None or rep.density_consistent is False:
         return 1
@@ -193,10 +194,11 @@ def _cmd_fourier_eval(args) -> int:
 
 
 def _cmd_export_mesh(args) -> int:
-    if not 0 <= args.precision <= zio._PRECISION_LIMIT:
+    precision = zio._int_field(args.precision)
+    if not 0 <= precision <= zio._PRECISION_LIMIT:
         raise ValueError(f"precision must be between 0 and {zio._PRECISION_LIMIT}")
     z = _load_zonotope(args.zonotope)
-    _emit(zio.export_off(z, args.precision), args.out)
+    _emit(zio.export_off(z, precision), args.out)
     return 0
 
 
@@ -236,8 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("zonotope")
     sp.add_argument("translates")
     sp.add_argument("--window", default="-4 4 -4 4 -4 4")
-    sp.add_argument("--samples", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--samples", default=1000)
+    sp.add_argument("--seed", default=0)
     sp.set_defaults(func=_cmd_verify_tiling)
 
     sp = common(sub.add_parser("weird-gen", help="build the two-flat construction"))
@@ -257,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = common(sub.add_parser("export-mesh", help="OFF boundary mesh"))
     sp.add_argument("zonotope")
-    sp.add_argument("--precision", type=int, default=6)
+    sp.add_argument("--precision", default=6)
     sp.set_defaults(func=_cmd_export_mesh)
 
     return p

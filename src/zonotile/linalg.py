@@ -357,6 +357,11 @@ def _identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
+def cross_int(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int]:
+    """Cross product of two integer triples."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
 def det_int(m: Sequence[Sequence[int]]) -> int:
     """Determinant of a 3x3 integer matrix."""
     if len(m) != 3:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 # rank_of is unused here, but perfbench's tracer wraps this module's binding
-from .linalg import Vec3, primitive, primitive_triple, rank_of  # noqa: F401
+from .linalg import Vec3, cross_int, primitive, primitive_triple, rank_of  # noqa: F401
 from .zonotope import Frame, Zonotope
 
 _AXES = (Vec3.of(1, 0, 0), Vec3.of(0, 1, 0), Vec3.of(0, 0, 1))
@@ -107,7 +107,7 @@ def intersection_property(frames: tuple[Frame, ...]) -> IntersectionVerdict:
     for a in trios[0]:
         for b in next(t for t in trios if a not in t):
             # distinct sign-canonical primitive directions are never parallel
-            cands.add(primitive_triple(_cross(a, b)))
+            cands.add(primitive_triple(cross_int(a, b)))
     valid = [u for u in cands if all(any(orthogonal(v, u) for v in t) for t in trios)]
     if not valid:
         return IntersectionVerdict(True)
@@ -145,7 +145,7 @@ def two_flat(z: Zonotope) -> TwoFlatVerdict:
 
         def normal_of(cls: list[int]) -> Vec3:
             if len(cls) >= 2:
-                return Vec3.of(*primitive_triple(_cross(ints[cls[0]], ints[cls[1]])))
+                return Vec3.of(*primitive_triple(cross_int(ints[cls[0]], ints[cls[1]])))
             return canonical_perp(Vec3.of(*ints[cls[0]]))
 
         return TwoFlatVerdict(
@@ -156,19 +156,15 @@ def two_flat(z: Zonotope) -> TwoFlatVerdict:
         return verdict([0, 1])
     for i, a in enumerate(ints):
         for b in ints[i + 1 :]:
-            n0, n1, n2 = _cross(a, b)
+            n0, n1, n2 = cross_int(a, b)
             h1 = [k for k, (c0, c1, c2) in enumerate(ints) if n0 * c0 + n1 * c1 + n2 * c2 == 0]
             rest = [ints[k] for k in range(len(classes)) if k not in h1]
             if len(rest) <= 2:
                 return verdict(h1)
-            r0, r1, r2 = _cross(rest[0], rest[1])
+            r0, r1, r2 = cross_int(rest[0], rest[1])
             if all(r0 * c0 + r1 * c1 + r2 * c2 == 0 for c0, c1, c2 in rest[2:]):
                 return verdict(h1)
     return TwoFlatVerdict(False)
-
-
-def _cross(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def classify(z: Zonotope) -> Classification:

@@ -30,6 +30,7 @@ Points on a contributing translate's boundary raise BoundaryHit in
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -138,7 +139,8 @@ class SlabChoice:
 
     The translate multiset is the union over coset indices j of
     (sub + rep(j)) + each offset of the selected family; cosets the choice map
-    leaves out default to the first family. The choice map is kept read-only.
+    leaves out default to the first family. The choice map is kept read-only;
+    a key that is not an integer (a bool, a string) names no coset and is refused.
     """
 
     gamma: Lattice
@@ -152,10 +154,14 @@ class SlabChoice:
     def __post_init__(self):
         if len(self.s_offsets) != len(self.t_offsets):
             raise ValueError("offset families must have equal size")
-        for v in self.choice.values():
+        choice = {}
+        for j, v in self.choice.items():
+            if isinstance(j, bool) or not isinstance(j, numbers.Integral):
+                raise ValueError(f"choice keys must be integer coset indices, not {j!r}")
             if v not in ("S", "T"):
                 raise ValueError("choice values must be 'S' or 'T'")
-        object.__setattr__(self, "choice", MappingProxyType(dict(self.choice)))
+            choice[int(j)] = v
+        object.__setattr__(self, "choice", MappingProxyType(choice))
 
     def offsets_for(self, j: int) -> tuple[Vec3, ...]:
         return self.t_offsets if self.choice.get(j, "S") == "T" else self.s_offsets

@@ -4,14 +4,15 @@ A zonotope is a Minkowski sum of segments [0, v_i] plus a translate. Its
 denominators are cleared once, at construction: the generators and the
 translate are kept as integer triples over one denominator D, and the
 direction classes, facet normals, offsets and supports, the bounding box, the
-volume and the two-opposite-edges frames are all computed on Python ints.
-``Fraction`` and ``Vec3`` values are built only at the API edge: the
-``direction_classes`` at construction, the ``facets`` tuple and each
-``Frame``'s fields on first read, so the deciders, which read only integers,
-never build them. Membership in the body and in a paving cell is one integer
-half-space test: each facet or cell face is cleared to integers n, h, each
-point to X / d, and the point's excess n . X - h * d is compared with 0. No
-float takes part in a verdict.
+volume, the two-opposite-edges frames and the half-open paving are all
+computed on Python ints. The paving takes one sign pass over the generators
+per generator pair, O(n^3) in all. ``Fraction`` and ``Vec3`` values are
+built only at the API edge: the ``direction_classes`` at construction, the
+paving cells' anchors, and the ``facets`` tuple and each ``Frame``'s fields
+on first read, so the deciders, which read only integers, never build them.
+Membership in the body and in a paving cell is one integer half-space test
+per facet or cell face: the point is cleared to X / d, and its excess over
+the face's integer row is compared with 0. No float takes part in a verdict.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from typing import Iterable, Sequence
 from .linalg import (
     Vec3,
     VEC_ZERO,
+    cross_int,
     det3,
     det_int,
     int_row,
     int_triples,
-    inverse_rows,
     primitive_triple,
     rank_of,
 )
@@ -175,16 +176,21 @@ class PavingCell:
     )
 
     def __post_init__(self):
+        (p, e1, e2, e3), den = int_triples((self.anchor, *self.edges))
+        rows = (cross_int(e2, e3), cross_int(e3, e1), cross_int(e1, e2))
+        if not (det := _dot(e1, rows[0])):
+            raise ValueError("singular basis")
+        sign, s = (1, det) if det > 0 else (-1, -det)
         faces = []
-        (p1, p2, p3), q = int_row(self.anchor)
-        for r, inc in zip(inverse_rows(*self.edges), self.include_zero_face):
-            # t_i = r . (x - anchor) = (a . x - c) / s for r = R / rden and
-            # anchor = P / q, with (a, c, s) = (q R, R . P, q rden) over their gcd
-            (r1, r2, r3), rden = int_row(r)
-            a1, a2, a3, c, s = q * r1, q * r2, q * r3, r1 * p1 + r2 * p2 + r3 * p3, q * rden
+        for r, inc in zip(rows, self.include_zero_face):
+            # for edges E / den and anchor P / den, t_i = den r . (x - P / den) / det
+            # with r the i-th row above; that is (a . x - c) / s for
+            # (a, c, s) = (sign den r, sign r . P, |det|) over their gcd
+            a1, a2, a3 = (sign * den * rk for rk in r)
+            c = sign * _dot(r, p)
             g = gcd(a1, a2, a3, c, s)
-            a1, a2, a3, c, s = a1 // g, a2 // g, a3 // g, c // g, s // g
-            faces += [(-a1, -a2, -a3, -c, inc), (a1, a2, a3, c + s, not inc)]
+            a1, a2, a3, c = a1 // g, a2 // g, a3 // g, c // g
+            faces += [(-a1, -a2, -a3, -c, inc), (a1, a2, a3, c + s // g, not inc)]
         object.__setattr__(self, "_faces", tuple(faces))
 
     def volume(self) -> Fraction:
@@ -261,22 +267,19 @@ class Zonotope:
     def _build_facets(self) -> None:
         """Facets in pairs (n, -n), one pair per plane spanned by two classes.
 
-        Sets the integer half-spaces ``_facet_ints`` (<x, n> < h iff
-        n' . X < h' * d for x = X / d) and ``_facet_sides``: per facet the
-        normal, the support and offset numerators over ``_den``, the in-plane
-        generators and the opposite index, which ``facets`` turns into
-        ``Facet``s on first read.
+        Sets ``_facet_sides``: per facet the normal n, the support and
+        offset numerators over ``_den``, the in-plane generators and the
+        opposite index. ``contains`` reads the half-space <x, n> <= h / den
+        from it, and ``facets`` turns it into ``Facet``s on first read.
         """
         den, g = self._den, self._g
         dirs = [d for d, _ in self._classes]
         normals: dict[tuple[int, int, int], None] = {}
-        for i, (a0, a1, a2) in enumerate(dirs):
-            for b0, b1, b2 in dirs[i + 1 :]:
+        for i, a in enumerate(dirs):
+            for b in dirs[i + 1 :]:
                 # distinct sign-canonical primitive directions are never parallel
-                n = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-                normals[primitive_triple(n)] = None
+                normals[primitive_triple(cross_int(a, b))] = None
         sides: list[tuple] = []
-        rows: list[tuple[int, int, int, int]] = []
         for n in normals:
             n0, n1, n2 = n
             pos, neg = list(self._t), list(self._t)
@@ -293,11 +296,8 @@ class Zonotope:
             fi = len(sides)
             for m, o, opp in ((n, pos, fi + 1), ((-n0, -n1, -n2), neg, fi)):
                 h = m[0] * o[0] + m[1] * o[1] + m[2] * o[2]
-                q = gcd(h, den)
-                rows.append((m[0] * (den // q), m[1] * (den // q), m[2] * (den // q), h // q))
                 sides.append((m, h, o, tuple(plane), opp))
         self._facet_sides = tuple(sides)
-        self._facet_ints = tuple(rows)
 
     @property
     def facets(self) -> tuple[Facet, ...]:
@@ -322,10 +322,12 @@ class Zonotope:
 
     def contains(self, x: Vec3) -> Location:
         """OUTSIDE if x is beyond a facet's plane, else BOUNDARY if on one."""
+        # x = X / d is beyond facet (n, h / den) when den (n . X) > h d
         (x1, x2, x3), d = int_row(x)
+        den = self._den
         on_boundary = False
-        for n1, n2, n3, h in self._facet_ints:
-            excess = n1 * x1 + n2 * x2 + n3 * x3 - h * d
+        for (n1, n2, n3), h, _o, _plane, _opp in self._facet_sides:
+            excess = den * (n1 * x1 + n2 * x2 + n3 * x3) - h * d
             if excess > 0:
                 return Location.OUTSIDE
             on_boundary = on_boundary or excess == 0
@@ -350,64 +352,51 @@ class Zonotope:
         total = sum(abs(det_int(m)) for m in combinations(self._g, 3))
         return Fraction(total, self._den**3)
 
-    def _generic_direction(self) -> Vec3:
-        """Rational direction transversal to every generator-pair plane."""
-        g = self.generators
-        normals = []
-        for i in range(len(g)):
-            for j in range(i + 1, len(g)):
-                n = g[i].cross(g[j])
-                if not n.is_zero():
-                    normals.append(n)
-        t = 1
-        while True:
-            q = Vec3.of(1, t, t * t)
-            if all(q.dot(n) != 0 for n in normals):
-                return q
-            t += 1
-
     def pave(self) -> Paving:
         """Half-open parallelepiped paving, one cell per independent triple.
 
-        Generators are processed in input order; the cell of triple i<j<m is
-        anchored by the visibility sign rule, and half-open faces are chosen
-        by a fixed generic direction so that the cells partition the body.
+        Built on the integer generators in O(n^3), in input order. The cell
+        of triple i < j < m is anchored by the visibility sign rule: one pass
+        per pair (i, j) reads the sign of g_l . (g_i x g_j) for every l and
+        keeps a running anchor on each side of the pair's plane. Half-open
+        faces are chosen by a fixed generic direction q, so that the cells
+        partition the body.
         """
         if self._paving is not None:
             return self._paving
-        g = self.generators
-        q = self._generic_direction()
+        g, ig = self.generators, self._g
+        pairs = [
+            (i, j, n)
+            for i, j in combinations(range(len(ig)), 2)
+            if (n := cross_int(ig[i], ig[j])) != (0, 0, 0)
+        ]
+        # q = (1, t, t^2) for the first t >= 1 off every pair plane; each
+        # normal n rules out at most the two roots of n0 + n1 t + n2 t^2
+        t = 1
+        while any(n0 + n1 * t + n2 * t * t == 0 for _i, _j, (n0, n1, n2) in pairs):
+            t += 1
+        q = (1, t, t * t)
         cells: list[PavingCell] = []
-        for i in range(len(g)):
-            for j in range(i + 1, len(g)):
-                n2_raw = g[i].cross(g[j])
-                if n2_raw.is_zero():
-                    continue
-                # in-plane normal of g[i], on g[j]'s side: g[j] . n1 > 0 by Cauchy-Schwarz
-                n1 = n2_raw.cross(g[i])
-                for m in range(j + 1, len(g)):
-                    sm = g[m].dot(n2_raw)
-                    if sm == 0:
-                        continue
-                    n2 = n2_raw if sm > 0 else -n2_raw
-                    anchor = self.translate
-                    for l, vl in enumerate(g):
-                        if l in (i, j, m):
-                            continue
-                        s2 = vl.dot(n2)
-                        if s2 != 0:
-                            if l < m and s2 > 0:
-                                anchor = anchor + vl
-                        elif not vl.parallel_to(g[i]):
-                            if l < j and vl.dot(n1) > 0:
-                                anchor = anchor + vl
-                        else:
-                            if l < i and vl.dot(g[i]) > 0:
-                                anchor = anchor + vl
-                    edges = (g[i], g[j], g[m])
-                    rows = inverse_rows(*edges)
-                    flags = tuple(r.dot(q) > 0 for r in rows)
-                    cells.append(PavingCell(anchor, edges, flags))
+        for i, j, n in pairs:
+            gi = ig[i]
+            w = cross_int(n, gi)  # in-plane normal of g_i, on g_j's side
+            # flag k of cell (i, j, m) is r_k . q > 0 for the rows r_k of the
+            # inverse of (g_i, g_j, g_m): (g_j x g_m, g_m x g_i, n) / det with
+            # det = g_m . n, and the first two dot q as g_m . u and g_m . v
+            u, v, nq = cross_int(q, ig[j]), cross_int(gi, q), _dot(n, q) > 0
+            sums = [self._t, self._t]  # the running anchors below and above the plane
+            for l, x in enumerate(ig):
+                if s := _dot(x, n):
+                    o = sums[up := s > 0]
+                    if l > j:
+                        flags = ((_dot(x, u) > 0) == up, (_dot(x, v) > 0) == up, nq == up)
+                        cells.append(PavingCell(_vec(o, self._den), (g[i], g[j], g[l]), flags))
+                    sums[up] = (o[0] + x[0], o[1] + x[1], o[2] + x[2])
+                # in the plane: off g_i's line when l < j on g_j's side, on it
+                # when l < i along g_i; both come before every m > j, and
+                # g_i and g_j fail their own rule
+                elif (l < j and sw > 0) if (sw := _dot(x, w)) else (l < i and _dot(x, gi) > 0):
+                    sums = [(o[0] + x[0], o[1] + x[1], o[2] + x[2]) for o in sums]
         self._paving = Paving(tuple(cells))
         return self._paving
 
@@ -480,12 +469,8 @@ class Zonotope:
         frames: list[Frame] = []
         # the first facet of each pair (n, -n)
         for fi in range(0, len(self._facet_sides), 2):
-            (n0, n1, n2), _h, o, _plane, _opp = self._facet_sides[fi]
-            in_plane = [
-                (d, members)
-                for d, members in self._classes
-                if d[0] * n0 + d[1] * n1 + d[2] * n2 == 0
-            ]
+            n, _h, o, _plane, _opp = self._facet_sides[fi]
+            in_plane = [(d, members) for d, members in self._classes if not _dot(d, n)]
             for d, members in in_plane:
                 e, neg = [0, 0, 0], [0, 0, 0]
                 for idx in members:
@@ -495,7 +480,7 @@ class Zonotope:
                     else:
                         e = [e[k] - v[k] for k in range(3)]
                         neg = [neg[k] + v[k] for k in range(3)]
-                w0, w1, w2 = n1 * d[2] - n2 * d[1], n2 * d[0] - n0 * d[2], n0 * d[1] - n1 * d[0]
+                w0, w1, w2 = cross_int(n, d)
                 base_a = [o[k] + neg[k] for k in range(3)]
                 base_b = list(base_a)
                 for dc, mem in in_plane:
@@ -514,6 +499,10 @@ class Zonotope:
                     raise AssertionError("degenerate frame: implementation bug")
                 frames.append(Frame._from_ints(e, base, tau1, tau2, den, fi, d))
         self._frames = tuple(frames)
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _vec(ints: Sequence[int], den: int = 1) -> Vec3:

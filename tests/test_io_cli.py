@@ -648,6 +648,21 @@ def test_cli_rational_outside_the_grammar_exits_2(tmp_path, capsys, text):
         assert repr(text) in assert_input_error(capsys, ["verify-tiling", *args])
 
 
+@pytest.mark.parametrize("text", OFF_GRAMMAR)
+def test_cli_integer_option_outside_the_grammar_exits_2(tmp_path, capsys, monkeypatch, text):
+    z = write(tmp_path, "z.json", CUBE_JSON)
+    lam = write(tmp_path, "lam.json", Z3_UNION_JSON)
+    # each option is refused before any input file is read
+    monkeypatch.setattr(zio, "zonotope_from_json", lambda doc: pytest.fail("body read"))
+    runs = (
+        ["verify-tiling", z, lam, "--samples", text],
+        ["verify-tiling", z, lam, "--samples", "10", "--seed", text],
+        ["export-mesh", z, "--precision", text],
+    )
+    for argv in runs:
+        assert repr(text) in assert_input_error(capsys, argv)
+
+
 _digits = st.text("0123456789", min_size=1, max_size=12)
 _grammar_rational = st.builds(
     lambda sign, body: sign + body,

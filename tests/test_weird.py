@@ -4,10 +4,12 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zonotile import tiling, weird
+from zonotile.io import translate_set_to_json
 from zonotile.lattices import lattice_from_vectors, plane_section
 from zonotile.linalg import Vec3, primitive
 from zonotile.tiling import coverage, verify_level
@@ -139,6 +141,19 @@ def test_build_weird_levels(cube):
         assert lam.expected_level == 2
         rep = verify_level(cube, lam, W5, samples=200, seed=11)
         assert rep.level == 2 and rep.density_consistent is True
+
+
+def test_build_weird_refuses_choice_keys_that_are_not_integers(cube):
+    c = cube_construction(cube)
+    j = c.cosets.rep(0)
+    assert tiling.translate_multiplicity(build_weird(c, {0: "T"}), j) == 0
+    for key in ("0", True, False, 0.0, Fraction(0), None):
+        with pytest.raises(ValueError, match="integer coset indices"):
+            build_weird(c, {key: "T"})
+    lam = build_weird(c, {np.int64(0): "T"})
+    assert [type(k) for k in lam.choice] == [int]
+    assert tiling.translate_multiplicity(lam, j) == 0
+    assert translate_set_to_json(lam)["choice"] == {"0": "T"}
 
 
 def test_build_weird_requires_plane(cube):
