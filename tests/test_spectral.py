@@ -26,7 +26,16 @@ from zonotile.spectral import (
 from zonotile.tiling import LatticeComponent, LatticeUnion
 from zonotile.zonotope import Frame, Zonotope
 
-from conftest import E1, E2, E3, ZERO, corner_box_points, corner_ranges
+from conftest import (
+    E1,
+    E2,
+    E3,
+    ZERO,
+    corner_box_points,
+    corner_ranges,
+    random_rat_vec,
+    random_zonotope,
+)
 
 
 def quad_leg_ft(legs, xi, n=4000):
@@ -106,6 +115,58 @@ def test_leg_ft_accepts_exact_and_float_points(cube):
     xi_exact = Vec3(Fraction(1, 3), Fraction(2, 7), Fraction(-1, 5))
     xi_float = tuple(float(c) for c in xi_exact)
     assert abs(leg_ft(m, xi_exact) - leg_ft(m, xi_float)) < 1e-12
+
+
+def oracle_leg_ft(m, xi) -> complex:
+    """``leg_ft``'s closed form with one dot path per input: ``Fraction`` dots
+    for a ``Vec3`` xi, float dots on ``as_floats`` for any other."""
+    fr = m.frame
+    if isinstance(xi, Vec3):
+        se, s1, s2 = xi.dot(fr.e), xi.dot(fr.tau1), xi.dot(fr.tau2)
+        sb = xi.dot(fr.base) + se / 2
+    else:
+        fx = tuple(float(c) for c in xi)
+
+        def fdot(v: Vec3) -> float:
+            vf = v.as_floats()
+            return fx[0] * vf[0] + fx[1] * vf[1] + fx[2] * vf[2]
+
+        se, s1, s2 = fdot(fr.e), fdot(fr.tau1), fdot(fr.tau2)
+        sb = fdot(fr.base) + se / 2
+    length = math.sqrt(float(fr.e.norm_sq()))
+    val = m.sign * length * spectral._sinc(float(se)) * spectral._phase(sb)
+    return val * (1 - spectral._phase(s1)) * (1 - spectral._phase(s2))
+
+
+def test_leg_ft_matches_the_two_path_oracle_bit_for_bit(cube, rd4):
+    # criterion 07's draws (exact points in each zero-set family, then float
+    # points at random frames), the zero frequency in every spelling, and
+    # exact and float points on frames of rational bodies
+    rng = random.Random(707)
+    zeros = (ZERO, (0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (0, 0, 0))
+    cases = []
+    for z in (cube, rd4):
+        for fr in z.frames():
+            m = leg_measure(fr)
+            cases += [(m, sample_in_family(rng, fam)) for fam in m.zero_set() for _ in range(100)]
+            cases += [(m, xi) for xi in zeros]
+    for z in (cube, rd4):
+        frames = z.frames()
+        for _ in range(100):
+            xi = tuple(rng.uniform(-3, 3) for _ in range(3))
+            cases.append((leg_measure(frames[rng.randrange(len(frames))]), xi))
+    rng = random.Random(11)
+    for _ in range(20):
+        gens = [v * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                for v in random_zonotope(rng, rng.randint(3, 6)).generators]
+        for fr in Zonotope(gens, random_rat_vec(rng)).frames():
+            m = leg_measure(fr)
+            cases += [(m, xi) for xi in zeros]
+            cases += [(m, random_rat_vec(rng, 9, 7)) for _ in range(3)]
+            cases += [(m, tuple(rng.uniform(-3, 3) for _ in range(3))) for _ in range(3)]
+    for m, xi in cases:
+        got, want = leg_ft(m, xi), oracle_leg_ft(m, xi)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 def test_zero_set_membership_examples(cube):

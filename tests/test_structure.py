@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zonotile.linalg import Vec3, int_row, primitive, primitive_triple, rank_of
+from zonotile.spectral import leg_measure, zero_set_member
 from zonotile.structure import (
     IntersectionVerdict,
     TwoFlatVerdict,
@@ -28,6 +29,7 @@ from conftest import (
     random_two_flat_zonotope,
     random_zonotope,
 )
+from test_spectral import sample_in_family
 
 
 def oracle_intersection_property(frames) -> bool:
@@ -322,6 +324,27 @@ def test_hand_built_frames_clear_their_own_integers(name):
     assert all(f._ints is None for f in rebuilt)
     assert intersection_property(rebuilt) == intersection_property(z.frames())
     assert intersection_property(rebuilt) == IntersectionVerdict(*oracle_intersection_scan(rebuilt))
+
+
+@pytest.mark.parametrize("name", HAND_BUILT_CASES)
+def test_hand_built_frames_keep_their_answers_over_a_finer_base(name):
+    # a base over a prime denominator no vector has may scale a hand-built
+    # frame's integers; the verdict and the zero-set answers read only the
+    # vectors, so neither may change
+    z = HAND_BUILT_CASES[name]
+    shift = Vec3(Fraction(1, 7919), 0, Fraction(-2, 7919))
+    frames = z.frames()
+    rebuilt = tuple(Frame(f.e, f.base + shift, f.tau1, f.tau2, f.facet_index) for f in frames)
+    assert intersection_property(rebuilt) == intersection_property(frames)
+    rng = random.Random(len(name))
+    answers = set()
+    for f, g in zip(frames, rebuilt):
+        xis = [sample_in_family(rng, fam) for fam in leg_measure(f).zero_set() for _ in range(3)]
+        xis += [random_rat_vec(rng, 50, 7919) for _ in range(3)]
+        want = [zero_set_member(f, xi) for xi in xis]
+        assert [zero_set_member(g, xi) for xi in xis] == want
+        answers.update(want)
+    assert answers == {True, False}
 
 
 def test_intersection_property_on_arbitrary_frame_sets():

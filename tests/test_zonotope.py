@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from zonotile.io import export_off
 from zonotile.linalg import VEC_ZERO, Vec3, det3, inverse_rows, primitive, rank_of, rat
 from zonotile.zonotope import BoundaryHit, Facet, Frame, Location, Zonotope
 
@@ -395,17 +396,20 @@ RATIONAL_ROWS = (
 PINNED_STRUCTURE = {
     "cube": (
         (E1, E2, E3), VEC_ZERO,
-        ("ff42390401c833cd", "c7c8800b71716fa9", "9791b7809bc54df6", "2c7eed8ebf5868e6"), 1,
+        ("ff42390401c833cd", "c7c8800b71716fa9", "9791b7809bc54df6", "2c7eed8ebf5868e6",
+         "3ebf4e2b7ed716cb"), 1,
         (((1, 0, 0), (0,)), ((0, 1, 0), (1,)), ((0, 0, 1), (2,))),
     ),
     "rd4": (
         (E1, E2, E3, Vec3(1, 1, 1)), VEC_ZERO,
-        ("fc02992c8c1e9413", "7a49b9b070927841", "f3b1bbb884718d32", "1bdc7a4dd2c5b337"), 4,
+        ("fc02992c8c1e9413", "7a49b9b070927841", "f3b1bbb884718d32", "1bdc7a4dd2c5b337",
+         "1dc1e0f49e6f799d"), 4,
         (((1, 0, 0), (0,)), ((0, 1, 0), (1,)), ((0, 0, 1), (2,)), ((1, 1, 1), (3,))),
     ),
     "two_flat_12": (
         tuple(Vec3.of(*r) for r in TWO_FLAT_12), VEC_ZERO,
-        ("d0436a10f94e89ac", "6436a51fec063bab", "383a4c151d9e4809", "becb9ec607b99626"), 150,
+        ("d0436a10f94e89ac", "6436a51fec063bab", "383a4c151d9e4809", "becb9ec607b99626",
+         "2e55b482701d9c7e"), 150,
         (
             ((1, 2, 0), (0,)), ((1, 1, 1), (1, 2, 5)), ((0, 1, -1), (3, 4)),
             ((2, -2, -5), (6,)), ((2, 0, -1), (7,)), ((2, 2, 3), (8,)),
@@ -414,7 +418,8 @@ PINNED_STRUCTURE = {
     ),
     "rational_sevenths": (
         tuple(Vec3.of(*r) for r in RATIONAL_ROWS), Vec3.of("3/7", "-5/7", "22/7"),
-        ("a5ebe81d52f86be1", "561ae511875b83ab", "84bbb125fdf45af4", "e74a331f96222a7a"), 20,
+        ("a5ebe81d52f86be1", "561ae511875b83ab", "84bbb125fdf45af4", "e74a331f96222a7a",
+         "7166a97b0e8e5794"), 20,
         (
             ((1, 0, 2), (0,)), ((0, 2, -3), (1,)), ((5, -15, -6), (2,)),
             ((3, -2, 0), (3,)), ((1, 1, 1), (4,)), ((15, -2, -10), (5,)),
@@ -428,7 +433,8 @@ PINNED_STRUCTURE = {
             for r in ((-2, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 1), (1, 1, 1), ("1/3", 0, 0), (0, -1, "1/2"))
         ),
         Vec3.of(Fraction(10**25) + Fraction(1, 7), -(10**25), "22/7"),
-        ("8c8341dccbeeed73", "bf6aee8af20a741c", "c90766144eededfa", "6f3fe492605ae7bd"), 21,
+        ("8c8341dccbeeed73", "bf6aee8af20a741c", "c90766144eededfa", "6f3fe492605ae7bd",
+         "102eef87671b0007"), 21,
         (
             ((1, 0, 0), (0, 2, 5)), ((0, 1, 0), (1,)), ((0, 0, 1), (3,)),
             ((1, 1, 1), (4,)), ((0, 2, -1), (6,)),
@@ -442,11 +448,12 @@ def test_pinned_facets_frames_and_classes(name):
     gens, translate, digests, n_cells, classes = PINNED_STRUCTURE[name]
     z = Zonotope(gens, translate)
 
-    def digest(value) -> str:
-        return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+    def digest(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     paving = z.pave()
     faces = tuple(c._faces for c in paving.cells)
-    assert (digest(z.frames()), digest(z.facets), digest(paving), digest(faces)) == digests
+    reprs = map(repr, (z.frames(), z.facets, paving, faces))
+    assert (*map(digest, reprs), digest(export_off(z, 6))) == digests
     assert len(paving.cells) == n_cells
     assert repr(z.direction_classes) == repr(tuple((Vec3.of(*d), m) for d, m in classes))
