@@ -165,8 +165,12 @@ def _cmd_weird_gen(args) -> int:
 
 
 def _cmd_fourier_eval(args) -> int:
-    if not 0 < args.tol < math.inf:
-        raise ValueError("tolerance must be positive and finite")
+    try:
+        tol = float(rat(args.tol))
+    except (ValueError, OverflowError):
+        tol = math.inf
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite: {args.tol!r}")
     z = _load_zonotope(args.zonotope)
     xi_raw = _read_json(args.points)
     if not isinstance(xi_raw, list):
@@ -185,7 +189,7 @@ def _cmd_fourier_eval(args) -> int:
                     "value_im": val.imag,
                     "abs": abs(val),
                     "in_zero_set": zero_set_member(m.frame, xi),
-                    "near_zero": abs(val) < args.tol,
+                    "near_zero": abs(val) < tol,
                 }
             )
         entries.append({"xi": zio.vec_to_json(xi), "frames": per_frame})
@@ -254,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = common(sub.add_parser("fourier-eval", help="frame transforms at points"))
     sp.add_argument("zonotope")
     sp.add_argument("points")
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", default="1e-9")
     sp.set_defaults(func=_cmd_fourier_eval)
 
     sp = common(sub.add_parser("export-mesh", help="OFF boundary mesh"))

@@ -301,12 +301,10 @@ def decimal_str(q: Fraction, precision: int) -> str:
 
 def export_off(z: Zonotope, precision: int = 6) -> str:
     """OFF boundary mesh with outward-oriented facet polygons."""
-    verts = z.vertex_set()
+    polys = [z.facet_polygon(i) for i in range(len(z.facets))]
+    verts = sorted({v for poly in polys for v in poly})
     index = {v: i for i, v in enumerate(verts)}
-    faces = []
-    for i in range(len(z.facets)):
-        poly = z.facet_polygon(i)
-        faces.append([index[v] for v in poly])
+    faces = [[index[v] for v in poly] for poly in polys]
     edge_count = sum(len(f) for f in faces) // 2
     lines = ["OFF", f"{len(verts)} {len(faces)} {edge_count}"]
     for v in verts:

@@ -39,8 +39,7 @@ class Lattice:
     at rank 1, n and b1 x n), and the rows dual to that completed basis are
     kept over one denominator: ``_coord_ints`` is (triples R_i, d), where
     R_i . p / d is coordinate i of p for i < rank and vanishes on the span
-    for i >= rank. ``_coord_rows`` holds the first rank rows as ``Vec3``s,
-    and ``_basis_ints`` is (triples B_i, d) with b_i = B_i / d.
+    for i >= rank, and ``_basis_ints`` is (triples B_i, d) with b_i = B_i / d.
     """
 
     def __init__(self, basis: Iterable[Vec3]):
@@ -57,10 +56,8 @@ class Lattice:
             full += (Vec3.from_ints(-y, x, 0) if x or y else Vec3.from_ints(1, 0, 0),)
         if len(full) == 2:
             full += (full[0].cross(full[1]),)
-        rows = inverse_rows(*full)
-        self._coord_rows = rows[: self.rank]
         self._basis_ints = int_triples(basis)
-        self._coord_ints = int_triples(rows)
+        self._coord_ints = int_triples(inverse_rows(*full))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Lattice) and self.basis == other.basis
@@ -103,7 +100,8 @@ def dual_lattice(lat: Lattice) -> Lattice:
     """Dual of a full-rank lattice: all x with <x, v> integral for v in lat."""
     if lat.rank != 3:
         raise ValueError("full-rank lattice required")
-    return Lattice(inverse_rows(*lat.basis))
+    rows, den = lat._coord_ints
+    return Lattice(Vec3.from_ints(*r, den) for r in rows)
 
 
 def lattice_from_vectors(vectors: Iterable[Vec3]) -> Lattice:

@@ -82,14 +82,8 @@ class LegMeasure:
 
     def legs(self) -> tuple[tuple[Vec3, Vec3, int], ...]:
         """(base, edge, weight) for the four legs, weights summing to zero."""
-        fr = self.frame
-        b = fr.base
-        return (
-            (b, fr.e, self.sign),
-            (b + fr.tau1, fr.e, -self.sign),
-            (b + fr.tau2, fr.e, -self.sign),
-            (b + fr.tau1 + fr.tau2, fr.e, self.sign),
-        )
+        e, s = self.frame.e, self.sign
+        return tuple((b, e, w) for b, w in zip(self.frame.leg_bases(), (s, -s, -s, s)))
 
     def zero_set(self) -> tuple[PlaneFamily, PlaneFamily, PlaneFamily]:
         fr = self.frame
@@ -130,22 +124,15 @@ def leg_ft(m: LegMeasure, xi) -> complex:
     Accepts an exact Vec3 or a float 3-tuple.
     """
     fr = m.frame
-    if isinstance(xi, Vec3):
-        se = xi.dot(fr.e)
-        s1 = xi.dot(fr.tau1)
-        s2 = xi.dot(fr.tau2)
-        sb = xi.dot(fr.base) + se / 2
-    else:
-        fx = tuple(float(c) for c in xi)
+    # a float times a Fraction is a float product of the two as floats
+    x0, x1, x2 = xi if isinstance(xi, Vec3) else (float(c) for c in xi)
 
-        def fdot(v: Vec3) -> float:
-            vf = v.as_floats()
-            return fx[0] * vf[0] + fx[1] * vf[1] + fx[2] * vf[2]
+    def dot(v: Vec3):
+        v0, v1, v2 = v
+        return x0 * v0 + x1 * v1 + x2 * v2
 
-        se = fdot(fr.e)
-        s1 = fdot(fr.tau1)
-        s2 = fdot(fr.tau2)
-        sb = fdot(fr.base) + se / 2
+    se, s1, s2 = dot(fr.e), dot(fr.tau1), dot(fr.tau2)
+    sb = dot(fr.base) + se / 2
     length = math.sqrt(float(fr.e.norm_sq()))
     val = m.sign * length * _sinc(float(se)) * _phase(sb)
     return val * (1 - _phase(s1)) * (1 - _phase(s2))

@@ -364,8 +364,9 @@ def _offset_box(z: Zonotope, lat: Lattice) -> _OffsetBox:
         row = [z._den * (m0 * b0 + m1 * b1 + m2 * b2) for b0, b1, b2 in basis] + [h * bden]
         q = math.gcd(*row)
         rows.append([c // q for c in row])
+    coord, cden = lat._coord_ints
     ranges = [range(math.floor(-z.support_value(-r)), math.floor(z.support_value(r)) + 1)
-              for r in lat._coord_rows]
+              for r in (Vec3.from_ints(*c, cden) for c in coord[: lat.rank])]
     if (size := math.prod(map(len, ranges))) > _KERNEL_LIMIT:
         raise ValueError(f"body spans {size} lattice offsets, more than {_KERNEL_LIMIT}")
     if (cells := size * len(rows)) > 6 * _KERNEL_LIMIT:

@@ -8,8 +8,8 @@ volume, the two-opposite-edges frames and the half-open paving are all
 computed on Python ints. The paving takes one sign pass over the generators
 per generator pair, O(n^3) in all. ``Fraction`` and ``Vec3`` values are
 built only at the API edge: the ``direction_classes`` at construction, the
-paving cells' anchors, and the ``facets`` tuple and each ``Frame``'s fields
-on first read, so the deciders, which read only integers, never build them.
+paving cells' anchors, ``facets`` on first read and ``Frame`` fields on each
+read, so the deciders, which read only integers, never build them.
 Membership in the body and in a paving cell is one integer half-space test
 per facet or cell face: the point is cleared to X / d, and its excess over
 the face's integer row is compared with 0. No float takes part in a verdict.
@@ -28,7 +28,6 @@ from .linalg import (
     Vec3,
     VEC_ZERO,
     cross_int,
-    det3,
     det_int,
     int_row,
     int_triples,
@@ -67,64 +66,59 @@ class Frame:
 
     Legs are the segments base + [0, e], base + tau1 + [0, e] on one facet and
     base + tau2 + [0, e], base + tau1 + tau2 + [0, e] on the opposite facet.
-    ``vector_ints()`` gives e, tau1 and tau2 as nine integers over one
-    denominator. A zonotope builds its frames from integer numerators over
-    its own denominator, and the ``Vec3`` fields e, base, tau1 and tau2 are
-    built from them on first read and cached; a frame built from ``Vec3``s
-    clears them to integers on the first ``vector_ints()`` call. Frames are
-    immutable, and equality, hashing and ``repr`` run over
+    A frame holds one state: e, tau1 and tau2 as nine integers and the base
+    as three, all over one denominator. ``vector_ints()`` returns the nine
+    with it. A zonotope builds its frames from its own integers; a frame
+    built from ``Vec3``s clears them once, at construction. The ``Vec3``
+    fields e, base, tau1 and tau2 are built from the integers on each read.
+    Frames are immutable, and equality, hashing and ``repr`` run over
     (e, base, tau1, tau2, facet_index), as for a frozen dataclass.
     """
 
-    __slots__ = ("_facet_index", "_vecs", "_ints", "_base", "_e_dir")
+    __slots__ = ("_facet_index", "_ints", "_base", "_e_dir")
 
     def __init__(self, e: Vec3, base: Vec3, tau1: Vec3, tau2: Vec3, facet_index: int):
-        self._vecs: tuple[Vec3, Vec3, Vec3, Vec3] | None = (e, base, tau1, tau2)
-        self._ints: tuple[tuple[int, ...], int] | None = None
-        self._base: tuple[int, ...] = ()
+        (e, base, tau1, tau2), den = int_triples((e, base, tau1, tau2))
+        self._ints: tuple[tuple[int, ...], int] = ((*e, *tau1, *tau2), den)
+        self._base: tuple[int, ...] = base
         self._e_dir: tuple[int, int, int] | None = None
         self._facet_index = facet_index
 
     @classmethod
     def _from_ints(cls, e, base, tau1, tau2, den: int, facet_index: int, e_dir) -> Frame:
-        """The frame of integer numerator triples over den; fields built on first read."""
+        """The frame of integer numerator triples over den."""
         fr = cls.__new__(cls)
-        fr._vecs = None
         fr._ints = ((*e, *tau1, *tau2), den)
         fr._base = tuple(base)
         fr._e_dir = e_dir
         fr._facet_index = facet_index
         return fr
 
-    def _fields(self) -> tuple[Vec3, Vec3, Vec3, Vec3]:
-        if self._vecs is None:
-            c, den = self._ints
-            e, tau1, tau2 = (_vec(c[k : k + 3], den) for k in (0, 3, 6))
-            self._vecs = (e, _vec(self._base, den), tau1, tau2)
-        return self._vecs
-
     @property
     def e(self) -> Vec3:
-        return self._fields()[0]
+        c, den = self._ints
+        return _vec(c[:3], den)
 
     @property
     def base(self) -> Vec3:
-        return self._fields()[1]
+        return _vec(self._base, self._ints[1])
 
     @property
     def tau1(self) -> Vec3:
-        return self._fields()[2]
+        c, den = self._ints
+        return _vec(c[3:6], den)
 
     @property
     def tau2(self) -> Vec3:
-        return self._fields()[3]
+        c, den = self._ints
+        return _vec(c[6:], den)
 
     @property
     def facet_index(self) -> int:
         return self._facet_index
 
     def _key(self) -> tuple:
-        return (*self._fields(), self._facet_index)
+        return (self.e, self.base, self.tau1, self.tau2, self._facet_index)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -135,28 +129,24 @@ class Frame:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        e, base, tau1, tau2 = self._fields()
         return (
-            f"Frame(e={e!r}, base={base!r}, tau1={tau1!r}, "
-            f"tau2={tau2!r}, facet_index={self._facet_index!r})"
+            f"Frame(e={self.e!r}, base={self.base!r}, tau1={self.tau1!r}, "
+            f"tau2={self.tau2!r}, facet_index={self._facet_index!r})"
         )
 
     def vectors(self) -> tuple[Vec3, Vec3, Vec3]:
-        e, _base, tau1, tau2 = self._fields()
-        return (e, tau1, tau2)
+        return (self.e, self.tau1, self.tau2)
 
     def vector_ints(self) -> tuple[tuple[int, ...], int]:
-        if self._ints is None:
-            rows, den = int_triples(self.vectors())
-            self._ints = (tuple(c for row in rows for c in row), den)
         return self._ints
 
     def is_degenerate(self) -> bool:
-        return det3(*self.vectors()) == 0
+        c = self._ints[0]
+        return det_int((c[:3], c[3:6], c[6:])) == 0
 
     def leg_bases(self) -> tuple[Vec3, Vec3, Vec3, Vec3]:
-        b = self.base
-        return (b, b + self.tau1, b + self.tau2, b + self.tau1 + self.tau2)
+        b, tau1, tau2 = self.base, self.tau1, self.tau2
+        return (b, b + tau1, b + tau2, b + tau1 + tau2)
 
 
 @dataclass(frozen=True)
@@ -165,7 +155,7 @@ class PavingCell:
 
     include_zero_face[i] tells whether the face t_i = 0 belongs to the cell
     (then t_i = 1 does not), so the paving is an exact partition. Each face
-    is kept as an integer half-space (n, h, closed).
+    is kept as an integer half-space (n, h, closed), the volume as |det| / den^3.
     """
 
     anchor: Vec3
@@ -174,6 +164,7 @@ class PavingCell:
     _faces: tuple[tuple[int, int, int, int, bool], ...] = field(
         init=False, repr=False, compare=False
     )
+    _volume: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         (p, e1, e2, e3), den = int_triples((self.anchor, *self.edges))
@@ -192,9 +183,10 @@ class PavingCell:
             a1, a2, a3, c = a1 // g, a2 // g, a3 // g, c // g
             faces += [(-a1, -a2, -a3, -c, inc), (a1, a2, a3, c + s // g, not inc)]
         object.__setattr__(self, "_faces", tuple(faces))
+        object.__setattr__(self, "_volume", Fraction(s, den**3))
 
     def volume(self) -> Fraction:
-        return abs(det3(*self.edges))
+        return self._volume
 
     def contains(self, x: Vec3) -> bool:
         (x1, x2, x3), d = int_row(x)

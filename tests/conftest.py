@@ -116,7 +116,7 @@ def corner_ranges(lat, shift: Vec3, lo: Vec3, hi: Vec3) -> list[range]:
     """
     corners = [Vec3(cx, cy, cz) for cx in (lo.x, hi.x) for cy in (lo.y, hi.y) for cz in (lo.z, hi.z)]
     ranges = []
-    for row in lat._coord_rows:
+    for row in span_dual_rows(lat):
         vals = [row.dot(c - shift) for c in corners]
         ranges.append(range(math.ceil(min(vals)), math.floor(max(vals)) + 1))
     return ranges

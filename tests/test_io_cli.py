@@ -652,12 +652,14 @@ def test_cli_rational_outside_the_grammar_exits_2(tmp_path, capsys, text):
 def test_cli_integer_option_outside_the_grammar_exits_2(tmp_path, capsys, monkeypatch, text):
     z = write(tmp_path, "z.json", CUBE_JSON)
     lam = write(tmp_path, "lam.json", Z3_UNION_JSON)
+    pts = write(tmp_path, "pts.json", json.dumps([["0", "0", "0"]]))
     # each option is refused before any input file is read
     monkeypatch.setattr(zio, "zonotope_from_json", lambda doc: pytest.fail("body read"))
     runs = (
         ["verify-tiling", z, lam, "--samples", text],
         ["verify-tiling", z, lam, "--samples", "10", "--seed", text],
         ["export-mesh", z, "--precision", text],
+        ["fourier-eval", z, pts, "--tol", text],
     )
     for argv in runs:
         assert repr(text) in assert_input_error(capsys, argv)

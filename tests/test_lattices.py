@@ -302,7 +302,8 @@ def lattices_and_points(draw):
 @example((Lattice([Vec3(1, 2, 0), Vec3(0, 0, 3)]), Vec3(2, 4, Fraction(3, 2))))
 def test_point_coords_match_a_fraction_solve(case):
     lat, p = case
-    assert lat._coord_rows == span_dual_rows(lat)
+    rows, den = lat._coord_ints
+    assert tuple(Vec3.from_ints(*r, den) for r in rows[: lat.rank]) == span_dual_rows(lat)
     want = fraction_coords(lat, p)
     nums, den = int_row(p)
     got = lat._point_coords(nums, den)
