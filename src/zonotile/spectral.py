@@ -124,7 +124,7 @@ def leg_ft(m: LegMeasure, xi) -> complex:
     Accepts an exact Vec3 or a float 3-tuple.
     """
     fr = m.frame
-    # a float times a Fraction is a float product of the two as floats
+    # float * Fraction is float * float(Fraction); sum() rounds differently from Python 3.12
     x0, x1, x2 = xi if isinstance(xi, Vec3) else (float(c) for c in xi)
 
     def dot(v: Vec3):
