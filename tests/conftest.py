@@ -29,7 +29,7 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"  criterion {key}: {_criterion_results[key]}")
 
 from zonotile.lattices import lattice_from_vectors
-from zonotile.linalg import VEC_ZERO, Vec3, inverse_rows, rank_of
+from zonotile.linalg import VEC_ZERO, Vec3, rank_of
 from zonotile.tiling import LatticeComponent, LatticeUnion
 from zonotile.zonotope import Zonotope
 
@@ -59,6 +59,23 @@ def rd4() -> Zonotope:
 def z3_union() -> LatticeUnion:
     lat = lattice_from_vectors([E1, E2, E3])
     return LatticeUnion((LatticeComponent(lat, ZERO),))
+
+
+def det3(a: Vec3, b: Vec3, c: Vec3) -> Fraction:
+    """Determinant of the matrix with columns a, b, c, as a Fraction triple product."""
+    return a.dot(b.cross(c))
+
+
+def inverse_rows(b1: Vec3, b2: Vec3, b3: Vec3) -> tuple[Vec3, Vec3, Vec3]:
+    """Rows of the inverse of the matrix with columns b1, b2, b3, in Fractions.
+
+    Row i dotted with a point gives that point's i-th coordinate in the
+    (b1, b2, b3) basis: the Fraction oracle for the library's integer inverses.
+    """
+    d = det3(b1, b2, b3)
+    if not d:
+        raise ValueError("singular basis")
+    return (b2.cross(b3) * (1 / d), b3.cross(b1) * (1 / d), b1.cross(b2) * (1 / d))
 
 
 def random_int_vec(rng: random.Random, span: int = 2) -> Vec3:

@@ -416,6 +416,34 @@ def test_cli_round_trip_weird_translates_into_verify(tmp_path, capsys):
     assert out["level"] == 2
 
 
+def test_cli_verify_tiling_exits_1_off_the_expected_level(tmp_path, capsys):
+    # the cube's slab choice covers at level 2, and a report that reads 2
+    # against an expected 3 fails
+    z = write(tmp_path, "z.json", CUBE_JSON)
+    lam = write(tmp_path, "lam.json", json.dumps(_slab_json(expected_level=3)))
+    assert main(["verify-tiling", z, lam, "--samples", "40", "--window", "-3 3 -3 3 -3 3"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["level"] == 2 and not out["violations"]
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    torsion=st.booleans(),
+    choice=st.dictionaries(st.integers(-6, 6), st.sampled_from("ST"), max_size=5),
+)
+def test_slab_choice_keeps_its_multiset_through_json(torsion, choice):
+    con = _construction((HALF, Fraction(2, 5)))
+    if torsion:
+        # g = span(2 e1, e2) inside Z^3 has two torsion cosets per line
+        body = Zonotope((E1 * 2, E2, E3, E1))
+        con = construction_from_indices(body, [0, 1], coefficients=(Fraction(1, 3), HALF))
+        assert con.cosets.torsion_order == 2
+    lam = build_weird(con, choice)
+    back = translate_set_from_json(_via_text(translate_set_to_json(lam)))
+    lo, hi = Vec3(-3, -3, -2), Vec3(3, 3, 2)
+    assert cli._materialize(back, lo, hi) == cli._materialize(lam, lo, hi)
+
+
 def test_cli_fourier_eval(tmp_path, capsys):
     z = write(tmp_path, "z.json", CUBE_JSON)
     pts = write(tmp_path, "pts.json", json.dumps([["0", "0", "0"], ["1/2", "1/3", "1/5"]]))
@@ -720,6 +748,19 @@ def test_cli_json_key_named_twice_exits_2(tmp_path, capsys):
     twice = CUBE_JSON.replace("{", '{"translate": ["0", "0", "0"], "translate": ["1", "0", "0"], ')
     body = write(tmp_path, "t.json", twice)
     assert "'translate' twice" in assert_input_error(capsys, ["classify", body])
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"t_offsets": [["1/2", "0", "0"]]}, "offset families must have equal size"),
+        ({"choice": {"1": "U"}}, "choice values must be 'S' or 'T'"),
+    ],
+)
+def test_cli_slab_choice_refusals_exit_2(tmp_path, capsys, fields, message):
+    z = write(tmp_path, "z.json", CUBE_JSON)
+    lam = write(tmp_path, "lam.json", json.dumps(_slab_json(**fields)))
+    assert message in assert_input_error(capsys, ["verify-tiling", z, lam])
 
 
 def test_cli_choice_option_naming_a_coset_twice_exits_2(tmp_path, capsys):

@@ -17,9 +17,15 @@ from zonotile.lattices import (
     lattice_points_in_box,
     plane_section,
 )
-from zonotile.linalg import VEC_ZERO, Vec3, int_row, rank_of
+from zonotile.linalg import VEC_ZERO, Vec3, int_row, int_triples, rank_of
 
-from conftest import corner_box_points, corner_ranges, fraction_coords, span_dual_rows
+from conftest import (
+    corner_box_points,
+    corner_ranges,
+    fraction_coords,
+    inverse_rows,
+    span_dual_rows,
+)
 
 E1, E2, E3 = Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)
 
@@ -312,3 +318,47 @@ def test_point_coords_match_a_fraction_solve(case):
         assert got == [int(t) for t in want] and lat.contains(p)
     else:
         assert got is None and not lat.contains(p)
+
+
+# denominators that share factors, are coprime, or pass 2^16
+mixed_rat = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 6, 7, 65537]))
+mixed_vec = st.builds(Vec3, mixed_rat, mixed_rat, mixed_rat)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(mixed_vec, min_size=n, max_size=n)))
+@example([Vec3(0, 0, Fraction(-3, 65537))])
+def test_coord_ints_are_the_reduced_fraction_inverse(basis):
+    # the integer rows are the Fraction inverse of the completed basis, over
+    # the least common denominator of its rows
+    assume(rank_of(basis) == len(basis))
+    lat = Lattice(basis)
+    assert lat._coord_ints == int_triples(inverse_rows(*basis, *span_normals(basis)))
+    if lat.rank == 3:
+        dual = dual_lattice(lat)
+        assert dual._coord_ints == int_triples(inverse_rows(*dual.basis))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    st.lists(mixed_vec, min_size=3, max_size=3),
+    st.lists(st.integers(-4, 4), min_size=6, max_size=6),
+)
+def test_coset_inverse_and_reps_match_a_fraction_solve(basis, ab):
+    a, b = ab[:3], ab[3:]
+    assume(rank_of(basis) == 3 and rank_of([a, b]) == 2)
+    gamma = Lattice(basis)
+    ce = CosetEnumeration(gamma, Lattice([gamma.point(a), gamma.point(b)]))
+    u, u_inv = ce._u, ce._u_inv
+    assert [[sum(u_inv[i][k] * u[k][j] for k in range(3)) for j in range(3)] for i in range(3)] == [
+        [int(i == j) for j in range(3)] for i in range(3)
+    ]
+    # rep(j) = gamma . x for u x = (r1, r2, q), solved in Fractions
+    rows = inverse_rows(*(Vec3(*col) for col in zip(*u)))
+    d1, d2 = ce.d
+    for j in range(-5, 6):
+        q, r = divmod(j, ce.torsion_order)
+        y = Vec3(r // d2, r % d2, q)
+        want = sum((bi * row.dot(y) for bi, row in zip(gamma.basis, rows)), VEC_ZERO)
+        assert ce.rep(j) == want
+        assert ce.index_of(want) == j

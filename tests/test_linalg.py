@@ -14,18 +14,18 @@ from hypothesis import strategies as st
 from zonotile.linalg import (
     VEC_ZERO,
     Vec3,
-    det3,
     det_int,
     hermite_row_basis,
     int_row,
     int_triples,
-    inverse_rows,
     primitive,
     rank_of,
     rat,
     rat_str,
     smith_normal_form,
 )
+
+from conftest import det3, inverse_rows
 
 
 def mat_mul(a, b):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from zonotile import spectral
 from zonotile.lattices import Lattice, dual_lattice, lattice_from_vectors
-from zonotile.linalg import Vec3, det3, rank_of
+from zonotile.linalg import Vec3, rank_of
 from zonotile.spectral import (
     SupportReport,
     _cyclotomic,
@@ -33,6 +33,7 @@ from conftest import (
     ZERO,
     corner_box_points,
     corner_ranges,
+    det3,
     random_rat_vec,
     random_zonotope,
 )
@@ -254,6 +255,12 @@ def ball_points(radius):
         for c in range(-r, r + 1)
         if a * a + b * b + c * c <= radius * radius
     ]
+
+
+@pytest.mark.parametrize("radius", [0, -1, "-1/2"])
+def test_support_bound_refuses_a_radius_that_is_not_positive(cube, z3_union, radius):
+    with pytest.raises(ValueError, match="radius must be positive"):
+        support_bound_check(cube, z3_union, radius)
 
 
 def test_support_bound_cube_lattice(cube, z3_union):

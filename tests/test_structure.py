@@ -1,5 +1,6 @@
 """Structural deciders checked against brute-force oracles."""
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -67,6 +68,37 @@ def oracle_two_flat(z) -> bool:
     return False
 
 
+def oracle_canonical_perp(d: Vec3) -> Vec3:
+    """The least of the sign-canonical primitive multiples of the nonzero d x e_i,
+    each cleared of its Fraction denominators and divided by its gcd."""
+    cands = []
+    for ax in (E1, E2, E3):
+        c = list(d.cross(ax))
+        if not any(c):
+            continue
+        m = math.lcm(*(t.denominator for t in c))
+        ints = [int(t * m) for t in c]
+        g = math.gcd(*ints)
+        if next(t for t in ints if t) < 0:
+            g = -g
+        cands.append(tuple(t // g for t in ints))
+    return Vec3(*min(cands))
+
+
+_perp_rat = st.builds(
+    Fraction, st.integers(-7, 7) | st.integers(-(2**70), 2**70), st.sampled_from([1, 2, 9, 2**40])
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.builds(Vec3, _perp_rat, _perp_rat, _perp_rat).filter(lambda v: not v.is_zero()))
+def test_canonical_perp_matches_the_fraction_axis_crosses(d):
+    # axis directions, of either sign, leave one axis cross zero
+    for v in (d, Vec3(0, 0, d.x or 1), Vec3(0, -(d.y or 1), 0)):
+        u = canonical_perp(v)
+        assert u == oracle_canonical_perp(v) and u.dot(v) == 0
+
+
 def check_witness(z, verdict):
     assert verdict.witness is not None and not verdict.witness.is_zero()
     u = verdict.witness
@@ -82,6 +114,11 @@ def test_intersection_property_cube_fails_with_witness(cube):
     assert not v.holds
     check_witness(cube, v)
     assert oracle_intersection_property(cube.frames()) is False
+
+
+def test_intersection_property_refuses_no_frames():
+    with pytest.raises(ValueError, match="no frames"):
+        intersection_property(())
 
 
 def test_intersection_property_five_generator_example_holds():

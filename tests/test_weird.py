@@ -162,6 +162,12 @@ def test_build_weird_requires_plane(cube):
         build_weird(c)
 
 
+def test_irregularity_certificate_requires_plane(cube):
+    c = construction_from_indices(cube, [2])
+    with pytest.raises(ValueError, match="rank-2"):
+        irregularity_certificate(c, ap_coloring(20), 0, 3)
+
+
 def test_random_two_flat_construction_level():
     z = Zonotope((Vec3(1, 1, 0), Vec3(1, -1, 0), E3, Vec3(1, 0, 1)))
     c = build_construction(z)

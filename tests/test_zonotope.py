@@ -1,4 +1,5 @@
 """Zonotope face structure, membership, frames, and the half-open paving."""
+import functools
 import hashlib
 import itertools
 import random
@@ -9,10 +10,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zonotile.io import export_off
-from zonotile.linalg import VEC_ZERO, Vec3, det3, inverse_rows, primitive, rank_of, rat
+from zonotile.linalg import VEC_ZERO, Vec3, primitive, rank_of, rat
 from zonotile.zonotope import BoundaryHit, Facet, Frame, Location, Zonotope
 
-from conftest import E1, E2, E3, TWO_FLAT_12, random_rat_vec, random_zonotope
+from conftest import (
+    E1,
+    E2,
+    E3,
+    TWO_FLAT_12,
+    det3,
+    inverse_rows,
+    random_rat_vec,
+    random_zonotope,
+)
 
 
 def zonotope_from_rows(generators, translate=None) -> Zonotope:
@@ -101,6 +111,43 @@ def oracle_frames(z: Zonotope) -> tuple[Frame, ...]:
             tau1 = other - base
             frames.append(Frame(e, base, tau1, center * 2 - base * 2 - tau1 - e, fi))
     return tuple(frames)
+
+
+def oracle_facet_polygon(z: Zonotope, facet_index: int) -> list[Vec3]:
+    """A facet's vertices by ``Vec3`` sums over the ``Facet`` and the direction
+    classes, oriented and angle-sorted on Fraction dot products."""
+    f = z.facets[facet_index]
+    segs, base = [], f.offset
+    for d, members in z.direction_classes:
+        if d.dot(f.normal) != 0:
+            continue
+        vec = VEC_ZERO
+        for idx in members:
+            v = z.generators[idx]
+            if v.dot(d) > 0:
+                vec = vec + v
+            else:
+                vec = vec - v
+                base = base + v  # start of [0, v] relative to the aligned sum
+        segs.append(vec)
+    # orient the segments into the closed upper half plane of (u1, n x u1)
+    u1 = segs[0]
+    u2 = f.normal.cross(u1)
+    plane_coords = []
+    for s in segs:
+        a, b = s.dot(u1), s.dot(u2)
+        if b < 0 or (b == 0 and a < 0):
+            base = base + s  # [0, s] == s + [0, -s]
+            s, a, b = -s, -a, -b
+        plane_coords.append((s, a, b))
+    # by rising angle: p before q when p x q points along n
+    ordered = sorted(plane_coords, key=functools.cmp_to_key(lambda p, q: p[2] * q[1] - p[1] * q[2]))
+    verts = [base]
+    for s, _a, _b in ordered:
+        verts.append(verts[-1] + s)
+    for s, _a, _b in ordered[:-1]:
+        verts.append(verts[-1] - s)
+    return verts
 
 
 def independent_triple_volume(gens):
@@ -322,6 +369,26 @@ def test_facet_polygons_turn_counterclockwise_about_outward_normal(z):
         for j in range(k):
             a, b, c = poly[j], poly[(j + 1) % k], poly[(j + 2) % k]
             assert (b - a).cross(c - b).dot(f.normal) > 0
+
+
+@st.composite
+def bodies_with_parallel_generators(draw) -> Zonotope:
+    """Rational bodies whose generators repeat, reverse or halve earlier ones."""
+    vecs = st.builds(Vec3, small_rats, small_rats, small_rats)
+    gens = draw(st.lists(vecs, min_size=3, max_size=5))
+    assume(all(not g.is_zero() for g in gens) and rank_of(gens) == 3)
+    for _ in range(draw(st.integers(1, 4))):
+        g = draw(st.sampled_from(gens))
+        gens.append(g * draw(st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 2)])))
+    return Zonotope(draw(st.permutations(gens)), draw(vecs))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(bodies_with_parallel_generators() | rational_bodies())
+def test_facet_polygons_match_the_vec3_oracle(z):
+    polys = [z.facet_polygon(i) for i in range(len(z.facets))]
+    assert polys == [oracle_facet_polygon(z, i) for i in range(len(z.facets))]
+    assert z.vertex_set() == sorted({v for poly in polys for v in poly})
 
 
 def combination(base: Vec3, vectors, ts) -> Vec3:
