@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from .lattices import CosetEnumeration, Lattice
+from .lattices import Lattice
 from .linalg import Vec3, rat, rat_str
 from .structure import Classification, IntersectionVerdict, TwoFlatVerdict
 from .tiling import CoverageReport, LatticeComponent, LatticeUnion, SlabChoice
@@ -175,7 +175,6 @@ def translate_set_from_json(obj) -> LatticeUnion | SlabChoice:
         return SlabChoice(
             gamma=gamma,
             sub=sub,
-            cosets=CosetEnumeration(gamma, sub),
             s_offsets=_vecs(obj, "s_offsets"),
             t_offsets=_vecs(obj, "t_offsets"),
             choice=choice,

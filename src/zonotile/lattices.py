@@ -21,12 +21,11 @@ import numpy as np
 
 from .linalg import (
     Vec3,
-    VEC_ZERO,
+    adjugate,
     det_int,
     hermite_row_basis,
     int_row,
     int_triples,
-    inverse_rows,
     rank_of,
     smith_normal_form,
 )
@@ -40,6 +39,8 @@ class Lattice:
     kept over one denominator: ``_coord_ints`` is (triples R_i, d), where
     R_i . p / d is coordinate i of p for i < rank and vanishes on the span
     for i >= rank, and ``_basis_ints`` is (triples B_i, d) with b_i = B_i / d.
+    The rows are the ``adjugate`` of the completed basis cleared to integer
+    columns C / c: R_i / d = c A_i / det, reduced, with d > 0.
     """
 
     def __init__(self, basis: Iterable[Vec3]):
@@ -57,7 +58,10 @@ class Lattice:
         if len(full) == 2:
             full += (full[0].cross(full[1]),)
         self._basis_ints = int_triples(basis)
-        self._coord_ints = int_triples(inverse_rows(*full))
+        cols, c = int_triples(full)
+        rows, det = adjugate(cols)
+        g = math.gcd(det, c * math.gcd(*(a for r in rows for a in r))) * (1 if det > 0 else -1)
+        self._coord_ints = tuple(tuple(c * a // g for a in r) for r in rows), det // g
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Lattice) and self.basis == other.basis
@@ -90,10 +94,9 @@ class Lattice:
         return Fraction(abs(det_int(rows)), den**3)
 
     def point(self, coeffs: Sequence[int]) -> Vec3:
-        p = VEC_ZERO
-        for k, b in zip(coeffs, self.basis):
-            p = p + b * k
-        return p
+        rows, den = self._basis_ints
+        ks = [(int(k), r) for k, r in zip(coeffs, rows)]
+        return Vec3.from_ints(*(sum(k * r[i] for k, r in ks) for i in range(3)), den)
 
 
 def dual_lattice(lat: Lattice) -> Lattice:
@@ -128,13 +131,7 @@ def plane_section(lat: Lattice, normal: Vec3) -> Lattice:
     _, s, v = smith_normal_form([row])
     if s[0][0] == 0:
         raise ValueError("normal orthogonal to the whole lattice")
-    vecs = []
-    for j in (1, 2):
-        pt = VEC_ZERO
-        for i in range(3):
-            pt = pt + v[i][j] * lat.basis[i]
-        vecs.append(pt)
-    return lattice_from_vectors(vecs)
+    return lattice_from_vectors(lat.point([v[i][j] for i in range(3)]) for j in (1, 2))
 
 
 class CosetEnumeration:
@@ -163,23 +160,20 @@ class CosetEnumeration:
         self.d = (d1, d2)
         self.torsion_order = d1 * d2
         self._u = u
-        if det_int(u) not in (1, -1):
+        rows, det = adjugate(list(zip(*u)))
+        if det not in (1, -1):
             raise ValueError("non-unimodular transform (internal error)")
-        # the rows of u's inverse, integral since u is unimodular
-        self._u_inv = [int_row(r)[0] for r in inverse_rows(*(Vec3.from_ints(*c) for c in zip(*u)))]
+        # the rows of u's inverse, adj(u) / det, integral since u is unimodular
+        self._u_inv = [[det * a for a in r] for r in rows]
         self.gamma1 = self.rep(self.torsion_order)
         # |index| <= _bound * max |coordinate|
         self._bound = max(sum(map(abs, row)) for row in u) * (self.torsion_order + 1)
 
-    def _from_snf_coords(self, y: Sequence[int]) -> Vec3:
-        x = [sum(self._u_inv[i][k] * y[k] for k in range(3)) for i in range(3)]
-        return self.gamma.point(x)
-
     def rep(self, j: int) -> Vec3:
-        d1, d2 = self.d
+        """gamma . x for the gamma coordinates x = u^-1 (r1, r2, q) of coset j."""
         q, r = divmod(j, self.torsion_order)
-        r1, r2 = divmod(r, d2)
-        return self._from_snf_coords((r1, r2, q))
+        r1, r2 = divmod(r, self.d[1])
+        return self.gamma.point([a * r1 + b * r2 + c * q for a, b, c in self._u_inv])
 
     def index_of_coords(self, x: Sequence[int] | np.ndarray) -> int | np.ndarray:
         """Coset index from gamma-basis coordinates (integer arithmetic only).

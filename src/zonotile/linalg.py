@@ -16,6 +16,7 @@ A lattice keeps its basis and dual coordinate rows, and a frame its vectors,
 as integer triples over one denominator, so box ranges, translate
 multiplicities, the counting kernel's coordinates, the spectral support check
 and the zero-set test are integer dot products with exact floor division.
+Every 3x3 inverse is the integer rows of ``adjugate`` over the determinant.
 ``Fraction`` values, such as a ``Vec3``'s ``x``, ``y`` and ``z``, are the API
 edge.
 """
@@ -305,10 +306,6 @@ def primitive(v: Vec3) -> Vec3:
     return Vec3.of(*primitive_triple(int_row(v)[0]))
 
 
-def det3(a: Vec3, b: Vec3, c: Vec3) -> Fraction:
-    return a.dot(b.cross(c))
-
-
 def rank_of(vectors: Iterable[Sequence[Fraction | int]]) -> int:
     """Rank of a set of rational 3-vectors: ``Vec3``s or integer triples.
 
@@ -336,18 +333,6 @@ def rank_of(vectors: Iterable[Sequence[Fraction | int]]) -> int:
     return rank
 
 
-def inverse_rows(b1: Vec3, b2: Vec3, b3: Vec3) -> tuple[Vec3, Vec3, Vec3]:
-    """Rows of the inverse of the matrix with columns b1, b2, b3.
-
-    Row i dotted with a point gives that point's i-th coordinate in the
-    (b1, b2, b3) basis; this is the dual basis of the columns.
-    """
-    d = Fraction(det3(b1, b2, b3))
-    if not d:
-        raise ValueError("singular basis")
-    return (b2.cross(b3) * (1 / d), b3.cross(b1) * (1 / d), b1.cross(b2) * (1 / d))
-
-
 # ---------------------------------------------------------------------------
 # integer matrices
 # ---------------------------------------------------------------------------
@@ -360,6 +345,16 @@ def _identity(n: int) -> list[list[int]]:
 def cross_int(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int]:
     """Cross product of two integer triples."""
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def adjugate(cols: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, int, int], ...], int]:
+    """(rows, det) for integer columns c1, c2, c3: the adjugate rows c2 x c3, c3 x c1,
+    c1 x c2, with row i . c_j = det if i == j else 0; rows / det is the inverse."""
+    c1, c2, c3 = cols
+    rows = (cross_int(c2, c3), cross_int(c3, c1), cross_int(c1, c2))
+    if not (det := c1[0] * rows[0][0] + c1[1] * rows[0][1] + c1[2] * rows[0][2]):
+        raise ValueError("singular basis")
+    return rows, det
 
 
 def det_int(m: Sequence[Sequence[int]]) -> int:

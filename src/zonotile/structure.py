@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from itertools import islice
 
 # rank_of is unused here, but perfbench's tracer wraps this module's binding
-from .linalg import Vec3, cross_int, primitive, primitive_triple, rank_of  # noqa: F401
+from .linalg import Vec3, cross_int, int_row, primitive_triple, rank_of  # noqa: F401
 from .zonotope import Frame, Zonotope
-
-_AXES = (Vec3.of(1, 0, 0), Vec3.of(0, 1, 0), Vec3.of(0, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -59,12 +57,14 @@ def canonical_perp(d: Vec3) -> Vec3:
     of d x e_i (the lex minimum over all primitive orthogonal vectors does not
     exist, so the candidate set is pinned to the three axis crosses).
     """
-    cands = []
-    for ax in _AXES:
-        c = d.cross(ax)
-        if not c.is_zero():
-            cands.append(primitive(c))
-    return min(cands)
+    return Vec3.of(*_perp(int_row(d)[0]))
+
+
+def _perp(d: tuple[int, int, int]) -> tuple[int, int, int]:
+    """``canonical_perp`` of the integer triple d, whose axis crosses d x e_i are
+    (0, z, -y), (-z, 0, x) and (y, -x, 0); scaling d by k > 0 changes none."""
+    x, y, z = d
+    return min(primitive_triple(c) for c in ((0, z, -y), (-z, 0, x), (y, -x, 0)) if any(c))
 
 
 def intersection_property(frames: tuple[Frame, ...]) -> IntersectionVerdict:
@@ -102,7 +102,7 @@ def intersection_property(frames: tuple[Frame, ...]) -> IntersectionVerdict:
 
     for d in trios[0]:
         if all(d in trio for trio in trios):
-            return failing(tuple(c.numerator for c in canonical_perp(Vec3.of(*d))))
+            return failing(_perp(d))
     cands = set()
     for a in trios[0]:
         for b in next(t for t in trios if a not in t):
@@ -146,7 +146,7 @@ def two_flat(z: Zonotope) -> TwoFlatVerdict:
         def normal_of(cls: list[int]) -> Vec3:
             if len(cls) >= 2:
                 return Vec3.of(*primitive_triple(cross_int(ints[cls[0]], ints[cls[1]])))
-            return canonical_perp(Vec3.of(*ints[cls[0]]))
+            return Vec3.of(*_perp(ints[cls[0]]))
 
         return TwoFlatVerdict(
             True, tuple(h1_idx), tuple(h2_idx), normal_of(h1_cls), normal_of(h2_cls)

@@ -137,23 +137,25 @@ class LatticeUnion:
 class SlabChoice:
     """Per-coset choice between two offset families over a rank-2 sublattice.
 
-    The translate multiset is the union over coset indices j of
-    (sub + rep(j)) + each offset of the selected family; cosets the choice map
-    leaves out default to the first family. The choice map is kept read-only;
-    a key that is not an integer (a bool, a string) names no coset and is refused.
+    The translate multiset is the union over coset indices j of ``cosets``,
+    built from gamma / sub, of (sub + rep(j)) + each offset of the selected
+    family; cosets the choice map leaves out default to the first family. The
+    choice map is kept read-only; a key that is not an integer (a bool, a
+    string) names no coset and is refused.
     """
 
     gamma: Lattice
     sub: Lattice
-    cosets: CosetEnumeration
     s_offsets: tuple[Vec3, ...]
     t_offsets: tuple[Vec3, ...]
     choice: Mapping[int, str] = field(default_factory=dict)
     expected_level: int | None = None
+    cosets: CosetEnumeration = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.s_offsets) != len(self.t_offsets):
             raise ValueError("offset families must have equal size")
+        object.__setattr__(self, "cosets", CosetEnumeration(self.gamma, self.sub))
         choice = {}
         for j, v in self.choice.items():
             if isinstance(j, bool) or not isinstance(j, numbers.Integral):

@@ -29,7 +29,7 @@ from .lattices import (  # noqa: F401
     plane_section,
 )
 from .linalg import VEC_ZERO, Vec3, int_row, primitive, rank_of, rat
-from .structure import TwoFlatVerdict, two_flat
+from .structure import two_flat
 from .tiling import SlabChoice, TranslateFamily, _sample, coverage, translate_multiplicity
 from .zonotope import BoundaryHit, Zonotope
 
@@ -172,13 +172,10 @@ def construction_from_indices(
 
 
 def build_construction(
-    z: Zonotope,
-    flats: TwoFlatVerdict | None = None,
-    coefficients: Sequence[Fraction] | None = None,
+    z: Zonotope, coefficients: Sequence[Fraction] | None = None
 ) -> WeirdConstruction:
-    """Run the construction on the plane side of a two-flat split."""
-    if flats is None:
-        flats = two_flat(z)
+    """Run the construction on the plane side of ``two_flat``'s split."""
+    flats = two_flat(z)
     if not flats.is_two_flat:
         raise ValueError("not a two-flat zonotope")
     for side in (flats.h1_indices, flats.h2_indices):
@@ -241,7 +238,6 @@ def build_weird(
     return SlabChoice(
         gamma=c.gamma,
         sub=c.g,
-        cosets=c.cosets,
         s_offsets=c.s_offsets,
         t_offsets=c.t_offsets,
         choice=dict(choice or {}),

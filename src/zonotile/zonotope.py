@@ -4,12 +4,13 @@ A zonotope is a Minkowski sum of segments [0, v_i] plus a translate. Its
 denominators are cleared once, at construction: the generators and the
 translate are kept as integer triples over one denominator D, and the
 direction classes, facet normals, offsets and supports, the bounding box, the
-volume, the two-opposite-edges frames and the half-open paving are all
+volume, the frames, the facet polygons and the half-open paving are all
 computed on Python ints. The paving takes one sign pass over the generators
-per generator pair, O(n^3) in all. ``Fraction`` and ``Vec3`` values are
-built only at the API edge: the ``direction_classes`` at construction, the
-paving cells' anchors, ``facets`` on first read and ``Frame`` fields on each
-read, so the deciders, which read only integers, never build them.
+per generator pair, O(n^3) in all; a cell's faces are its edges' ``adjugate``
+rows. ``Fraction`` and ``Vec3`` values are built only at the API edge: the
+``direction_classes`` at construction, the paving cells' anchors, ``facets``
+on first read, ``Frame`` fields and polygon vertices on each read, so the
+deciders, which read only integers, never build them.
 Membership in the body and in a paving cell is one integer half-space test
 per facet or cell face: the point is cleared to X / d, and its excess over
 the face's integer row is compared with 0. No float takes part in a verdict.
@@ -27,6 +28,7 @@ from typing import Iterable, Sequence
 from .linalg import (
     Vec3,
     VEC_ZERO,
+    adjugate,
     cross_int,
     det_int,
     int_row,
@@ -154,8 +156,9 @@ class PavingCell:
     """Half-open parallelepiped anchor + {t1 e1 + t2 e2 + t3 e3 : 0 <= t_i <= 1}.
 
     include_zero_face[i] tells whether the face t_i = 0 belongs to the cell
-    (then t_i = 1 does not), so the paving is an exact partition. Each face
-    is kept as an integer half-space (n, h, closed), the volume as |det| / den^3.
+    (then t_i = 1 does not), so the paving is an exact partition. Each face is
+    an integer half-space (n, h, closed) from an ``adjugate`` row of the edges,
+    and the volume is |det| / den^3.
     """
 
     anchor: Vec3
@@ -167,10 +170,8 @@ class PavingCell:
     _volume: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        (p, e1, e2, e3), den = int_triples((self.anchor, *self.edges))
-        rows = (cross_int(e2, e3), cross_int(e3, e1), cross_int(e1, e2))
-        if not (det := _dot(e1, rows[0])):
-            raise ValueError("singular basis")
+        (p, *edges), den = int_triples((self.anchor, *self.edges))
+        rows, det = adjugate(edges)
         sign, s = (1, det) if det > 0 else (-1, -det)
         faces = []
         for r, inc in zip(rows, self.include_zero_face):
@@ -396,40 +397,36 @@ class Zonotope:
 
     def facet_polygon(self, facet_index: int) -> list[Vec3]:
         """Vertices of a facet in order, oriented counterclockwise seen from
-        outside (right-hand rule about the outward normal)."""
-        f = self.facets[facet_index]
-        segs: list[Vec3] = []
-        base = f.offset
-        for d, members in self.direction_classes:
-            if d.dot(f.normal) != 0:
+        outside (right-hand rule about the outward normal). Walked on the
+        integers over ``_den``; a ``Vec3`` is built only for each vertex."""
+        n, _h, base, _plane, _opp = self._facet_sides[facet_index]
+        segs = []
+        for d, members in self._classes:
+            if _dot(d, n):
                 continue
-            vec = VEC_ZERO
-            for idx in members:
-                v = self.generators[idx]
-                if v.dot(d) > 0:
-                    vec = vec + v
+            seg = (0, 0, 0)
+            for v in (self._g[i] for i in members):
+                if _dot(v, d) > 0:
+                    seg = _add(seg, v)
                 else:
-                    vec = vec - v
-                    base = base + v  # start of [0, v] relative to aligned sum
-            segs.append(vec)
-        # orient segments into the closed upper half plane and sort by angle
+                    seg, base = _add(seg, v, -1), _add(base, v)  # [0, v] == v + [0, -v]
+            segs.append(seg)
         u1 = segs[0]
-        u2 = f.normal.cross(u1)
-        plane_coords = []
-        for s in segs:
-            a, b = s.dot(u1), s.dot(u2)
+        u2 = cross_int(n, u1)
+        keyed = []
+        for seg in segs:
+            a, b = _dot(seg, u1), _dot(seg, u2)
             if b < 0 or (b == 0 and a < 0):
-                base = base + s  # [0, s] == s + [0, -s]
-                s, a, b = -s, -a, -b
-            plane_coords.append((s, a, b))
-        ordered = sorted(plane_coords, key=_AngleKey)
-        verts = [base]
-        for s, _a, _b in ordered:
-            verts.append(verts[-1] + s)
-        for s, _a, _b in ordered[:-1]:
-            verts.append(verts[-1] - s)
+                base, seg, a, b = _add(base, seg), (-seg[0], -seg[1], -seg[2]), -a, -b
+            keyed.append((seg, a, b))
         # u1 x u2 = |u1|^2 n: a rising angle in (u1, u2) turns counterclockwise about n
-        return verts
+        ordered = [seg for seg, _a, _b in sorted(keyed, key=_AngleKey)]
+        verts = [base]
+        for seg in ordered:
+            verts.append(_add(verts[-1], seg))
+        for seg in ordered[:-1]:
+            verts.append(_add(verts[-1], seg, -1))
+        return [_vec(v, self._den) for v in verts]
 
     def vertex_set(self) -> list[Vec3]:
         return sorted({v for i in range(len(self.facets)) for v in self.facet_polygon(i)})
@@ -495,6 +492,10 @@ class Zonotope:
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _add(a: Sequence[int], b: Sequence[int], k: int = 1) -> tuple[int, int, int]:
+    return (a[0] + k * b[0], a[1] + k * b[1], a[2] + k * b[2])
 
 
 def _vec(ints: Sequence[int], den: int = 1) -> Vec3:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from zonotile.linalg import (
     VEC_ZERO,
     Vec3,
+    adjugate,
     det_int,
     hermite_row_basis,
     int_row,
@@ -25,7 +26,7 @@ from zonotile.linalg import (
     smith_normal_form,
 )
 
-from conftest import det3, inverse_rows
+from conftest import inverse_rows
 
 
 def mat_mul(a, b):
@@ -84,10 +85,12 @@ def test_primitive_clears_denominators_and_content():
 
 
 def test_det3_against_permutation_expansion():
-    rows = [Vec3(1, 2, 3), Vec3(0, 1, 4), Vec3(5, 6, 0)]
+    rows = [(1, 2, 3), (0, 1, 4), (5, 6, 0)]
     # Sarrus by hand: 1*(1*0-4*6) - 2*(0*0-4*5) + 3*(0*6-1*5) = -24+40-15 = 1
-    assert det3(*rows) == 1
-    assert det3(rows[1], rows[0], rows[2]) == -1
+    assert adjugate(rows)[1] == 1
+    assert adjugate([rows[1], rows[0], rows[2]])[1] == -1
+    with pytest.raises(ValueError, match="singular basis"):
+        adjugate([rows[0], rows[1], (1, 3, 7)])
 
 
 def test_rank_of_small_cases():
@@ -137,11 +140,13 @@ def test_rank_of_matches_fraction_elimination(rows):
 
 
 def test_inverse_rows_is_a_left_inverse():
-    b = (Vec3(1, 2, 0), Vec3(0, 1, 1), Vec3(1, 0, 3))
-    rows = inverse_rows(*b)
+    b = ((1, 2, 0), (0, 1, 1), (1, 0, 3))
+    rows, det = adjugate(b)
     for i, r in enumerate(rows):
         for j, v in enumerate(b):
-            assert r.dot(v) == (1 if i == j else 0)
+            assert sum(x * y for x, y in zip(r, v)) == (det if i == j else 0)
+    # over the determinant, the rows are the Fraction inverse
+    assert tuple(Vec3.from_ints(*r, det) for r in rows) == inverse_rows(*(Vec3(*v) for v in b))
 
 
 def test_smith_normal_form_properties():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zonotile import tiling
-from zonotile.lattices import box_ranges, lattice_from_vectors
+from zonotile.lattices import CosetEnumeration, box_ranges, lattice_from_vectors
 from zonotile.linalg import Vec3, int_row, int_triples, rank_of
 from zonotile.tiling import (
     LatticeComponent,
@@ -181,10 +181,19 @@ def test_slab_choice_is_frozen(cube):
     with pytest.raises(TypeError):
         lam.choice[1] = "T"
     # the map is copied, so changing the caller's dict changes nothing
-    again = SlabChoice(lam.gamma, lam.sub, lam.cosets, lam.s_offsets, lam.t_offsets, choice)
+    again = SlabChoice(lam.gamma, lam.sub, lam.s_offsets, lam.t_offsets, choice)
     choice[0] = "S"
     assert again.choice == lam.choice == {0: "T"}
     assert translate_multiplicity(again, ZERO) == 0
+
+
+def test_slab_choice_derives_its_cosets(cube):
+    lam = build_weird(build_construction(cube), {0: "T"})
+    assert (lam.cosets.gamma, lam.cosets.sub) == (lam.gamma, lam.sub)
+    # an enumeration of another sublattice can no longer be passed in
+    other = CosetEnumeration(lam.gamma, lattice_from_vectors([E1, E3]))
+    with pytest.raises(TypeError):
+        SlabChoice(lam.gamma, lam.sub, lam.s_offsets, lam.t_offsets, cosets=other)
 
 
 def test_verify_level_leaves_facets_unbuilt(rd4, cube, z3_union):
@@ -471,7 +480,7 @@ def test_kernel_matches_coverage_slab_choice(choice, families, xs):
     lam = build_weird(_CUBE_CONSTRUCTION, choice)
     if families is not None:
         s_off, t_off = tuple(families[:2]), tuple(families[2:])
-        lam = SlabChoice(lam.gamma, lam.sub, lam.cosets, s_off, t_off, choice)
+        lam = SlabChoice(lam.gamma, lam.sub, s_off, t_off, choice)
     assert_kernel_matches_coverage(_CUBE_CONSTRUCTION.zonotope, lam, xs)
 
 
@@ -562,7 +571,7 @@ def test_translate_multiplicity_matches_coords_slab_choice(choice, families, ks,
     lam = build_weird(_CUBE_CONSTRUCTION, choice)
     if families is not None:
         s_off, t_off = tuple(families[:2]), tuple(families[2:])
-        lam = SlabChoice(lam.gamma, lam.sub, lam.cosets, s_off, t_off, choice)
+        lam = SlabChoice(lam.gamma, lam.sub, s_off, t_off, choice)
     # lattice points of gamma shifted by each offset, plus drawn rational points
     on = [lam.gamma.point(k) + u for k in ks for u in lam.s_offsets + lam.t_offsets]
     hits = 0
