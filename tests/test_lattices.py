@@ -49,6 +49,14 @@ def test_membership_and_coords_round_trip():
     assert lat._point_coords(*int_row(Vec3(0, 0, Fraction(3, 2)))) is None
 
 
+def test_point_is_exact_on_numpy_coefficients():
+    # int64 coefficients times numerators near 2^40 would wrap in int64
+    lat = Lattice([Vec3(2**40 + 1, 0, 0), Vec3(0, Fraction(2**40, 3), 0), E3])
+    k = np.array([2**30, -(2**31), 7], dtype=np.int64)
+    want = Vec3((2**40 + 1) * 2**30, Fraction(-(2**71), 3), 7)
+    assert lat.point(k) == lat.point([int(c) for c in k]) == want
+
+
 def test_covolume():
     assert lattice_from_vectors([E1, E2, E3]).covolume() == 1
     assert lattice_from_vectors([E1 * 2, E2, E3 * 3]).covolume() == 6
