@@ -300,7 +300,7 @@ def decimal_str(q: Fraction, precision: int) -> str:
 
 def export_off(z: Zonotope, precision: int = 6) -> str:
     """OFF boundary mesh with outward-oriented facet polygons."""
-    polys = [z.facet_polygon(i) for i in range(len(z.facets))]
+    polys = [z.facet_polygon(i) for i in range(len(z._facet_sides))]
     verts = sorted({v for poly in polys for v in poly})
     index = {v: i for i, v in enumerate(verts)}
     faces = [[index[v] for v in poly] for poly in polys]

@@ -8,10 +8,12 @@ lattice with a constant weight per lattice point or a count per coset.
 ``coverage``, ``verify_level``'s integer kernel, ``translate_multiplicity``
 and ``density`` all read them, taking integers from the lattice and the shift.
 
-``coverage`` counts one point, on integers: the translates in its box, the
-differences x - t and the facet tests run on numerators over a common
-denominator. ``verify_level`` counts all samples at once: in each family's
-lattice coordinates the body's facets become small integer thresholds, so
+``_coverage_counts`` counts a batch of points on integers, with one box walk
+per family over the union of the points' boxes and an integer facet
+prefilter; the slab identity check counts a whole sampling round per family
+tuple with it, and ``coverage`` is its one-point call. ``verify_level``
+counts all samples at once on the kernel: in each family's lattice
+coordinates the body's facets become small integer thresholds, so
 membership is exact at any coordinate scale. Samples are kept as their
 62-bit draws, one int64 (N, 3) array, and reach each lattice's coordinates
 by one of two routes. While the window's and the lattice's denominators are
@@ -24,7 +26,7 @@ take the exact formula on Python ints. Otherwise, and where facet offsets or
 the coordinates of x - shift reach 2^61, every row of the lattice takes the
 exact formula. No float decides a count.
 Points on a contributing translate's boundary raise BoundaryHit in
-``coverage`` and are resampled by ``verify_level``.
+``coverage`` and are resampled by ``verify_level`` and the slab check.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .lattices import CosetEnumeration, Lattice, lattice_points_in_box
+from .lattices import CosetEnumeration, Lattice, box_count, lattice_points_in_box
 from .linalg import Vec3, int_row, int_triples
 from .zonotope import BoundaryHit, Zonotope
 
@@ -68,6 +70,8 @@ _LOW31 = 2**31 - 1
 _LOW62 = 2**62 - 1
 # sample x candidate x facet cells compared in one broadcast
 _CHUNK = 1 << 20
+# lattice points one box walk of _coverage_counts spans at most before its points are split
+_BOX_CAP = 1024
 # boundary resample rounds before a window is given up
 _RESAMPLE_LIMIT = 64
 # lattice offsets of one family the kernel tries at most; checked before any is built
@@ -212,29 +216,126 @@ def coverage(
     """Exact multiplicity sum_t [x in interior(z + t)] over the multiset.
 
     lam is a multiset or a tuple of family records, over lattices of any
-    rank. With [lo, hi] the bounding box of z, only a translate t in the
-    closed box [x - hi, x - lo] can hold x in z + t, inside or on the
-    boundary, and ``lattice_points_in_box`` returns exactly those. A family
-    without ``counts`` needs no ``count_at``: each of its box points is one
-    of its translates, of multiplicity ``weight``. Raises BoundaryHit at x
-    when x lies on the boundary of a contributing translate, since interior
-    counts are ill-defined there.
+    rank. The one-point call of ``_coverage_counts``, which counts every
+    sample of a slab check's round at once. Raises BoundaryHit at x when x
+    lies on the boundary of a contributing translate, since interior counts
+    are ill-defined there.
     """
-    lo_p, hi_p = z.bounding_box()
-    lo, hi = x - hi_p, x - lo_p
-    total = 0
-    try:
-        for fam in lam if isinstance(lam, tuple) else translate_families(lam):
-            pts = lattice_points_in_box(fam.lattice, fam.shift, lo, hi)
+    families = lam if isinstance(lam, tuple) else translate_families(lam)
+    nums, den = int_row(x)
+    counts, border = _coverage_counts(z, families, np.array([nums], dtype=object), den)
+    if border[0]:
+        raise BoundaryHit(x)
+    return int(counts[0])
+
+
+def _coverage_counts(
+    z: Zonotope, families: Sequence[TranslateFamily], nums: np.ndarray, den: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact coverage counts at the points nums / den, and a mask of boundary points.
+
+    nums is an (N, 3) object array of Python ints; families are over lattices
+    of any rank. The contract of ``_kernel_counts``: a point on a contributing
+    translate's boundary is marked in the mask and its count means nothing,
+    and a translate of multiplicity 0 marks nothing. With [lo, hi] the body's
+    bounding box, only a translate t in the closed box [x - hi, x - lo] can
+    hold x in z + t, inside or on the boundary. So per family one
+    ``lattice_points_in_box`` walk over the union of the points' boxes yields
+    every candidate; while that box holds more than _BOX_CAP lattice points
+    (``box_count``), the points are split at the median of their widest axis.
+    A facet m . y <= h / zden holds at y = x - T / dt iff
+    m . T >= ceil(dt (m . x - h / zden)), a Python-int ceiling per point and
+    facet; the compare runs on int64 while every value is below _INT64_SAFE,
+    else on object arrays. Only the pairs with x in the closed body z + t
+    reach ``interior_mask``, which tells interior from boundary; a
+    BoundaryHit marks the point it came from, and the family's other pairs
+    are tested again.
+    """
+    n = len(nums)
+    counts = np.zeros(n, dtype=np.int64)
+    border = np.zeros(n, dtype=bool)
+    zden, sides = z._den, z._facet_sides
+    ms = np.array([m for m, *_ in sides], dtype=object)
+    g1 = int(np.abs(ms).sum(axis=1).max())
+    # ceil(dt (m . x - h / zden)) = ceil(dt p / q), (facets, N); one table per dt
+    p = zden * (ms @ nums.T) - np.array([[h] for _, h, *_ in sides], dtype=object) * den
+    q = den * zden
+    rhs: dict[int, np.ndarray] = {}
+    lo_z, hi_z = z.bounding_box()
+    for fam in families:
+        if not (fam.counts or fam.weight):
+            continue
+        live = np.flatnonzero(~border)
+        stack = [live] if len(live) else []
+        while stack:
+            rows = stack.pop()
+            sub = nums[rows]
+            a, b = sub.min(axis=0), sub.max(axis=0)
+            lo, hi = Vec3.from_ints(*a, den) - hi_z, Vec3.from_ints(*b, den) - lo_z
+            if (b != a).any() and box_count(fam.lattice, fam.shift, lo, hi) > _BOX_CAP:
+                order = rows[np.argsort(sub[:, np.argmax(b - a)], kind="stable")]
+                stack += [order[len(order) // 2 :], order[: len(order) // 2]]
+                continue
+            if not (pts := lattice_points_in_box(fam.lattice, fam.shift, lo, hi)):
+                continue
+            triples, dt = int_triples(pts)
+            t = np.array(triples, dtype=object)
+            if dt not in rhs:
+                rhs[dt] = _int64(-((-dt * p) // q))
+            r = rhs[dt][:, rows]
+            if r.dtype == object or (int(np.abs(t).max()) + 1) * g1 >= _INT64_SAFE:
+                gt, r = ms @ t.T, r.astype(object)
+            else:
+                gt = ms.astype(np.int64) @ t.T.astype(np.int64)
+            # the (point, translate) pairs with x in the closed body z + t
+            si, tj, step = [], [], max(1, _CHUNK // gt.size)
+            for c0 in range(0, len(rows), step):
+                s, j = np.nonzero((gt[:, None] >= r[:, c0 : c0 + step, None]).all(axis=0))
+                si.append(s + c0)
+                tj.append(j)
+            si, tj = np.concatenate(si), np.concatenate(tj)
             if fam.counts:
-                ms = [(p, m) for p in pts if (m := fam.count_at(*int_row(p)))]
-                inside = z.interior_mask([x - p for p, _ in ms])
-                total += sum(m for (_, m), i in zip(ms, inside) if i)
-            elif fam.weight:
-                total += fam.weight * sum(z.interior_mask([x - p for p in pts]))
-    except BoundaryHit:
-        raise BoundaryHit(x) from None
-    return total
+                keys, inverse = np.unique(tj, return_inverse=True)
+                m = np.array([fam.count_at(triples[j], dt) for j in keys], dtype=np.int64)[inverse]
+                si, tj, m = si[m > 0], tj[m > 0], m[m > 0]
+            else:
+                m = np.full(len(si), fam.weight, dtype=np.int64)
+            _interior_add(z, nums, den, rows[si], t[tj], dt, m, counts, border)
+    return counts, border
+
+
+def _interior_add(
+    z: Zonotope,
+    nums: np.ndarray,
+    den: int,
+    si: np.ndarray,
+    t: np.ndarray,
+    dt: int,
+    m: np.ndarray,
+    counts: np.ndarray,
+    border: np.ndarray,
+) -> None:
+    """Add m at each point si whose pair x - t lies inside z, and mark boundary points.
+
+    x = nums[si] / den and t = t / dt per pair, all in the closed body. A
+    BoundaryHit marks its point in border, drops that point's pairs and
+    tests the rest again.
+    """
+    diffs = [
+        Vec3.from_ints(x0 * dt - t0 * den, x1 * dt - t1 * den, x2 * dt - t2 * den, den * dt)
+        for (x0, x1, x2), (t0, t1, t2) in zip(nums[si], t)
+    ]
+    while diffs:
+        try:
+            inside = np.array(z.interior_mask(diffs), dtype=bool)
+        except BoundaryHit as hit:
+            keep = si != si[diffs.index(hit.point)]
+            border[si[~keep]] = True
+            si, m = si[keep], m[keep]
+            diffs = [d for d, k in zip(diffs, keep) if k]
+            continue
+        np.add.at(counts, si[inside], m[inside])
+        return
 
 
 def translate_multiplicity(lam: LatticeUnion | SlabChoice, point: Vec3) -> int:

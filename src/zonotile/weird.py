@@ -30,8 +30,14 @@ from .lattices import (  # noqa: F401
 )
 from .linalg import VEC_ZERO, Vec3, int_row, primitive, rank_of, rat
 from .structure import two_flat
-from .tiling import SlabChoice, TranslateFamily, _sample, coverage, translate_multiplicity
-from .zonotope import BoundaryHit, Zonotope
+from .tiling import (
+    SlabChoice,
+    TranslateFamily,
+    _coverage_counts,
+    _sample,
+    translate_multiplicity,
+)
+from .zonotope import Zonotope
 
 __all__ = [
     "WeirdConstruction",
@@ -203,8 +209,10 @@ def slab_identity_check(
     Both offset families, convolved with the body indicator and the group,
     must give the same function. It is checked only at random window points
     (default: the bounding box grown by 1), each counted exactly for both;
-    a disagreement is reported as (point, S count, T count). Points on a
-    translate's boundary are redrawn by ``tiling._sample``.
+    a disagreement is reported as (point, S count, T count). Each sampling
+    round is counted by one ``tiling._coverage_counts`` call per family,
+    over all of the round's points. Points on a translate's boundary are
+    redrawn by ``tiling._sample``.
     """
     if window is None:
         lo, hi = c.zonotope.bounding_box()
@@ -214,14 +222,9 @@ def slab_identity_check(
     families = [tuple(TranslateFamily(c.g, u, 1) for u in f) for f in (c.s_offsets, c.t_offsets)]
 
     def count(draws):
-        counts = np.zeros((len(draws.r), 2), dtype=np.int64)
-        border = np.zeros(len(draws.r), dtype=bool)
-        for i, x in enumerate(draws.points()):
-            try:
-                counts[i] = [coverage(c.zonotope, f, x) for f in families]
-            except BoundaryHit:
-                border[i] = True
-        return counts, border
+        nums, z = draws.nums(), c.zonotope
+        (s, s_border), (t, t_border) = (_coverage_counts(z, f, nums, draws.den) for f in families)
+        return np.stack([s, t], axis=1), s_border | t_border
 
     draws, counts = _sample(window, samples, seed, count)
     off = np.flatnonzero(counts[:, 0] != counts[:, 1])

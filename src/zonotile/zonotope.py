@@ -429,7 +429,7 @@ class Zonotope:
         return [_vec(v, self._den) for v in verts]
 
     def vertex_set(self) -> list[Vec3]:
-        return sorted({v for i in range(len(self.facets)) for v in self.facet_polygon(i)})
+        return sorted({v for i in range(len(self._facet_sides)) for v in self.facet_polygon(i)})
 
     # -- frames ----------------------------------------------------------------
 

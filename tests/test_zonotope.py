@@ -186,6 +186,30 @@ def test_rd4_combinatorics(rd4):
     assert edges == 2 * 24
 
 
+# sha256 of repr(vertex_set()) and of export_off for six direction classes and a
+# rational translate, from the code that counted facets through ``facets``
+SIX_CLASS_DIGESTS = (
+    "7ef57acc21486697a3e49e1ad3831a9cde7a59e33cfc9bb7e9df5d32c5233375",
+    "11cd3594ed96c821cf281864f38331c718587e578012bd7d0cb036f5ba514a27",
+)
+
+
+def test_vertex_set_and_export_off_build_no_facet_tuple():
+    def six():
+        gens = (E1, E2, E3, Vec3(1, 1, 1), Vec3(1, -2, Fraction(1, 3)), Vec3(Fraction(2, 5), 1, -1))
+        return Zonotope(gens, Vec3(Fraction(1, 3), 0, Fraction(-2, 7)))
+
+    z = six()
+    got = (z.vertex_set(), export_off(z))
+    assert z._facets is None
+    texts = (repr(got[0]), got[1])
+    assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == SIX_CLASS_DIGESTS
+    # a body whose Facet tuple was read first gives the same output
+    built = six()
+    assert len(built.facets) == 30
+    assert (built.vertex_set(), export_off(built)) == got
+
+
 def test_facets_come_in_opposite_pairs(rd4):
     for i, f in enumerate(rd4.facets):
         opp = rd4.facets[f.opposite_index]
