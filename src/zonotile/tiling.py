@@ -291,7 +291,7 @@ def _coverage_counts(
             si, tj, step = [], [], max(1, _CHUNK // gt.size)
             for c0 in range(0, len(rows), step):
                 s, j = np.nonzero((gt[:, None] >= r[:, c0 : c0 + step, None]).all(axis=0))
-                si.append(s + c0)
+                si.append(rows[s + c0])
                 tj.append(j)
             si, tj = np.concatenate(si), np.concatenate(tj)
             if fam.counts:
@@ -300,42 +300,22 @@ def _coverage_counts(
                 si, tj, m = si[m > 0], tj[m > 0], m[m > 0]
             else:
                 m = np.full(len(si), fam.weight, dtype=np.int64)
-            _interior_add(z, nums, den, rows[si], t[tj], dt, m, counts, border)
+            diffs = [
+                Vec3.from_ints(x0 * dt - t0 * den, x1 * dt - t1 * den, x2 * dt - t2 * den, den * dt)
+                for (x0, x1, x2), (t0, t1, t2) in zip(nums[si], t[tj])
+            ]
+            while diffs:
+                try:
+                    inside = np.array(z.interior_mask(diffs), dtype=bool)
+                except BoundaryHit as hit:
+                    keep = si != si[diffs.index(hit.point)]
+                    border[si[~keep]] = True
+                    si, m = si[keep], m[keep]
+                    diffs = [d for d, k in zip(diffs, keep) if k]
+                    continue
+                np.add.at(counts, si[inside], m[inside])
+                break
     return counts, border
-
-
-def _interior_add(
-    z: Zonotope,
-    nums: np.ndarray,
-    den: int,
-    si: np.ndarray,
-    t: np.ndarray,
-    dt: int,
-    m: np.ndarray,
-    counts: np.ndarray,
-    border: np.ndarray,
-) -> None:
-    """Add m at each point si whose pair x - t lies inside z, and mark boundary points.
-
-    x = nums[si] / den and t = t / dt per pair, all in the closed body. A
-    BoundaryHit marks its point in border, drops that point's pairs and
-    tests the rest again.
-    """
-    diffs = [
-        Vec3.from_ints(x0 * dt - t0 * den, x1 * dt - t1 * den, x2 * dt - t2 * den, den * dt)
-        for (x0, x1, x2), (t0, t1, t2) in zip(nums[si], t)
-    ]
-    while diffs:
-        try:
-            inside = np.array(z.interior_mask(diffs), dtype=bool)
-        except BoundaryHit as hit:
-            keep = si != si[diffs.index(hit.point)]
-            border[si[~keep]] = True
-            si, m = si[keep], m[keep]
-            diffs = [d for d, k in zip(diffs, keep) if k]
-            continue
-        np.add.at(counts, si[inside], m[inside])
-        return
 
 
 def translate_multiplicity(lam: LatticeUnion | SlabChoice, point: Vec3) -> int:

@@ -29,9 +29,9 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"  criterion {key}: {_criterion_results[key]}")
 
 from zonotile.lattices import lattice_from_vectors
-from zonotile.linalg import VEC_ZERO, Vec3, rank_of
+from zonotile.linalg import VEC_ZERO, Vec3, int_row, rank_of
 from zonotile.tiling import LatticeComponent, LatticeUnion
-from zonotile.zonotope import Zonotope
+from zonotile.zonotope import Location, Zonotope
 
 E1 = Vec3(1, 0, 0)
 E2 = Vec3(0, 1, 0)
@@ -169,3 +169,25 @@ def fraction_coords(lat, p):
     for t, b in zip(c, lat.basis):
         q = q + b * t
     return c if q == p else None
+
+
+def brute_coverage(z: Zonotope, families, x: Vec3) -> tuple[int, bool]:
+    """(count, on_border) at x over family records, by brute force.
+
+    The candidates are ``corner_box_points`` of each family over the box
+    [x - hi, x - lo] of the body's bounding box [lo, hi], each weighed by
+    ``count_at``; ``Zonotope.contains`` places x - t. on_border is True when
+    x lies on the boundary of a translate of nonzero multiplicity, and the
+    count then means nothing. Neither ``lattice_points_in_box`` nor
+    ``interior_mask`` is used.
+    """
+    lo, hi = z.bounding_box()
+    total, on_border = 0, False
+    for fam in families:
+        for t in corner_box_points(fam.lattice, fam.shift, x - hi, x - lo):
+            if not (m := fam.count_at(*int_row(t))):
+                continue
+            loc = z.contains(x - t)
+            on_border = on_border or loc is Location.BOUNDARY
+            total += m if loc is Location.INTERIOR else 0
+    return total, on_border

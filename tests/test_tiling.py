@@ -28,7 +28,7 @@ from zonotile.tiling import (
 from zonotile.weird import build_construction, build_weird, construction_from_indices
 from zonotile.zonotope import BoundaryHit, Zonotope
 
-from conftest import E1, E2, E3, ZERO, fraction_coords, random_zonotope
+from conftest import E1, E2, E3, ZERO, brute_coverage, fraction_coords, random_zonotope
 
 HALF = Fraction(1, 2)
 W6 = (Vec3(-3, -3, -3), Vec3(3, 3, 3))
@@ -482,6 +482,99 @@ def test_kernel_matches_coverage_slab_choice(choice, families, xs):
         s_off, t_off = tuple(families[:2]), tuple(families[2:])
         lam = SlabChoice(lam.gamma, lam.sub, s_off, t_off, choice)
     assert_kernel_matches_coverage(_CUBE_CONSTRUCTION.zonotope, lam, xs)
+
+
+# -- property: batched coverage counts against a brute-force oracle ----------
+
+
+def coverage_counts(z, families, xs):
+    """``_coverage_counts`` at Vec3 points, over their common denominator."""
+    nums, den = int_triples(xs)
+    return tiling._coverage_counts(z, families, np.array(nums, dtype=object), den)
+
+
+def oracle_cases():
+    """Per case, a map from a shift b to (body, family records), every family moved by b."""
+    cube = Zonotope((E1, E2, E3))
+    con = construction_from_indices(cube, [0, 1], coefficients=(HALF, HALF))
+    skew = build_construction(Zonotope((Vec3(1, 1, 0), Vec3(1, -1, 0), E3, Vec3(1, 0, 1))))
+
+    def slab(c, offsets):
+        # the rank-2 records the slab check counts: u + G of weight 1
+        return lambda b: (c.zonotope, tuple(tiling.TranslateFamily(c.g, u + b, 1) for u in offsets))
+
+    def union(b):
+        lam = LatticeUnion(
+            (
+                LatticeComponent(z3(), Vec3(THIRD, 0, HALF) + b, 2),
+                LatticeComponent(lattice_from_vectors([E1 * 2, E2 + E3 * THIRD, E3]), b, 3),
+            )
+        )
+        return Zonotope((E1, E2, E3, Vec3(1, 1, 1))), translate_families(lam)
+
+    def choice(b):
+        # cosets chosen T give the S offsets' families a count of 0 there; the
+        # offsets are drawn so that their translates' facets do not meet
+        s_off = (ZERO, Vec3(THIRD, THIRD, 0))
+        t_off = (Vec3(HALF, HALF, 0), Vec3(Fraction(1, 4), Fraction(3, 4), 0))
+        moved = [tuple(u + b for u in f) for f in (s_off, t_off)]
+        lam = SlabChoice(con.gamma, con.g, *moved, {0: "T", 1: "T", -2: "T"})
+        families = translate_families(lam)
+        assert any(0 in f.counts.values() for f in families)
+        return cube, families
+
+    return {
+        "cube S": slab(con, con.s_offsets),
+        "cube T": slab(con, con.t_offsets),
+        "skew S": slab(skew, skew.s_offsets),
+        "skew T": slab(skew, skew.t_offsets),
+        "union": union,
+        "choice": choice,
+    }
+
+
+ORACLE_CASES = oracle_cases()
+# coordinates in [-3, 4] over 24, so that some points land on a facet of a translate
+grid = st.integers(-72, 96).map(lambda n: Fraction(n, 24))
+grid_points = st.lists(st.builds(Vec3, grid, grid, grid), min_size=1, max_size=10)
+# past 2^62 once scaled by any denominator: the prefilter compares object arrays
+FAR = 10**25
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(case=st.sampled_from(sorted(ORACLE_CASES)), far=st.sampled_from((0, FAR)), xs=grid_points)
+@example(case="cube S", far=FAR, xs=[Vec3(HALF, HALF, 0), Vec3(THIRD, HALF, HALF)])
+# on a facet of a translate of count 0 only, and on one of count 1
+@example(case="choice", far=0, xs=[Vec3(0, Fraction(1, 12), HALF), Vec3(THIRD, 0, HALF)])
+def test_coverage_counts_match_brute_force(case, far, xs):
+    b = Vec3(far, -far, far)
+    z, families = ORACLE_CASES[case](b)
+    xs = [x + b for x in xs]
+    got, border = coverage_counts(z, families, xs)
+    for i, x in enumerate(xs):
+        want, on_border = brute_coverage(z, families, x)
+        assert bool(border[i]) == on_border
+        if not on_border:
+            assert got[i] == want
+
+
+def test_coverage_counts_flag_only_the_facet_point(cube):
+    # odd numerators over 2^20, times 3, avoid every integer and third; one
+    # point is moved onto the face x = 4/3 of a translate of the 1/3 copy
+    lam = LatticeUnion((LatticeComponent(z3(), ZERO, 2), LatticeComponent(z3(), Vec3(THIRD, 0, 0))))
+    rng = random.Random(8)
+    xs = [
+        Vec3(*(Fraction(3 * (2 * rng.getrandbits(19) + 1), 2**20) - 3 for _ in range(3)))
+        for _ in range(40)
+    ]
+    xs[17] = Vec3(4 * THIRD, xs[17].y, xs[17].z)
+    got, border = coverage_counts(cube, translate_families(lam), xs)
+    assert np.flatnonzero(border).tolist() == [17]
+    assert [int(c) for i, c in enumerate(got) if i != 17] == [
+        coverage(cube, lam, x) for i, x in enumerate(xs) if i != 17
+    ]
+    with pytest.raises(BoundaryHit):
+        coverage(cube, lam, xs[17])
 
 
 # -- property: translate multiplicity against Fraction lattice coordinates ---

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from zonotile import tiling, weird
 from zonotile.io import translate_set_to_json
-from zonotile.lattices import lattice_from_vectors, plane_section
+from zonotile.lattices import box_count, lattice_from_vectors, plane_section
 from zonotile.linalg import Vec3, primitive
 from zonotile.tiling import coverage, verify_level
 from zonotile.weird import (
@@ -282,6 +282,28 @@ def test_slab_family_coverage_matches_brute_force(name, x0, x1, x2):
             assert hit.value.point == x
         else:
             assert coverage(c.zonotope, families, x) == want
+
+
+def test_slab_identity_check_splits_the_boxes_of_a_wide_window(cube, monkeypatch):
+    # a window 50 times the cube across G's plane: a round's union box spans
+    # more lattice points than the cap, so the points are split until every
+    # walk fits under it, and the reports match those of unsplit walks
+    window = (Vec3(-25, -25, -1), Vec3(25, 25, 2))
+    cases = [cube_construction(cube), moved_construction(cube_construction(cube))]
+    real, cap, sizes = tiling.lattice_points_in_box, tiling._BOX_CAP, []
+
+    def walk(lat, shift, lo, hi):
+        sizes.append(box_count(lat, shift, lo, hi))
+        return real(lat, shift, lo, hi)
+
+    monkeypatch.setattr(tiling, "lattice_points_in_box", walk)
+    reps = [slab_identity_check(c, window=window, samples=64, seed=6) for c in cases]
+    assert reps[0].passed and not reps[1].passed and reps[1].mismatches
+    assert sizes and max(sizes) <= cap
+    sizes.clear()
+    monkeypatch.setattr(tiling, "_BOX_CAP", 10**9)
+    assert [slab_identity_check(c, window=window, samples=64, seed=6) for c in cases] == reps
+    assert max(sizes) > cap
 
 
 def test_slab_identity_check_redraws_first_round_facet_samples(cube, monkeypatch):
