@@ -1,6 +1,7 @@
 """JSON schemas, OFF export, and the command line."""
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import os
@@ -414,6 +415,35 @@ def test_cli_round_trip_weird_translates_into_verify(tmp_path, capsys):
     assert main(["verify-tiling", z, lam, "--samples", "80", "--window", "-5 5 -5 5 -5 5"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["level"] == 2
+
+
+# sha256 of weird-gen --materialize output, over the window of the hash-seed
+# comparison, for a torsion-free line of cosets (the CI body) and for
+# g = span(2 e1, e2) inside Z^3, which has two torsion cosets per line
+PINNED_WEIRD_GEN = {
+    "body": (
+        '{"generators": [["1", "0", "0"], ["0", "1/2", "0"], ["1/3", "0", "3/2"]]}',
+        "1/2 2/5",
+        "e18d4f3e1bfb8acc266654f7d87ffba7e14e991c19fef3213606e289abad8e1c",
+    ),
+    "torsion": (
+        '{"generators": [["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "0", "0"]]}',
+        "1/3 1/2",
+        "af2f6687dee7c9dd04f8f80e82bd4346277bcd24e2b8b13b08b90dffe66ccddc",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WEIRD_GEN))
+def test_weird_gen_materialize_output_is_pinned(tmp_path, name):
+    body, coefficients, digest = PINNED_WEIRD_GEN[name]
+    z, out = write(tmp_path, "z.json", body), tmp_path / "out.json"
+    argv = [
+        "weird-gen", z, "--v-indices", "0 1", "--coefficients", coefficients,
+        "--choice", "0=T,2=T,-1=T", "--materialize", "--window", "-2 3/2 -1 2 -3/2 7/3",
+    ]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_cli_verify_tiling_exits_1_off_the_expected_level(tmp_path, capsys):

@@ -370,6 +370,25 @@ def test_slab_identity_reports_are_pinned(name):
     assert hashlib.sha256(repr(rep).encode()).hexdigest() == digest
 
 
+# sha256 of repr(irregularity_certificate(c, ap_coloring(200), -50, 50)) on the
+# cube and on g = span(2 e1, e2) inside Z^3, whose line of cosets has torsion
+# 2; both certify the same coloring, so the reports agree
+PINNED_CERTIFICATE = "e4180fe53238388b4836a5e78998bcedccf1fa5f78ca903d890282f27b7b6b1e"
+
+
+def torsion_construction():
+    body = Zonotope((E1 * 2, E2, E3, E1))
+    return construction_from_indices(body, [0, 1], coefficients=(Fraction(1, 3), HALF))
+
+
+@pytest.mark.parametrize("name", ["cube", "torsion"])
+def test_irregularity_certificates_are_pinned(cube, name):
+    c = cube_construction(cube) if name == "cube" else torsion_construction()
+    assert c.cosets.torsion_order == (1 if name == "cube" else 2)
+    rep = irregularity_certificate(c, ap_coloring(200), -50, 50)
+    assert hashlib.sha256(repr(rep).encode()).hexdigest() == PINNED_CERTIFICATE
+
+
 def test_construction_refuses_too_many_subset_sums(monkeypatch):
     # one generator past the bound, in one plane, plus one across it; the
     # refusal comes before any subset sum is built
