@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import numbers
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -160,14 +160,25 @@ class SlabChoice:
         if len(self.s_offsets) != len(self.t_offsets):
             raise ValueError("offset families must have equal size")
         object.__setattr__(self, "cosets", CosetEnumeration(self.gamma, self.sub))
-        choice = {}
-        for j, v in self.choice.items():
+        self._set_choice(self.choice)
+
+    def _set_choice(self, choice: Mapping[int, str]) -> None:
+        checked = {}
+        for j, v in choice.items():
             if isinstance(j, bool) or not isinstance(j, numbers.Integral):
                 raise ValueError(f"choice keys must be integer coset indices, not {j!r}")
             if v not in ("S", "T"):
                 raise ValueError("choice values must be 'S' or 'T'")
-            choice[int(j)] = v
-        object.__setattr__(self, "choice", MappingProxyType(choice))
+            checked[int(j)] = v
+        object.__setattr__(self, "choice", MappingProxyType(checked))
+
+    def with_choice(self, choice: Mapping[int, str]) -> SlabChoice:
+        """This multiset under another choice map; ``cosets`` is shared, ``_families`` is not."""
+        out = object.__new__(SlabChoice)
+        for f in fields(self):
+            object.__setattr__(out, f.name, getattr(self, f.name))
+        out._set_choice(choice)
+        return out
 
     def offsets_for(self, j: int) -> tuple[Vec3, ...]:
         return self.t_offsets if self.choice.get(j, "S") == "T" else self.s_offsets

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from typing import Mapping, Sequence
 
@@ -68,7 +69,8 @@ class WeirdConstruction:
     the full construction; rank 1 degenerate variants still satisfy the slab
     identity but carry no coset enumeration). n_value is the size of each
     offset family and base_level the covering level of Gamma itself, so the
-    emitted tilings cover at level n_value * base_level.
+    emitted tilings cover at level n_value * base_level. Every emitted
+    multiset is ``base`` under its own choice map and shares its ``cosets``.
     """
 
     zonotope: Zonotope
@@ -76,12 +78,23 @@ class WeirdConstruction:
     w_indices: tuple[int, ...]
     g: Lattice
     gamma: Lattice
-    cosets: CosetEnumeration | None
     coefficients: tuple[Fraction, ...]
     s_offsets: tuple[Vec3, ...]
     t_offsets: tuple[Vec3, ...]
     n_value: int
     base_level: int
+
+    @cached_property
+    def base(self) -> SlabChoice:
+        """The multiset with the S family in every coset, built on first use."""
+        if self.g.rank != 2:
+            raise ValueError("rank-2 base group required")
+        level = self.n_value * self.base_level
+        return SlabChoice(self.gamma, self.g, self.s_offsets, self.t_offsets, {}, level)
+
+    @property
+    def cosets(self) -> CosetEnumeration | None:
+        return self.base.cosets if self.g.rank == 2 else None
 
 
 def _primes():
@@ -171,10 +184,7 @@ def construction_from_indices(
             raise ValueError("coefficient subset sum lands in the base group")
     s_off = tuple(s for mask, s in enumerate(sums) if bin(mask).count("1") % 2 == 0)
     t_off = tuple(s for mask, s in enumerate(sums) if bin(mask).count("1") % 2 == 1)
-    cosets = CosetEnumeration(gamma, g) if g.rank == 2 else None
-    return WeirdConstruction(
-        z, vi, wi, g, gamma, cosets, c, s_off, t_off, 2 ** (len(v) - 1), int(k)
-    )
+    return WeirdConstruction(z, vi, wi, g, gamma, c, s_off, t_off, 2 ** (len(v) - 1), int(k))
 
 
 def build_construction(
@@ -236,16 +246,7 @@ def build_weird(
     c: WeirdConstruction, choice: Mapping[int, str] | None = None
 ) -> SlabChoice:
     """Emit the translate multiset for a per-coset choice of offset family."""
-    if c.cosets is None:
-        raise ValueError("rank-2 base group required")
-    return SlabChoice(
-        gamma=c.gamma,
-        sub=c.g,
-        s_offsets=c.s_offsets,
-        t_offsets=c.t_offsets,
-        choice=dict(choice or {}),
-        expected_level=c.n_value * c.base_level,
-    )
+    return c.base.with_choice(choice or {})
 
 
 @dataclass
@@ -338,17 +339,15 @@ def irregularity_certificate(
     """
     if lo > hi:
         raise ValueError("coset line range needs lo <= hi")
-    if c.cosets is None:
-        raise ValueError("rank-2 base group required")
+    ce = c.base.cosets
     for u in c.s_offsets + c.t_offsets:
         if not u.is_zero() and c.gamma.contains(u):
             raise ValueError("a nonzero offset lies in the translation lattice")
-    ce = c.cosets
     t = ce.torsion_order
     choice = {
         ell * t: "T" for ell, col in coloring.assigned.items() if col == BLACK
     }
-    lam = build_weird(c, choice)
+    lam = c.base.with_choice(choice)
     entries = []
     for ell in range(lo, hi + 1):
         pt = ell * ce.gamma1

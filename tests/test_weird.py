@@ -12,7 +12,7 @@ from zonotile import tiling, weird
 from zonotile.io import translate_set_to_json
 from zonotile.lattices import box_count, lattice_from_vectors, plane_section
 from zonotile.linalg import Vec3, primitive
-from zonotile.tiling import coverage, verify_level
+from zonotile.tiling import SlabChoice, coverage, verify_level
 from zonotile.weird import (
     BLACK,
     RED,
@@ -148,8 +148,13 @@ def test_build_weird_refuses_choice_keys_that_are_not_integers(cube):
     j = c.cosets.rep(0)
     assert tiling.translate_multiplicity(build_weird(c, {0: "T"}), j) == 0
     for key in ("0", True, False, 0.0, Fraction(0), None):
-        with pytest.raises(ValueError, match="integer coset indices"):
-            build_weird(c, {key: "T"})
+        for emit in (lambda ch: build_weird(c, ch), c.base.with_choice):
+            with pytest.raises(ValueError, match="integer coset indices"):
+                emit({key: "T"})
+    for value in ("X", "s", None):
+        for emit in (lambda ch: build_weird(c, ch), c.base.with_choice):
+            with pytest.raises(ValueError, match="'S' or 'T'"):
+                emit({0: value})
     lam = build_weird(c, {np.int64(0): "T"})
     assert [type(k) for k in lam.choice] == [int]
     assert tiling.translate_multiplicity(lam, j) == 0
@@ -158,8 +163,43 @@ def test_build_weird_refuses_choice_keys_that_are_not_integers(cube):
 
 def test_build_weird_requires_plane(cube):
     c = construction_from_indices(cube, [2])
+    assert c.cosets is None
     with pytest.raises(ValueError, match="rank-2"):
         build_weird(c)
+    with pytest.raises(ValueError, match="rank-2"):
+        c.base
+
+
+def test_constructions_from_the_same_input_compare_equal(cube):
+    a, b = cube_construction(cube), cube_construction(cube)
+    assert a == b and hash(a) == hash(b)
+    assert build_weird(a) == build_weird(b)
+
+
+def test_replaced_group_reaches_cosets_multisets_and_certificate(cube):
+    c = cube_construction(cube)
+    assert c.cosets.torsion_order == 1
+    # g = span(2 e1, e2) inside Z^3 has two torsion cosets per line
+    r = dataclasses.replace(c, g=lattice_from_vectors([E1 * 2, E2]))
+    assert (r.cosets.sub, r.cosets.torsion_order) == (r.g, 2)
+    lam = build_weird(r, {0: "T"})
+    assert lam.sub == r.g and lam.cosets is r.cosets
+    rep = irregularity_certificate(r, ap_coloring(60), -10, 10)
+    assert rep.ok and rep.has_present and rep.has_absent
+
+
+def test_emitted_multisets_share_the_cosets_and_not_the_families(cube):
+    c = cube_construction(cube)
+    j = c.cosets.rep(0)
+    # the all-S base builds its families first; no choice may inherit them
+    assert tiling.translate_multiplicity(c.base, j) == 1
+    flipped = build_weird(c, {0: "T"})
+    assert tiling.translate_multiplicity(flipped, j) == 0
+    plain = build_weird(c)
+    assert tiling.translate_multiplicity(plain, j) == 1
+    assert flipped.cosets is plain.cosets is c.cosets is c.base.cosets
+    assert dict(flipped.choice) == {0: "T"} and dict(plain.choice) == {} == dict(c.base.choice)
+    assert flipped == SlabChoice(c.gamma, c.g, c.s_offsets, c.t_offsets, {0: "T"}, 2)
 
 
 def test_irregularity_certificate_requires_plane(cube):
