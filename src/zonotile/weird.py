@@ -59,6 +59,11 @@ BLACK = "black"
 # subset sums of the selected generators a construction builds at most (16
 # generators); checked before any sum is built
 _SUBSET_LIMIT = 1 << 16
+# ap_coloring steps and irregularity_certificate line indices run at most,
+# each about 2 s of CPU at the bound on a 2-core x86 box; checked before any
+# loop runs
+_AP_STEP_LIMIT = 32_000
+_LINE_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
@@ -290,9 +295,12 @@ def ap_coloring(num_steps: int) -> Coloring:
     requeues it, and admits the next fresh progression in (d + a, d) order.
     Every progression is revisited forever, so in the limit each one carries
     both colors; num_steps controls how much of that schedule runs. Memory
-    is linear in num_steps, and time grows about as num_steps^1.5 (3.6 s CPU
-    at 32,000 steps on a 2-core x86 box), so no bound is set.
+    is linear in num_steps, and time grows about as num_steps^1.4 (2 s CPU at
+    32,000 steps on a 2-core x86 box), so more than ``_AP_STEP_LIMIT`` steps
+    are refused.
     """
+    if num_steps > _AP_STEP_LIMIT:
+        raise ValueError(f"{num_steps} coloring steps, more than {_AP_STEP_LIMIT}")
     from collections import deque
 
     queue: deque[tuple[int, int]] = deque()
@@ -334,11 +342,14 @@ def irregularity_certificate(
     the T family exactly on the black cosets of that line must make the
     multiset contain gamma1 * l once when l is red and not at all when l is
     black. Any mismatch is an implementation error and raises. It makes one
-    ``translate_multiplicity`` call per line index, so the cost is linear in
-    hi - lo and in the coloring's size, and needs no bound.
+    ``translate_multiplicity`` call per line index, about 11 us each, so the
+    cost is linear in hi - lo and in the coloring's size; a range of more
+    than ``_LINE_LIMIT`` indices is refused.
     """
     if lo > hi:
         raise ValueError("coset line range needs lo <= hi")
+    if hi - lo + 1 > _LINE_LIMIT:
+        raise ValueError(f"coset line range holds {hi - lo + 1} indices, more than {_LINE_LIMIT}")
     ce = c.base.cosets
     for u in c.s_offsets + c.t_offsets:
         if not u.is_zero() and c.gamma.contains(u):

@@ -254,6 +254,29 @@ def test_slab_identity_check_refuses_no_samples(cube, samples):
         slab_identity_check(cube_construction(cube), samples=samples)
 
 
+def test_ap_coloring_refuses_steps_past_its_bound(monkeypatch):
+    # criterion 11 and the benchmark color 200 steps, far inside the bound
+    assert weird._AP_STEP_LIMIT >= 100 * 200
+    monkeypatch.setattr(weird, "_AP_STEP_LIMIT", 50)
+    assert len(ap_coloring(50).processed) == 50
+    monkeypatch.setattr(weird, "_fresh_aps", lambda: pytest.fail("coloring loop ran"))
+    with pytest.raises(ValueError, match="51 coloring steps, more than 50"):
+        ap_coloring(51)
+
+
+def test_irregularity_certificate_refuses_lines_past_its_bound(cube, monkeypatch):
+    # criterion 11 and the benchmark certify 101 line indices
+    assert weird._LINE_LIMIT >= 100 * 101
+    col = ap_coloring(40)
+    monkeypatch.setattr(weird, "_LINE_LIMIT", 11)
+    assert len(irregularity_certificate(cube_construction(cube), col, -5, 5).entries) == 11
+    monkeypatch.setattr(weird, "translate_multiplicity", lambda *a: pytest.fail("line loop ran"))
+    c = cube_construction(cube)
+    with pytest.raises(ValueError, match="12 indices, more than 11"):
+        irregularity_certificate(c, col, -5, 6)
+    assert "base" not in vars(c)  # no multiset was built
+
+
 def test_irregularity_certificate_refuses_empty_range(cube):
     # an empty coset line would certify nothing and still report ok
     c = cube_construction(cube)
