@@ -74,8 +74,7 @@ class WeirdConstruction:
     the full construction; rank 1 degenerate variants still satisfy the slab
     identity but carry no coset enumeration). n_value is the size of each
     offset family and base_level the covering level of Gamma itself, so the
-    emitted tilings cover at level n_value * base_level. Every emitted
-    multiset is ``base`` under its own choice map and shares its ``cosets``.
+    emitted tilings cover at level n_value * base_level.
     """
 
     zonotope: Zonotope
@@ -99,6 +98,7 @@ class WeirdConstruction:
 
     @property
     def cosets(self) -> CosetEnumeration | None:
+        """``base.cosets``, shared by every multiset ``build_weird`` emits; None at rank 1."""
         return self.base.cosets if self.g.rank == 2 else None
 
 
@@ -342,9 +342,9 @@ def irregularity_certificate(
     the T family exactly on the black cosets of that line must make the
     multiset contain gamma1 * l once when l is red and not at all when l is
     black. Any mismatch is an implementation error and raises. It makes one
-    ``translate_multiplicity`` call per line index, about 11 us each, so the
-    cost is linear in hi - lo and in the coloring's size; a range of more
-    than ``_LINE_LIMIT`` indices is refused.
+    ``translate_multiplicity`` call per line index (about 11 us each on a
+    2-core x86 box), so the cost is linear in hi - lo and in the coloring's
+    size; a range of more than ``_LINE_LIMIT`` indices is refused.
     """
     if lo > hi:
         raise ValueError("coset line range needs lo <= hi")
