@@ -433,6 +433,37 @@ def test_slab_identity_reports_are_pinned(name):
     assert hashlib.sha256(repr(rep).encode()).hexdigest() == digest
 
 
+def repeated_offsets_construction():
+    """Generators (1, k, 0) for k < 6 in one plane, plus e3 across it: 32
+    subset sums per side, of which 20 (S) and 22 (T) are distinct."""
+    body = Zonotope(tuple(Vec3(1, k, 0) for k in range(6)) + (E3,))
+    return construction_from_indices(body, range(6))
+
+
+def pinned_repeated_cases():
+    c = repeated_offsets_construction()
+    # T offset 6 occurs twice; one occurrence moves across G's plane
+    assert c.t_offsets.count(c.t_offsets[6]) == 2
+    moved = (*c.t_offsets[:6], c.t_offsets[6] + Vec3(0, 0, Fraction(1, 4)), *c.t_offsets[7:])
+    return {"repeated": c, "moved": dataclasses.replace(c, t_offsets=moved)}
+
+
+# sha256 of repr(slab_identity_check(c, samples=64, seed=6)) per case, from the
+# check that counted each occurrence of an offset as its own family
+PINNED_REPEATED_SLAB = {
+    "repeated": (True, 0, "ef7993c119e79a308aaf2853db49082c53dc9e2771008622dda0f60a51023eec"),
+    "moved": (False, 12, "550d6ad2e09ee1ba4b8bbb10927d1336a1c0f219cd682b6aa3cb99b578796c8b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPEATED_SLAB))
+def test_slab_identity_reports_on_repeated_offsets_are_pinned(name):
+    rep = slab_identity_check(pinned_repeated_cases()[name], samples=64, seed=6)
+    passed, mismatches, digest = PINNED_REPEATED_SLAB[name]
+    assert (rep.passed, len(rep.mismatches)) == (passed, mismatches)
+    assert hashlib.sha256(repr(rep).encode()).hexdigest() == digest
+
+
 # sha256 of repr(irregularity_certificate(c, ap_coloring(200), -50, 50)) on the
 # cube and on g = span(2 e1, e2) inside Z^3, whose line of cosets has torsion
 # 2; both certify the same coloring, so the reports agree
