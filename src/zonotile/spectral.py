@@ -124,16 +124,18 @@ def leg_ft(m: LegMeasure, xi) -> complex:
     Accepts an exact Vec3 or a float 3-tuple.
     """
     fr = m.frame
-    # float * Fraction is float * float(Fraction); sum() rounds differently from Python 3.12
-    x0, x1, x2 = xi if isinstance(xi, Vec3) else (float(c) for c in xi)
-
-    def dot(v: Vec3):
-        v0, v1, v2 = v
-        return x0 * v0 + x1 * v1 + x2 * v2
-
-    se, s1, s2 = dot(fr.e), dot(fr.tau1), dot(fr.tau2)
-    sb = dot(fr.base) + se / 2
-    length = math.sqrt(float(fr.e.norm_sq()))
+    c, den = fr.vector_ints()
+    vs = (c[:3], c[3:6], c[6:], fr._base)
+    if isinstance(xi, Vec3):
+        # exact pairings: integer dots over xi's and the frame's denominators
+        (x0, x1, x2), d = int_row(xi)
+        se, s1, s2, sb = (Fraction(x0 * v0 + x1 * v1 + x2 * v2, d * den) for v0, v1, v2 in vs)
+    else:
+        # x_i * (v_i / den) rounds as float * Fraction does; sum() rounds differently from 3.12
+        x0, x1, x2 = (float(t) for t in xi)
+        se, s1, s2, sb = (x0 * (v0 / den) + x1 * (v1 / den) + x2 * (v2 / den) for v0, v1, v2 in vs)
+    sb += se / 2
+    length = math.sqrt((c[0] ** 2 + c[1] ** 2 + c[2] ** 2) / den**2)
     val = m.sign * length * _sinc(float(se)) * _phase(sb)
     return val * (1 - _phase(s1)) * (1 - _phase(s2))
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import numbers
 import random
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
@@ -185,13 +186,15 @@ class SlabChoice:
 
     @cached_property
     def _families(self) -> tuple[TranslateFamily, ...]:
-        out = []
-        for u in dict.fromkeys(self.s_offsets + self.t_offsets):
-            default = self.s_offsets.count(u)
-            counts = {j: c for j in self.choice if (c := self.offsets_for(j).count(u)) != default}
-            counts = MappingProxyType(counts)
-            out.append(TranslateFamily(self.gamma, u, default, self.cosets, counts))
-        return tuple(out)
+        s, t = Counter(self.s_offsets), Counter(self.t_offsets)
+        t_keys = [j for j, v in self.choice.items() if v == "T"]
+        # one read-only {T coset: k} map per distinct T count k, shared by its families
+        maps = {k: MappingProxyType(dict.fromkeys(t_keys, k)) for k in {0, *t.values()}}
+        none = MappingProxyType({})
+        return tuple(
+            TranslateFamily(self.gamma, u, s[u], self.cosets, none if s[u] == t[u] else maps[t[u]])
+            for u in s | t  # first-seen order, S before T
+        )
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ tiling that no quasi-periodic structure can match.
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -233,8 +234,9 @@ def slab_identity_check(
         lo, hi = c.zonotope.bounding_box()
         pad = Vec3.of(1, 1, 1)
         window = (lo - pad, hi + pad)
-    # each offset u is the family u + G of weight 1
-    families = [tuple(TranslateFamily(c.g, u, 1) for u in f) for f in (c.s_offsets, c.t_offsets)]
+    # each distinct offset u is the family u + G, weighing its count on its side
+    families = [tuple(TranslateFamily(c.g, u, k) for u, k in Counter(f).items())
+                for f in (c.s_offsets, c.t_offsets)]
 
     def count(draws):
         nums, z = draws.nums(), c.zonotope
@@ -301,8 +303,6 @@ def ap_coloring(num_steps: int) -> Coloring:
     """
     if num_steps > _AP_STEP_LIMIT:
         raise ValueError(f"{num_steps} coloring steps, more than {_AP_STEP_LIMIT}")
-    from collections import deque
-
     queue: deque[tuple[int, int]] = deque()
     gen = _fresh_aps()
     assigned: dict[int, str] = {}

@@ -191,3 +191,16 @@ def brute_coverage(z: Zonotope, families, x: Vec3) -> tuple[int, bool]:
             on_border = on_border or loc is Location.BOUNDARY
             total += m if loc is Location.INTERIOR else 0
     return total, on_border
+
+
+def rescanning_families(lam) -> list[tuple[Vec3, int, dict[int, int]]]:
+    """(shift, weight, counts) per family record of a ``SlabChoice``, in record
+    order, by rescanning both offset tuples for every distinct offset and
+    every choice key: the records as built before each side was counted once.
+    """
+    out = []
+    for u in dict.fromkeys(lam.s_offsets + lam.t_offsets):
+        default = lam.s_offsets.count(u)
+        counts = {j: c for j in lam.choice if (c := lam.offsets_for(j).count(u)) != default}
+        out.append((u, default, counts))
+    return out

@@ -6,6 +6,7 @@ import random
 import time
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -28,7 +29,16 @@ from zonotile.tiling import (
 from zonotile.weird import build_construction, build_weird, construction_from_indices
 from zonotile.zonotope import BoundaryHit, Zonotope
 
-from conftest import E1, E2, E3, ZERO, brute_coverage, fraction_coords, random_zonotope
+from conftest import (
+    E1,
+    E2,
+    E3,
+    ZERO,
+    brute_coverage,
+    fraction_coords,
+    random_zonotope,
+    rescanning_families,
+)
 
 HALF = Fraction(1, 2)
 W6 = (Vec3(-3, -3, -3), Vec3(3, 3, 3))
@@ -673,6 +683,62 @@ def test_translate_multiplicity_matches_coords_slab_choice(choice, families, ks,
         assert translate_multiplicity(lam, p) == want == pointwise_multiplicity(lam, p)
         hits += want > 0
     assert hits or not ks
+
+
+# -- slab-choice family records against the rescanning oracle ----------------
+
+# six offsets over denominators 2 and 3; drawn sides repeat them and share them
+OFFSET_POOL = tuple(Vec3(Fraction(i, 3), Fraction(j, 2), THIRD) for i in range(3) for j in range(2))
+slab_choice_maps = st.dictionaries(st.integers(-6, 6), st.sampled_from("ST"), max_size=8)
+
+
+@st.composite
+def slab_choices(draw):
+    """A slab choice over the cube construction's groups with drawn offset
+    sides, taken either as built or through ``with_choice`` after its own
+    records were built."""
+    n = draw(st.integers(0, 8))
+    side = st.lists(st.sampled_from(OFFSET_POOL), min_size=n, max_size=n)
+    con = _CUBE_CONSTRUCTION
+    lam = SlabChoice(con.gamma, con.g, tuple(draw(side)), tuple(draw(side)), draw(slab_choice_maps))
+    if draw(st.booleans()):
+        translate_families(lam)
+        lam = lam.with_choice(draw(slab_choice_maps))
+    return lam
+
+
+def family_records(lam):
+    return [(f.shift, f.weight, list(f.counts.items())) for f in translate_families(lam)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(slab_choices())
+@example(SlabChoice(_CUBE_CONSTRUCTION.gamma, _CUBE_CONSTRUCTION.g, (), (), {}))
+@example(build_weird(_CUBE_CONSTRUCTION, {0: "T", 1: "S", -2: "T"}))
+def test_slab_choice_families_match_the_rescanning_oracle(lam):
+    # shifts in first-seen order, S before T; weights, count maps and their key order
+    want = [(u, w, list(c.items())) for u, w, c in rescanning_families(lam)]
+    assert family_records(lam) == want
+    for f in translate_families(lam):
+        assert f.lattice is lam.gamma and f.cosets is lam.cosets
+        assert isinstance(f.counts, MappingProxyType)
+
+
+def test_slab_choice_families_take_time_linear_in_offsets_and_keys():
+    # 1,000 distinct offsets per side, none shared, and 50 T cosets: 2,000
+    # records, each of whose count maps names all 50 cosets
+    con = _CUBE_CONSTRUCTION
+    s_off = tuple(Vec3(Fraction(i, 2003), 0, THIRD) for i in range(1000))
+    t_off = tuple(Vec3(Fraction(i, 2003), HALF, THIRD) for i in range(1000))
+    lam = SlabChoice(con.gamma, con.g, s_off, t_off, dict.fromkeys(range(50), "T"))
+    start = time.process_time()
+    fams = translate_families(lam)
+    assert time.process_time() - start < 2
+    assert len(fams) == 2000
+    assert [f.weight for f in fams] == [1] * 1000 + [0] * 1000
+    assert all(dict(f.counts) == dict.fromkeys(range(50), 1 - f.weight) for f in fams)
+    # the records of one T count share one map
+    assert len({id(f.counts) for f in fams}) == 2
 
 
 def test_verify_level_builds_each_offset_box_once(cube, monkeypatch):

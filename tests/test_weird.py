@@ -2,6 +2,7 @@
 import dataclasses
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -336,8 +337,9 @@ slab_coords = st.integers(-72, 96).map(lambda n: Fraction(n, 24))
 def test_slab_family_coverage_matches_brute_force(name, x0, x1, x2):
     c, x = SLAB_CONSTRUCTIONS[name], Vec3(x0, x1, x2)
     for offsets in (c.s_offsets, c.t_offsets):
-        # the records slab_identity_check counts: each offset u is u + G, weight 1
-        families = tuple(tiling.TranslateFamily(c.g, u, 1) for u in offsets)
+        # the records slab_identity_check counts: each distinct offset u is u + G,
+        # weighing its count on its side
+        families = tuple(tiling.TranslateFamily(c.g, u, k) for u, k in Counter(offsets).items())
         want = brute_slab_count(c, x, offsets, reach=10)
         if want is None:
             with pytest.raises(BoundaryHit) as hit:
@@ -457,11 +459,47 @@ PINNED_REPEATED_SLAB = {
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_REPEATED_SLAB))
-def test_slab_identity_reports_on_repeated_offsets_are_pinned(name):
-    rep = slab_identity_check(pinned_repeated_cases()[name], samples=64, seed=6)
+def test_slab_identity_reports_on_repeated_offsets_are_pinned(name, monkeypatch):
+    # one family per distinct offset per side, weighing its count there
+    real, seen = weird._coverage_counts, []
+
+    def counts(z, families, nums, den):
+        seen.append(sorted(f.weight for f in families))
+        return real(z, families, nums, den)
+
+    monkeypatch.setattr(weird, "_coverage_counts", counts)
+    c = pinned_repeated_cases()[name]
+    rep = slab_identity_check(c, samples=64, seed=6)
     passed, mismatches, digest = PINNED_REPEATED_SLAB[name]
     assert (rep.passed, len(rep.mismatches)) == (passed, mismatches)
     assert hashlib.sha256(repr(rep).encode()).hexdigest() == digest
+    sides = [sorted(Counter(c.s_offsets).values()), sorted(Counter(c.t_offsets).values())]
+    assert seen == sides * (len(seen) // 2) and [sum(w) for w in sides] == [32, 32]
+    assert [len(w) for w in sides] == ([20, 22] if name == "repeated" else [20, 23])
+
+
+REPEATED = repeated_offsets_construction()
+# coordinates over 24 across the body's bounding box [0, 6] x [0, 15] x [0, 1], and past it
+repeated_coords = st.tuples(*(st.integers(-24, 24 * m + 24) for m in (6, 15, 1)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(repeated_coords)
+def test_weighted_offset_families_count_as_one_family_per_occurrence(nums):
+    # a weight-k record for an offset repeated k times gives the count, and the
+    # boundary hit, of its k weight-1 records
+    x, z = Vec3(*(Fraction(n, 24) for n in nums)), REPEATED.zonotope
+    g = REPEATED.g
+    for offsets in (REPEATED.s_offsets, REPEATED.t_offsets):
+        weighted = tuple(tiling.TranslateFamily(g, u, k) for u, k in Counter(offsets).items())
+        single = tuple(tiling.TranslateFamily(g, u, 1) for u in offsets)
+        try:
+            want = coverage(z, single, x)
+        except BoundaryHit:
+            with pytest.raises(BoundaryHit):
+                coverage(z, weighted, x)
+        else:
+            assert coverage(z, weighted, x) == want
 
 
 # sha256 of repr(irregularity_certificate(c, ap_coloring(200), -50, 50)) on the
