@@ -707,10 +707,6 @@ def slab_choices(draw):
     return lam
 
 
-def family_records(lam):
-    return [(f.shift, f.weight, list(f.counts.items())) for f in translate_families(lam)]
-
-
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(slab_choices())
 @example(SlabChoice(_CUBE_CONSTRUCTION.gamma, _CUBE_CONSTRUCTION.g, (), (), {}))
@@ -718,8 +714,9 @@ def family_records(lam):
 def test_slab_choice_families_match_the_rescanning_oracle(lam):
     # shifts in first-seen order, S before T; weights, count maps and their key order
     want = [(u, w, list(c.items())) for u, w, c in rescanning_families(lam)]
-    assert family_records(lam) == want
-    for f in translate_families(lam):
+    fams = translate_families(lam)
+    assert [(f.shift, f.weight, list(f.counts.items())) for f in fams] == want
+    for f in fams:
         assert f.lattice is lam.gamma and f.cosets is lam.cosets
         assert isinstance(f.counts, MappingProxyType)
 
