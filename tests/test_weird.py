@@ -478,6 +478,40 @@ def test_slab_identity_reports_on_repeated_offsets_are_pinned(name, monkeypatch)
     assert [len(w) for w in sides] == ([20, 22] if name == "repeated" else [20, 23])
 
 
+# sha256 of repr([(counts.tolist(), border.tolist()), ...]) over the calls of
+# weird._coverage_counts, in call order, per pinned slab case: a passing
+# report's digest pins only passed, samples and seed, these pin every count
+PINNED_SLAB_COUNTS = {
+    "cube": "a9feb666b69d086b6596b50c2cd29b5cdbc978fe4435e69c6045d196864489da",
+    "singleton": "c919f932f71218ade255801dadac5a740dcd45ee71a84f193ce421b126881d67",
+    "skew": "34012a30fb468a48c0f3876345a4bedcab3b98269f484fdd14a9809f57ba3918",
+    "window": "ded499a3fcccae91b003d7f440dcf7d03e7e81ac4a90fa7169e33053c6a44b07",
+    "broken": "ef8715861ed5717c4707322ecce0b4eb9e5e6f65e0ef626219e91212b4469b3c",
+    "repeated": "29a3551b7d20396f924cd80ad5db07af2bbba406a75c07fc7d851a3df0e3363f",
+    "moved": "0253e0ae3ff55658f0ed57833572a25749df64473937300f02923e102938b61e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SLAB_COUNTS))
+def test_slab_identity_counts_are_pinned(name, monkeypatch):
+    real, seen = weird._coverage_counts, []
+
+    def counts(z, families, nums, den):
+        got, border = real(z, families, nums, den)
+        seen.append((got.tolist(), border.tolist()))
+        return got, border
+
+    monkeypatch.setattr(weird, "_coverage_counts", counts)
+    if name in PINNED_REPEATED_SLAB:
+        slab_identity_check(pinned_repeated_cases()[name], samples=64, seed=6)
+    else:
+        c, window, seed, samples = pinned_slab_cases()[name]
+        slab_identity_check(c, window=window, samples=samples, seed=seed)
+    # one call per side in the one round: no case draws a boundary sample
+    assert len(seen) == 2
+    assert hashlib.sha256(repr(seen).encode()).hexdigest() == PINNED_SLAB_COUNTS[name]
+
+
 REPEATED = repeated_offsets_construction()
 # coordinates over 24 across the body's bounding box [0, 6] x [0, 15] x [0, 1], and past it
 repeated_coords = st.tuples(*(st.integers(-24, 24 * m + 24) for m in (6, 15, 1)))
