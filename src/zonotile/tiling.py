@@ -8,23 +8,23 @@ lattice with a constant weight per lattice point or a count per coset.
 ``coverage``, ``verify_level``'s integer kernel, ``translate_multiplicity``
 and ``density`` all read them, taking integers from the lattice and the shift.
 
-``_coverage_counts`` counts a batch of points on integers, with one box walk
-per family over the union of the points' boxes and an integer facet
-prefilter; the slab identity check counts a whole sampling round per family
-tuple with it, and ``coverage`` is its one-point call. ``verify_level``
-counts all samples at once on the kernel: in each family's lattice
-coordinates the body's facets become small integer thresholds, so
-membership is exact at any coordinate scale. Samples are kept as their
-62-bit draws, one int64 (N, 3) array, and reach each lattice's coordinates
-by one of two routes. While the window's and the lattice's denominators are
-small (D = w rden < 2^31), the coordinates are split on int64 limbs into an
-integer part and a P-bit fixed-point fraction, with |G_f|_1 2^P < 2^62 for
-the largest facet row G_f, and per family a sample's thresholds are settled
-on int64 unless a coordinate of its fraction lies within about 2^-P of an
-integer or some G_f . fraction within about |G_f|_1 2^-P of one; those rows
-take the exact formula on Python ints. Otherwise, and where facet offsets or
-the coordinates of x - shift reach 2^61, every row of the lattice takes the
-exact formula. No float decides a count.
+Every full-rank multiset is counted by one integer kernel: ``verify_level``
+counts all samples at once, ``coverage`` one point as a width-0 window. In
+each family's lattice coordinates the body's facets become small integer
+thresholds, so membership is exact at any coordinate scale. Samples are
+kept as their 62-bit draws, one int64 (N, 3) array, and reach each
+lattice's coordinates by one of two routes. While the window's and the
+lattice's denominators are small (D = w rden < 2^31), the coordinates are
+split on int64 limbs into an integer part and a P-bit fixed-point fraction,
+with |G_f|_1 2^P < 2^62 for the largest facet row G_f, and per family a
+sample's thresholds are settled on int64 unless a coordinate of its
+fraction lies within about 2^-P of an integer or some G_f . fraction within
+about |G_f|_1 2^-P of one; those rows take the exact formula on Python
+ints. Otherwise, and where facet offsets or the coordinates of x - shift
+reach 2^61, every row of the lattice takes the exact formula. No float
+decides a count. ``_coverage_counts`` counts the slab identity check's
+rank-2 offset records, a sampling round at once, by box walks and an
+integer facet prefilter.
 Points on a contributing translate's boundary raise BoundaryHit in
 ``coverage`` and are resampled by ``verify_level`` and the slab check.
 """
@@ -224,20 +224,16 @@ def density(lam: LatticeUnion | SlabChoice) -> Fraction:
     )
 
 
-def coverage(
-    z: Zonotope, lam: LatticeUnion | SlabChoice | tuple[TranslateFamily, ...], x: Vec3
-) -> int:
+def coverage(z: Zonotope, lam: LatticeUnion | SlabChoice, x: Vec3) -> int:
     """Exact multiplicity sum_t [x in interior(z + t)] over the multiset.
 
-    lam is a multiset or a tuple of family records, over lattices of any
-    rank. The one-point call of ``_coverage_counts``, which counts every
-    sample of a slab check's round at once. Raises BoundaryHit at x when x
-    lies on the boundary of a contributing translate, since interior counts
-    are ill-defined there.
+    The one-point call of ``_kernel_counts``, on the width-0 window at x.
+    Raises BoundaryHit at x when x lies on the boundary of a contributing
+    translate, since interior counts are ill-defined there.
     """
-    families = lam if isinstance(lam, tuple) else translate_families(lam)
     nums, den = int_row(x)
-    counts, border = _coverage_counts(z, families, np.array([nums], dtype=object), den)
+    point = _Draws(np.zeros((1, 3), dtype=np.int64), tuple(nums), (0, 0, 0), den)
+    counts, border = _kernel_counts(z, lam, point)
     if border[0]:
         raise BoundaryHit(x)
     return int(counts[0])
@@ -248,10 +244,10 @@ def _coverage_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact coverage counts at the points nums / den, and a mask of boundary points.
 
-    nums is an (N, 3) object array of Python ints; families are over lattices
-    of any rank. The contract of ``_kernel_counts``: a point on a contributing
-    translate's boundary is marked in the mask and its count means nothing,
-    and a translate of multiplicity 0 marks nothing. With [lo, hi] the body's
+    nums is an (N, 3) object array of Python ints; families are the slab
+    check's records u + G, one per distinct offset u, weighing u's count (>= 1)
+    on its side. A point on a translate's boundary is marked in the mask, and
+    its count means nothing. With [lo, hi] the body's
     bounding box, only a translate t in the closed box [x - hi, x - lo] can
     hold x in z + t, inside or on the boundary. So per family one
     ``lattice_points_in_box`` walk over the union of the points' boxes yields
@@ -277,8 +273,6 @@ def _coverage_counts(
     rhs: dict[int, np.ndarray] = {}
     lo_z, hi_z = z.bounding_box()
     for fam in families:
-        if not (fam.counts or fam.weight):
-            continue
         live = np.flatnonzero(~border)
         stack = [live] if len(live) else []
         while stack:
@@ -308,12 +302,6 @@ def _coverage_counts(
                 si.append(rows[s + c0])
                 tj.append(j)
             si, tj = np.concatenate(si), np.concatenate(tj)
-            if fam.counts:
-                keys, inverse = np.unique(tj, return_inverse=True)
-                m = np.array([fam.count_at(triples[j], dt) for j in keys], dtype=np.int64)[inverse]
-                si, tj, m = si[m > 0], tj[m > 0], m[m > 0]
-            else:
-                m = np.full(len(si), fam.weight, dtype=np.int64)
             diffs = [
                 Vec3.from_ints(x0 * dt - t0 * den, x1 * dt - t1 * den, x2 * dt - t2 * den, den * dt)
                 for (x0, x1, x2), (t0, t1, t2) in zip(nums[si], t[tj])
@@ -324,10 +312,10 @@ def _coverage_counts(
                 except BoundaryHit as hit:
                     keep = si != si[diffs.index(hit.point)]
                     border[si[~keep]] = True
-                    si, m = si[keep], m[keep]
+                    si = si[keep]
                     diffs = [d for d, k in zip(diffs, keep) if k]
                     continue
-                np.add.at(counts, si[inside], m[inside])
+                np.add.at(counts, si[inside], fam.weight)
                 break
     return counts, border
 

@@ -99,8 +99,6 @@ def test_coverage_boundary_raises(cube, z3_union):
     with pytest.raises(BoundaryHit) as hit:
         coverage(cube, z3_union, x)
     assert hit.value.point == x
-    # a family record of weight 0 contributes no translate, so no boundary
-    assert coverage(cube, (tiling.TranslateFamily(z3(), ZERO, 0),), x) == 0
 
 
 TWO_Z3 = lattice_from_vectors([E1 * 2, E2 * 2, E3 * 2])
@@ -123,10 +121,14 @@ SKEW_PLANE = lattice_from_vectors([Vec3(1, 1, 0), Vec3(1, -1, 0)])
 )
 def test_coverage_boundary_raises_for_translates_on_the_closed_box(cube, lat, x):
     # the translates z + t holding x on their boundary have t on the boundary
-    # of the box [x - 1, x] that coverage enumerates; an open box would miss them
-    with pytest.raises(BoundaryHit) as hit:
-        coverage(cube, (tiling.TranslateFamily(lat, ZERO, 1),), x)
-    assert hit.value.point == x
+    # of the box [x - 1, x] that the box walk enumerates; an open box would miss them
+    _, border = coverage_counts(cube, (tiling.TranslateFamily(lat, ZERO, 1),), [x])
+    assert border.tolist() == [True]
+    if lat.rank == 3:
+        # the kernel flags x on the same translates
+        with pytest.raises(BoundaryHit) as hit:
+            coverage(cube, LatticeUnion((LatticeComponent(lat, ZERO),)), x)
+        assert hit.value.point == x
 
 
 def test_coverage_translation_equivariance(cube):
@@ -231,10 +233,14 @@ def test_kernel_refuses_offset_box_above_limit(z3_union):
     size = offsets(side)
     assert tiling._KERNEL_LIMIT < size < 1.1 * tiling._KERNEL_LIMIT
     big = Zonotope((E1 * side, E2 * side, E3 * side))
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match=f"spans {size} lattice offsets"):
-        verify_level(big, z3_union, W6, samples=1)
-    assert time.perf_counter() - start < 1
+    for call in (
+        lambda: verify_level(big, z3_union, W6, samples=1),
+        lambda: coverage(big, z3_union, Vec3(HALF, HALF, HALF)),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"spans {size} lattice offsets"):
+            call()
+        assert time.perf_counter() - start < 1
 
 
 def test_kernel_offset_bound_is_inclusive(z3_union, monkeypatch):
@@ -271,7 +277,7 @@ def test_batch_counts_agree_with_single_point_coverage(cube):
         got, border = kernel_counts(cube, lam, xs)
         assert not border.any()
         for x, c in zip(xs, got):
-            assert c == coverage(cube, lam, x)
+            assert brute_coverage(cube, translate_families(lam), x) == (c, False)
 
 
 def test_batch_counts_flags_boundary_points(cube, z3_union):
@@ -308,7 +314,7 @@ def test_verify_level_gap_detection(cube):
     assert rep.density_consistent is None
     # every violation point records its observed multiplicity
     for p, c in rep.violations:
-        assert coverage(cube, sparse, p) == c
+        assert brute_coverage(cube, translate_families(sparse), p) == (c, False)
 
 
 def test_verify_level_density_mismatch_in_small_window(cube):
@@ -436,7 +442,7 @@ def test_verify_level_caps_boundary_resamples(cube, z3_union, monkeypatch):
         verify_level(cube, z3_union, (Vec3(0, 0, 0), Vec3(1, 1, 1)), samples=20)
 
 
-# -- property: kernel counts against single-point exact coverage -------------
+# -- property: kernel counts against the brute-force oracle ------------------
 
 small_rat = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 7]))
 rat_vec = st.builds(Vec3, small_rat, small_rat, small_rat)
@@ -445,22 +451,20 @@ points = st.lists(rat_vec, min_size=1, max_size=8)
 generators = st.lists(int_vec, min_size=3, max_size=4).filter(lambda g: rank_of(g) == 3)
 
 
-def assert_kernel_matches_coverage(z, lam, xs):
+def assert_kernel_matches_brute_force(z, lam, xs):
     got, border = kernel_counts(z, lam, xs)
     for i, x in enumerate(xs):
-        try:
-            want = coverage(z, lam, x)
-        except BoundaryHit:
-            assert border[i]
-        else:
-            assert not border[i] and got[i] == want
+        want, on_border = brute_coverage(z, translate_families(lam), x)
+        assert bool(border[i]) == on_border
+        if not on_border:
+            assert got[i] == want
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(gens=generators, offset=rat_vec, xs=points)
 def test_kernel_matches_coverage_own_lattice(gens, offset, xs):
     lam = LatticeUnion((LatticeComponent(lattice_from_vectors(gens), offset),))
-    assert_kernel_matches_coverage(Zonotope(gens), lam, xs)
+    assert_kernel_matches_brute_force(Zonotope(gens), lam, xs)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -472,7 +476,7 @@ def test_kernel_matches_coverage_two_component_union(gens, a, b, weight, xs):
             LatticeComponent(lattice_from_vectors([E1 * 2, E2 + E3 * THIRD, E3]), b, weight),
         )
     )
-    assert_kernel_matches_coverage(Zonotope(gens), lam, xs)
+    assert_kernel_matches_brute_force(Zonotope(gens), lam, xs)
 
 
 _CUBE_CONSTRUCTION = build_construction(Zonotope((E1, E2, E3)))
@@ -491,7 +495,7 @@ def test_kernel_matches_coverage_slab_choice(choice, families, xs):
     if families is not None:
         s_off, t_off = tuple(families[:2]), tuple(families[2:])
         lam = SlabChoice(lam.gamma, lam.sub, s_off, t_off, choice)
-    assert_kernel_matches_coverage(_CUBE_CONSTRUCTION.zonotope, lam, xs)
+    assert_kernel_matches_brute_force(_CUBE_CONSTRUCTION.zonotope, lam, xs)
 
 
 # -- property: batched coverage counts against a brute-force oracle ----------
@@ -503,8 +507,22 @@ def coverage_counts(z, families, xs):
     return tiling._coverage_counts(z, families, np.array(nums, dtype=object), den)
 
 
+def coverage_at(z, lam, xs):
+    """``coverage`` at each point, as counts and a boundary mask."""
+    got, border = [], []
+    for x in xs:
+        try:
+            got.append(coverage(z, lam, x))
+        except BoundaryHit as hit:
+            assert hit.point == x
+            got.append(None)
+        border.append(got[-1] is None)
+    return got, border
+
+
 def oracle_cases():
-    """Per case, a map from a shift b to (body, family records), every family moved by b."""
+    """Per case, a map from a shift b to (body, multiset), every family moved by
+    b: a tuple of the slab check's rank-2 records, or a full-rank multiset."""
     cube = Zonotope((E1, E2, E3))
     con = construction_from_indices(cube, [0, 1], coefficients=(HALF, HALF))
     skew = build_construction(Zonotope((Vec3(1, 1, 0), Vec3(1, -1, 0), E3, Vec3(1, 0, 1))))
@@ -520,7 +538,7 @@ def oracle_cases():
                 LatticeComponent(lattice_from_vectors([E1 * 2, E2 + E3 * THIRD, E3]), b, 3),
             )
         )
-        return Zonotope((E1, E2, E3, Vec3(1, 1, 1))), translate_families(lam)
+        return Zonotope((E1, E2, E3, Vec3(1, 1, 1))), lam
 
     def choice(b):
         # cosets chosen T give the S offsets' families a count of 0 there; the
@@ -529,9 +547,8 @@ def oracle_cases():
         t_off = (Vec3(HALF, HALF, 0), Vec3(Fraction(1, 4), Fraction(3, 4), 0))
         moved = [tuple(u + b for u in f) for f in (s_off, t_off)]
         lam = SlabChoice(con.gamma, con.g, *moved, {0: "T", 1: "T", -2: "T"})
-        families = translate_families(lam)
-        assert any(0 in f.counts.values() for f in families)
-        return cube, families
+        assert any(0 in f.counts.values() for f in translate_families(lam))
+        return cube, lam
 
     return {
         "cube S": slab(con, con.s_offsets),
@@ -556,11 +573,17 @@ FAR = 10**25
 @example(case="cube S", far=FAR, xs=[Vec3(HALF, HALF, 0), Vec3(THIRD, HALF, HALF)])
 # on a facet of a translate of count 0 only, and on one of count 1
 @example(case="choice", far=0, xs=[Vec3(0, Fraction(1, 12), HALF), Vec3(THIRD, 0, HALF)])
+@example(case="choice", far=FAR, xs=[Vec3(0, Fraction(1, 12), HALF), Vec3(THIRD, 0, HALF)])
+@example(case="union", far=FAR, xs=[Vec3(THIRD, HALF, HALF), Vec3(HALF, THIRD, Fraction(1, 5))])
 def test_coverage_counts_match_brute_force(case, far, xs):
+    # the slab check's records on _coverage_counts, full-rank multisets on coverage
     b = Vec3(far, -far, far)
-    z, families = ORACLE_CASES[case](b)
+    z, lam = ORACLE_CASES[case](b)
     xs = [x + b for x in xs]
-    got, border = coverage_counts(z, families, xs)
+    if isinstance(lam, tuple):
+        families, (got, border) = lam, coverage_counts(z, lam, xs)
+    else:
+        families, (got, border) = translate_families(lam), coverage_at(z, lam, xs)
     for i, x in enumerate(xs):
         want, on_border = brute_coverage(z, families, x)
         assert bool(border[i]) == on_border
@@ -580,8 +603,8 @@ def test_coverage_counts_flag_only_the_facet_point(cube):
     xs[17] = Vec3(4 * THIRD, xs[17].y, xs[17].z)
     got, border = coverage_counts(cube, translate_families(lam), xs)
     assert np.flatnonzero(border).tolist() == [17]
-    assert [int(c) for i, c in enumerate(got) if i != 17] == [
-        coverage(cube, lam, x) for i, x in enumerate(xs) if i != 17
+    assert [(int(c), False) for i, c in enumerate(got) if i != 17] == [
+        brute_coverage(cube, translate_families(lam), x) for i, x in enumerate(xs) if i != 17
     ]
     with pytest.raises(BoundaryHit):
         coverage(cube, lam, xs[17])
@@ -980,7 +1003,7 @@ def test_kernel_near_1e25_takes_the_exact_path(cube, monkeypatch):
         for _ in range(60)
     ]
     seen = exact_rows_spy(monkeypatch)
-    assert_kernel_matches_coverage(cube, lam, xs)
+    assert_kernel_matches_brute_force(cube, lam, xs)
     assert seen == {"exact": [len(xs), len(xs)], "settle": 0}
     assert kernel_counts(cube, lam, xs)[1].any()
 
@@ -996,7 +1019,7 @@ def test_kernel_on_facet_points_takes_fallback_rows(cube, monkeypatch):
     ]
     on_facets = [Vec3(Fraction(3 * rng.randint(-3, 3) + 1, 3), p.y, p.z) for p in generic[:10]]
     seen = exact_rows_spy(monkeypatch)
-    assert_kernel_matches_coverage(cube, lam, generic + on_facets)
+    assert_kernel_matches_brute_force(cube, lam, generic + on_facets)
     assert seen["settle"] == 2
     assert seen["exact"] == [10]  # the Z^3 family settles every row
     got, border = kernel_counts(cube, lam, generic + on_facets)
