@@ -1,4 +1,5 @@
 """Leg-measure Fourier transforms, zero sets, and the support-bound check."""
+import hashlib
 import math
 import random
 import time
@@ -507,3 +508,80 @@ def test_support_bound_matches_reference_with_violations_and_cancellation(rd4):
     rep = support_bound_check(rd4, lam, Fraction(5, 2))
     assert rep.violations and rep.cancelled
     assert rep == reference_support_check(rd4, lam, Fraction(5, 2))
+
+
+# -- pinned support reports ---------------------------------------------------
+
+
+def seeded_cube_union(seed):
+    """Three components on diag(1/m) for the moduli (1,1,1), (1,1,2), (1,2,2),
+    each permuted, with a seeded rational offset and weight 1 or 2."""
+    rng = random.Random(seed)
+    comps = []
+    for m in ((1, 1, 1), (1, 1, 2), (1, 2, 2)):
+        perm = list(m)
+        rng.shuffle(perm)
+        offset = Vec3(*(Fraction(rng.randint(0, 5), rng.randint(1, 6)) for _ in range(3)))
+        lat = Lattice((E1 * Fraction(1, perm[0]), E2 * Fraction(1, perm[1]), E3 * Fraction(1, perm[2])))
+        comps.append(LatticeComponent(lat, offset, rng.randint(1, 2)))
+    return LatticeUnion(tuple(comps))
+
+
+def pinned_support_cases():
+    """name -> (body, union, radius) for the pinned support reports."""
+    cube, rd4 = Zonotope((E1, E2, E3)), Zonotope((E1, E2, E3, Vec3(1, 1, 1)))
+    z3 = lattice_from_vectors([E1, E2, E3])
+    half = Fraction(1, 2)
+    cancel = LatticeUnion((LatticeComponent(z3, ZERO), LatticeComponent(z3, Vec3(half, half, half))))
+    sparse = Lattice((E1 * 2, E2 * 2 + E3 * Fraction(2, 3), E3 * 2))
+    rd4_union = LatticeUnion(
+        (
+            LatticeComponent(sparse, Vec3(Fraction(1, 3), 0, half)),
+            LatticeComponent(sparse, Vec3(Fraction(4, 3), 0, half), 1),
+            LatticeComponent(lattice_from_vectors([E1, E2 + E1 * half, E3 * 3]), ZERO, 2),
+        )
+    )
+    # a sheared basis mixed by a unimodular step, with a copy half a period along b1
+    skew = Lattice((Vec3(1, half, Fraction(-1, 3)), Vec3(1, 2, 0), Vec3(0, Fraction(2, 3), Fraction(3, 2))))
+    off = Vec3(Fraction(1, 5), Fraction(-2, 3), half)
+    skewed = LatticeUnion(
+        (LatticeComponent(skew, off), LatticeComponent(skew, off + skew.basis[0] * half))
+    )
+    big = 10**25
+    far = LatticeUnion(
+        (
+            LatticeComponent(z3, Vec3(Fraction(big, 3), Fraction(2, 7), Fraction(-big, 7))),
+            # half a period past the first along E1, a big step away: cancels where xi_x is odd
+            LatticeComponent(z3, Vec3(Fraction(4 * big + 3, 6), Fraction(2, 7) - big, Fraction(-big, 7))),
+            LatticeComponent(lattice_from_vectors([E1 * 2, E2, E3]), Vec3(Fraction(big, 7), 0, half), 2),
+        )
+    )
+    return {
+        "cancel": (cube, cancel, 5),
+        **{f"seeded{s}": (cube, seeded_cube_union(s), 3) for s in (7, 11, 18)},
+        "rd4": (rd4, rd4_union, Fraction(5, 2)),
+        "skewed": (rd4, skewed, Fraction(7, 3)),
+        "far25": (cube, far, 3),
+    }
+
+
+# sha256 of repr(support_bound_check(z, lam, radius)) per case, from the check
+# that walked each dual box in Python and keyed its frequencies by dicts
+PINNED_SUPPORT = {
+    "cancel": (True, 0, 266, "7b004f4fbc48807fb5c385f9b49e3bf04514660e420c5c7fd3f9645c57193b75"),
+    "far25": (True, 0, 4, "a92d723e35106dc6a0d279e62d68bc02483d4d9a5a006e3b560363cf8086570c"),
+    "rd4": (False, 274, 246, "6d5126afe4b1935933c586bcb677f6647b5e5e604fc78038281d098d03d54c7b"),
+    "seeded11": (True, 0, 6, "760e1cce14adccf307e5a545dd5f4b6afac24088f5e58cabd8d191927dc4ad7e"),
+    "seeded18": (True, 0, 4, "0d407cd79a95dab17449b610dcd8200cd25622d4c6157bf52de33124730e3193"),
+    "seeded7": (True, 0, 24, "21396611058789a876d6fafd2d01ce4ffedb6c7cf95ce39964469b6b67b968bc"),
+    "skewed": (False, 54, 54, "607810cbf1dc2e052d9b730ea1c7731f8b2d4af0368f51b2dda26ac3caa100d1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SUPPORT))
+def test_support_reports_are_pinned(name):
+    z, lam, radius = pinned_support_cases()[name]
+    rep = support_bound_check(z, lam, radius)
+    holds, violations, cancelled, digest = PINNED_SUPPORT[name]
+    assert (rep.holds, len(rep.violations), len(rep.cancelled)) == (holds, violations, cancelled)
+    assert hashlib.sha256(repr(rep).encode()).hexdigest() == digest
