@@ -6,9 +6,11 @@ spectral candidate scan and translate multiplicities read those integers.
 ``lattice_points_in_box`` returns exactly the lattice points in a closed box:
 which points lie inside is decided on integers, line by line, and a ``Vec3``
 is built straight from its numerators only for a point inside.
-``box_point_ints`` keeps the whole coordinate parallelepiped, which the
-spectral scan filters by a ball, and ``box_count`` sizes it before anything
-is built.
+``box_point_ints`` keeps the whole coordinate parallelepiped as one (N, 3)
+numerator array, broadcast from the coordinate ranges against the basis, which
+the spectral scan filters by a ball; it is int64 while the ranges' ends bound
+every numerator below ``_INT64_SAFE`` and holds Python ints past that.
+``box_count`` sizes it before anything is built.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from .linalg import (
     rank_of,
     smith_normal_form,
 )
+
+# integer arrays stay int64 while every entry is below this in size
+_INT64_SAFE = 2**62
 
 
 class Lattice:
@@ -187,7 +192,7 @@ class CosetEnumeration:
             y0, y1, y2 = (r0 * c0 + r1 * c1 + r2 * c2 for r0, r1, r2 in self._u)
             return y2 * self.torsion_order + (y0 % d1) * d2 + y1 % d2
         a = x
-        if a.dtype != object and int(np.abs(a).max(initial=0)) * self._bound >= 2**62:
+        if a.dtype != object and int(np.abs(a).max(initial=0)) * self._bound >= _INT64_SAFE:
             a = a.astype(object)  # int64 could overflow: use Python ints
         y = a @ np.array(self._u, dtype=a.dtype).T
         return y[:, 2] * self.torsion_order + (y[:, 0] % d1) * d2 + y[:, 1] % d2
@@ -243,14 +248,6 @@ def _scaled(lat: Lattice, box: tuple) -> tuple[Sequence[tuple[int, ...]], tuple[
     return basis, (s0 * ss, s1 * ss, s2 * ss), den
 
 
-def _grid(start: tuple[int, int, int], ranges, basis) -> list[tuple[int, int, int]]:
-    """start + sum k_i b_i over the ranges, nested loops, the last k fastest."""
-    pts = [start]
-    for ks, (b0, b1, b2) in zip(ranges, basis):
-        pts = [(x + k * b0, y + k * b1, z + k * b2) for x, y, z in pts for k in ks]
-    return pts
-
-
 def box_ranges(lat: Lattice, shift: Vec3, lo: Vec3, hi: Vec3) -> list[range]:
     """For each basis coordinate, the integers it takes on x - shift over the box.
 
@@ -270,18 +267,31 @@ def box_count(lat: Lattice, shift: Vec3, lo: Vec3, hi: Vec3) -> int:
     return math.prod(max(0, r.stop - r.start) for r in box_ranges(lat, shift, lo, hi))
 
 
-def box_point_ints(
-    lat: Lattice, shift: Vec3, lo: Vec3, hi: Vec3
-) -> tuple[list[tuple[int, int, int]], int]:
-    """(numerator triples, den): the points shift + sum k_i b_i over ``box_ranges``.
+def box_point_ints(lat: Lattice, shift: Vec3, lo: Vec3, hi: Vec3) -> tuple[np.ndarray, int]:
+    """(points, den): the points shift + sum k_i b_i over ``box_ranges``, as an
+    (N, 3) array of numerators over den.
 
     The whole coordinate parallelepiped, which holds every point of shift + lat
     in the box and, on a skewed basis, many outside it. Ordered like nested
-    loops over k_1, k_2, k_3, the last coordinate fastest.
+    loops over k_1, k_2, k_3, the last coordinate fastest: each range is
+    broadcast against its basis row. The array is int64 when the ranges' ends
+    bound every numerator below _INT64_SAFE, checked before it is built, and
+    holds Python ints otherwise.
     """
     box = _box_ints(shift, lo, hi)
     basis, start, den = _scaled(lat, box)
-    return _grid(start, _coord_ranges(lat, box, lat.rank), basis), den
+    ranges = _coord_ranges(lat, box, lat.rank)
+    ends = [max(1, abs(r.start), abs(r.stop - 1)) for r in ranges]
+    wide = any(
+        abs(s) + sum(k * abs(b[j]) for k, b in zip(ends, basis)) >= _INT64_SAFE
+        for j, s in enumerate(start)
+    )
+    dtype = object if wide else np.int64
+    pts = np.array([start], dtype=dtype)
+    for ks, b in zip(ranges, basis):
+        k = np.array(ks, dtype=object) if wide else np.arange(ks.start, ks.stop)
+        pts = (pts[:, None, :] + k[:, None] * np.array(b, dtype=dtype)).reshape(-1, 3)
+    return pts, den
 
 
 def lattice_points_in_box(
@@ -303,7 +313,9 @@ def lattice_points_in_box(
     *_, l, h, wden = box
     basis, start, den = _scaled(lat, box)
     *outer, last = basis[: lat.rank]
-    lines = _grid(start, _coord_ranges(lat, box, lat.rank - 1), outer)
+    lines = [start]
+    for ks, (b0, b1, b2) in zip(_coord_ranges(lat, box, lat.rank - 1), outer):
+        lines = [(x + k * b0, y + k * b1, z + k * b2) for x, y, z in lines for k in ks]
     # p + k c in the box on axis j, over den * wden: l_j den <= (p_j + k c_j) wden <= h_j den
     # moving: (j, c_j wden, e, f), the box ends in the order a rising k meets them;
     # fixed: (j, l_j den, h_j den), for the axes with c_j = 0

@@ -12,8 +12,14 @@ cancellation is never a floating-point judgement call.
 Both run on integers: a frequency is an integer triple over one denominator,
 the dual lattices and the frames carry their vectors cleared to integers, and
 every pairing (ball, zero-set planes, phase numerators) is an integer dot
-product; dual membership is read off the dual box walks. ``Fraction`` values
-appear only as the root-of-unity phases and in the reported frequencies.
+product. The support check holds the frequencies as rows of one array, from
+the dual box parallelepipeds of ``box_point_ints``, and takes each pairing as
+one matrix product: on int64 while a bound checked up front keeps every
+product below ``_INT64_SAFE``, on Python ints otherwise. It groups rows by a
+stable lexsort in first-seen order, reduces each distinct cancellation key
+once and asks ``zero_set_member``, the one statement of the zero-set rule,
+once per residue class of the frame pairings. ``Fraction`` values appear only
+as the root-of-unity phases and in the reported frequencies.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .lattices import box_count, box_point_ints, dual_lattice, lattice_points_in_box
+from .lattices import _INT64_SAFE, box_count, box_point_ints, dual_lattice, lattice_points_in_box
 from .linalg import VEC_ZERO, Vec3, int_row, rat
 from .tiling import LatticeUnion
 from .zonotope import Frame, Zonotope
@@ -241,6 +247,27 @@ class SupportReport:
     holds: bool
 
 
+def _first_seen_groups(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, labels) for the distinct rows of the (N, k) array a.
+
+    first[g] is the index of group g's first row and labels[n] the group of
+    row n, the groups numbered in the order their first rows appear. The
+    lexsort is stable, so each run of equal rows starts at its first row; it
+    sorts int64 and object arrays alike.
+    """
+    order = np.lexsort(a.T[::-1])
+    s = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = (s[1:] != s[:-1]).any(axis=1)
+    heads = order[new]
+    by_first = np.argsort(heads)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    labels = np.empty(len(a), dtype=np.intp)
+    labels[order] = rank[np.cumsum(new) - 1]
+    return heads[by_first], labels
+
+
 def support_bound_check(z: Zonotope, lam: LatticeUnion, radius) -> SupportReport:
     """Verify the spectrum of a periodic translate set obeys the frame bound.
 
@@ -250,20 +277,27 @@ def support_bound_check(z: Zonotope, lam: LatticeUnion, radius) -> SupportReport
     the transform zero set of every frame. Frequencies whose weights cancel
     exactly are exempt and reported separately.
 
-    Frequencies are integer triples X over one denominator q, xi = X / q: the
-    ball test and the phase numerators <offset, xi> are integer dot products.
-    Each component's dual box walk yields every point of its dual lattice in
-    the cube [-r, r]^3, which holds the ball, exactly once, so xi is in that
-    dual exactly when that walk yields it. The dual box points are counted
-    before any is built: at most _CANDIDATE_LIMIT.
+    Frequencies are integer triples X over one denominator q, xi = X / q, held
+    as rows of one array: the ball test, the phase numerators <offset, xi> and
+    the frame pairings are integer matrix products. Each component's dual box
+    parallelepiped holds every point of its dual lattice in the cube
+    [-r, r]^3, which holds the ball, exactly once, so xi is in that dual
+    exactly when that box yields it. The dual box points are counted before
+    any is built: at most _CANDIDATE_LIMIT. The arrays are int64 when the
+    largest box numerator bounds every product below _INT64_SAFE, checked
+    before any product, and hold Python ints otherwise.
 
-    A frequency's weight depends only on its cancellation key: the pairs
-    (component index, phase numerator mod that component's denominator) over
-    the components whose dual lattice holds it. Within one call each distinct
-    key is reduced once, by rou_sum_is_zero, and its verdict is kept in a dict
-    that lives only for that call. rou_sum_is_zero raises ValueError when a
-    key's phases need more than _PHASE_WORK_LIMIT reduction steps: offsets
-    with a denominator past about 2^20, or one with many divisors (30030).
+    Rows are grouped by a stable lexsort, in first-seen order, so the reports
+    keep the order of the component-by-component scan. A frequency's weight
+    depends only on its cancellation key: the pairs (component index, phase
+    numerator mod that component's denominator) over the components whose
+    dual lattice holds it. Each distinct key of a nonzero frequency is reduced
+    once, by rou_sum_is_zero, which raises ValueError when a key's phases need
+    more than _PHASE_WORK_LIMIT reduction steps: offsets with a denominator
+    past about 2^20, or one with many divisors (30030). Zero-set membership
+    depends only on <X, v> mod q den for each frame vector v over its
+    denominator den, and on whether <X, e> is zero, so zero_set_member decides
+    one representative of each such residue class.
     """
     if not isinstance(lam, LatticeUnion):
         raise ValueError("periodic description required")
@@ -279,38 +313,64 @@ def support_bound_check(z: Zonotope, lam: LatticeUnion, radius) -> SupportReport
     # |X|^2 / q^2 <= r^2, cleared of denominators
     ball = (r.numerator * q) ** 2
     rd2 = r.denominator**2
-    # ball point -> its key, built component by component, in first-seen order
-    keys: dict[tuple[int, int, int], tuple[tuple[int, int], ...]] = {}
-    # per component: weight / covolume and the offset's q-scaled denominator
-    comps = []
-    for i, ((pts, den), c) in enumerate(zip(boxes, lam.components)):
-        s = q // den
-        (o0, o1, o2), oden = int_row(c.offset)
-        oq = oden * q
-        comps.append((Fraction(c.weight) / c.lattice.covolume(), oq))
-        for x, y, w in pts:
-            if (x * x + y * y + w * w) * s * s * rd2 <= ball:
-                p = (x * s, y * s, w * s)
-                keys[p] = keys.get(p, ()) + ((i, (o0 * p[0] + o1 * p[1] + o2 * p[2]) % oq),)
+    offsets = [int_row(c.offset) for c in lam.components]
+    oqs = [oden * q for _, oden in offsets]
     frames = z.frames()
-    violations: list[Vec3] = []
-    cancelled: list[Vec3] = []
-    verdicts: dict[tuple[tuple[int, int], ...], bool] = {}
-    for (x, y, w), key in keys.items():
-        if not (x or y or w):
-            continue  # the weights are positive, so the zero frequency never cancels
-        zero = verdicts.get(key)
-        if zero is None:
-            zero = verdicts[key] = rou_sum_is_zero(
-                [(comps[i][0], Fraction(n, comps[i][1])) for i, n in key]
+    ints = [fr.vector_ints() for fr in frames]
+    # rows e, tau1, tau2 of every frame, and the modulus q den of each row
+    vecs = [c[i : i + 3] for c, _ in ints for i in (0, 3, 6)]
+    mods = [q * den for _, den in ints for _ in range(3)]
+    # every entry of X, and q, is at most xmax in size, so each product below is
+    # at most xmax |v|_1 for v an offset or frame row
+    xmax = max(q, *(int(np.abs(pts).max(initial=0)) * (q // den) for pts, den in boxes))
+    vmax = max(sum(map(abs, v)) for v in [o for o, _ in offsets] + vecs)
+    wide = max(3 * xmax * xmax * rd2, ball, xmax * vmax, *oqs, *mods) >= _INT64_SAFE
+    dtype = object if wide else np.int64
+    # each component's ball points in box order, and their phase numerators
+    rows, phase = [], []
+    for (pts, den), (o, _), oq in zip(boxes, offsets, oqs):
+        pts, s = pts.astype(dtype), q // den
+        x = pts[(pts * pts).sum(axis=1) * (s * s * rd2) <= ball] * s
+        rows.append(x)
+        phase.append(x @ np.array(o, dtype=dtype) % oq)
+    points = np.concatenate(rows)
+    first, labels = _first_seen_groups(points)
+    freqs = points[first]
+    # key row of each distinct frequency: its phase numerator per component, -1 off its dual
+    keys = np.full((len(freqs), len(rows)), -1, dtype=dtype)
+    keys[labels, np.repeat(np.arange(len(rows)), [len(x) for x in rows])] = np.concatenate(phase)
+    # the weights are positive, so the zero frequency never cancels
+    nonzero = np.flatnonzero((freqs != 0).any(axis=1))
+    kfirst, klabels = _first_seen_groups(keys[nonzero])
+    weights = [Fraction(c.weight) / c.lattice.covolume() for c in lam.components]
+    zero = np.array(
+        [
+            rou_sum_is_zero(
+                [(w, Fraction(n, oq)) for w, n, oq in zip(weights, key, oqs) if n >= 0]
             )
-        xi = Vec3.from_ints(x, y, w, q)
-        if zero:
-            cancelled.append(xi)
-        elif not all(zero_set_member(fr, xi) for fr in frames):
-            violations.append(xi)
+            for key in keys[nonzero[kfirst]].tolist()
+        ],
+        dtype=bool,
+    )[klabels]
+    cancelled = nonzero[zero]
+    rest = nonzero[~zero]
+    pairs = freqs[rest] @ np.array(vecs, dtype=dtype).T
+    classes = np.concatenate([pairs % np.array(mods, dtype=dtype), pairs[:, ::3] != 0], axis=1)
+    cfirst, clabels = _first_seen_groups(classes)
+    member = np.array(
+        [
+            all(zero_set_member(fr, Vec3.from_ints(*x, q)) for fr in frames)
+            for x in freqs[rest[cfirst]].tolist()
+        ],
+        dtype=bool,
+    )[clabels]
+    violations = rest[~member]
     return SupportReport(
-        r, len(keys), tuple(violations), tuple(cancelled), not violations
+        r,
+        len(freqs),
+        tuple(Vec3.from_ints(*x, q) for x in freqs[violations].tolist()),
+        tuple(Vec3.from_ints(*x, q) for x in freqs[cancelled].tolist()),
+        not len(violations),
     )
 
 

@@ -44,7 +44,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .lattices import CosetEnumeration, Lattice, box_count, lattice_points_in_box
+from .lattices import _INT64_SAFE, CosetEnumeration, Lattice, box_count, lattice_points_in_box
 from .linalg import Vec3, int_row, int_triples
 from .zonotope import BoundaryHit, Zonotope
 
@@ -60,8 +60,6 @@ __all__ = [
     "verify_level",
 ]
 
-# kernel arrays stay int64 while every entry is below this
-_INT64_SAFE = 2**62
 # the int64 step runs while integer parts and h_f stay below this, so fl and q fit
 _PART_SAFE = 2**61
 # draws take the int64 limb step while D = w rden and every |M_ij| stay below these

@@ -248,7 +248,20 @@ def test_box_enumeration_matches_corner_ranges(case):
     count = box_count(lat, shift, lo, hi)
     assert count == np.prod([len(r) for r in ranges]) >= len(got)
     pts, den = box_point_ints(lat, shift, lo, hi)
-    assert [Vec3.from_ints(*t, den) for t in pts] == parallelepiped
+    assert pts.dtype == np.int64
+    assert [Vec3.from_ints(*t, den) for t in pts.tolist()] == parallelepiped
+
+
+@pytest.mark.parametrize("scale", [1, 2**61, 10**25])
+def test_box_point_ints_holds_python_ints_past_int64(scale):
+    # a shift and box near scale: past 2^62 the numerators leave int64
+    lat = Lattice((Vec3(1, Fraction(1, 2), Fraction(-1, 3)), Vec3(1, 2, 0), Vec3(0, Fraction(2, 3), 3)))
+    shift = Vec3(Fraction(scale, 7), Fraction(-scale, 3), Fraction(1, 5))
+    lo = shift + Vec3(-2, Fraction(-3, 2), -1)
+    hi = shift + Vec3(Fraction(5, 2), 1, 2)
+    pts, den = box_point_ints(lat, shift, lo, hi)
+    assert pts.dtype == (np.int64 if scale == 1 else object)
+    assert [Vec3.from_ints(*t, den) for t in pts.tolist()] == corner_box_points(lat, shift, lo, hi)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)

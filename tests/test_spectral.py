@@ -247,6 +247,10 @@ def test_rou_sum_decides_a_prime_denominator_past_4096():
     assert not rou_sum_is_zero([(Fraction(1), Fraction(1, q)), (Fraction(1), Fraction(2, q))])
 
 
+def ball_vecs(radius):
+    return [Vec3(a, b, c) for a, b, c in ball_points(radius)]
+
+
 def ball_points(radius):
     r = int(radius)
     return [
@@ -508,6 +512,75 @@ def test_support_bound_matches_reference_with_violations_and_cancellation(rd4):
     rep = support_bound_check(rd4, lam, Fraction(5, 2))
     assert rep.violations and rep.cancelled
     assert rep == reference_support_check(rd4, lam, Fraction(5, 2))
+
+
+def test_support_bound_matches_reference_past_int64(monkeypatch):
+    # offsets near 1e25 put the phase numerators past 2^62; a generator past
+    # 2^41 against a dual of denominator 3 * 2^20 puts the frame pairings there
+    dtypes = []
+
+    def recording(a):
+        dtypes.append(a.dtype)
+        return grouping(a)
+
+    grouping = spectral._first_seen_groups
+    monkeypatch.setattr(spectral, "_first_seen_groups", recording)
+    cancel, far = (pinned_support_cases()[k] for k in ("cancel", "far25"))
+    support_bound_check(*cancel)
+    assert dtypes == [np.int64] * 3
+    p = 3 * 2**20
+    lat = Lattice((E1, E2 + E1 * Fraction(1, p), E3))
+    body = Zonotope((E1, E2, E3, Vec3(2**41, 3, 1)))
+    half = Fraction(1, 2)
+    lam = LatticeUnion((LatticeComponent(lat, ZERO), LatticeComponent(lat, Vec3(Fraction(1, 3), 0, half))))
+    # xi = 2 (1, -1/p, 0) lies in the dual: 2p 2^41 = 3 2^62 over the denominator p
+    assert dual_lattice(lat).contains(Vec3(2, Fraction(-2, p), 0))
+    for z, lam, radius in (far, (body, lam, 2)):
+        dtypes.clear()
+        rep = support_bound_check(z, lam, radius)
+        assert dtypes == [object] * 3
+        assert rep == reference_support_check(z, lam, radius)
+    assert rep.violations and rep.cancelled
+
+
+def test_support_bound_tests_each_frame_class_once(cube, monkeypatch):
+    # membership depends only on the frame pairings mod 1 and on <xi, e> != 0;
+    # no frame is asked twice about frequencies that agree on every frame
+    z, lam, radius = pinned_support_cases()["cancel"]
+    frames = z.frames()
+
+    def residues(xi):
+        return tuple((xi.dot(v) % 1 for fr in frames for v in (fr.e, fr.tau1, fr.tau2))) + tuple(
+            xi.dot(fr.e) != 0 for fr in frames
+        )
+
+    calls = []
+
+    def counting(fr, xi):
+        calls.append((frames.index(fr), residues(xi)))
+        return zero_set_member(fr, xi)
+
+    monkeypatch.setattr(spectral, "zero_set_member", counting)
+    rep = support_bound_check(z, lam, radius)
+    assert rep.holds and len(calls) == len(set(calls)) > 0
+    classes = {residues(xi) for xi in ball_vecs(radius) if not xi.is_zero() and xi not in rep.cancelled}
+    assert len(calls) <= len(frames) * len(classes)
+
+
+def test_support_bound_never_reduces_the_zero_frequency(cube, monkeypatch):
+    # Z^3 at (1/7, 1/11, 1/13) in the unit ball: the six unit frequencies have
+    # six distinct keys, and the zero frequency's key (phase 0) is its own
+    lam = LatticeUnion((LatticeComponent(lattice_from_vectors([E1, E2, E3]), Vec3.of("1/7", "1/11", "1/13")),))
+    calls = []
+
+    def counting(terms):
+        calls.append(terms)
+        return rou_sum_is_zero(terms)
+
+    monkeypatch.setattr(spectral, "rou_sum_is_zero", counting)
+    rep = support_bound_check(cube, lam, 1)
+    assert rep.candidates == 7 and rep.holds and not rep.cancelled
+    assert len(calls) == 6 and all(phase != 0 for terms in calls for _, phase in terms)
 
 
 # -- pinned support reports ---------------------------------------------------
