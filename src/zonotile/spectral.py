@@ -12,14 +12,12 @@ cancellation is never a floating-point judgement call.
 Both run on integers: a frequency is an integer triple over one denominator,
 the dual lattices and the frames carry their vectors cleared to integers, and
 every pairing (ball, zero-set planes, phase numerators) is an integer dot
-product. The support check holds the frequencies as rows of one array, from
-the dual box parallelepipeds of ``box_point_ints``, and takes each pairing as
-one matrix product: on int64 while a bound checked up front keeps every
-product below ``_INT64_SAFE``, on Python ints otherwise. It groups rows by a
-stable lexsort in first-seen order, reduces each distinct cancellation key
-once and asks ``zero_set_member``, the one statement of the zero-set rule,
-once per residue class of the frame pairings. ``Fraction`` values appear only
-as the root-of-unity phases and in the reported frequencies.
+product. The support check holds its frequencies as rows of one integer
+array (int64 under a bound checked up front, Python ints past it), takes each
+pairing as one matrix product, and asks ``zero_set_member``, the one statement
+of the zero-set rule, once per residue class of the frame pairings.
+``Fraction`` values appear only as the root-of-unity phases and in the
+reported frequencies.
 """
 
 from __future__ import annotations

@@ -247,10 +247,6 @@ def test_rou_sum_decides_a_prime_denominator_past_4096():
     assert not rou_sum_is_zero([(Fraction(1), Fraction(1, q)), (Fraction(1), Fraction(2, q))])
 
 
-def ball_vecs(radius):
-    return [Vec3(a, b, c) for a, b, c in ball_points(radius)]
-
-
 def ball_points(radius):
     r = int(radius)
     return [
@@ -563,7 +559,8 @@ def test_support_bound_tests_each_frame_class_once(cube, monkeypatch):
     monkeypatch.setattr(spectral, "zero_set_member", counting)
     rep = support_bound_check(z, lam, radius)
     assert rep.holds and len(calls) == len(set(calls)) > 0
-    classes = {residues(xi) for xi in ball_vecs(radius) if not xi.is_zero() and xi not in rep.cancelled}
+    ball = [Vec3(*p) for p in ball_points(radius)]
+    classes = {residues(xi) for xi in ball if not xi.is_zero() and xi not in rep.cancelled}
     assert len(calls) <= len(frames) * len(classes)
 
 
