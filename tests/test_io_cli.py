@@ -417,32 +417,77 @@ def test_cli_round_trip_weird_translates_into_verify(tmp_path, capsys):
     assert out["level"] == 2
 
 
-# sha256 of weird-gen --materialize output, over the window of the hash-seed
-# comparison, for a torsion-free line of cosets (the CI body) and for
-# g = span(2 e1, e2) inside Z^3, which has two torsion cosets per line
+# sha256 of weird-gen --materialize output: the body, the options after it,
+# and the digest. "body" (a torsion-free line of cosets) and "torsion"
+# (g = span(2 e1, e2) inside Z^3, two torsion cosets per line) use the
+# window of the hash-seed comparison. The four "box" cases are the
+# benchmark's box shapes, each with a sign-symmetric choice map
+# (choice[j] == choice[-j]) and a window of half-width 2 shifted off the
+# origin; "repeated" is the hash-seed comparison's body with generators
+# (1, k, 0) for k < 6 and e3, whose sides repeat offsets
+_HASH_SEED_WINDOW = "-2 3/2 -1 2 -3/2 7/3"
+_STEP_CHOICE = "0=T,2=T,-1=T"
+
+
+def _box_body(a1, a2, a3):
+    return json.dumps({"generators": [[str(a1), "0", "0"], ["0", str(a2), "0"], ["0", "0", str(a3)]]})
+
+
+def _box_options(coefficients, choice, window):
+    # "--choice=" keeps a map that starts with a negative index an argument
+    return ("--v-indices", "0 1", "--coefficients", coefficients, f"--choice={choice}",
+            "--materialize", "--window", window)
+
+
 PINNED_WEIRD_GEN = {
     "body": (
         '{"generators": [["1", "0", "0"], ["0", "1/2", "0"], ["1/3", "0", "3/2"]]}',
-        "1/2 2/5",
+        _box_options("1/2 2/5", _STEP_CHOICE, _HASH_SEED_WINDOW),
         "e18d4f3e1bfb8acc266654f7d87ffba7e14e991c19fef3213606e289abad8e1c",
     ),
     "torsion": (
         '{"generators": [["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "0", "0"]]}',
-        "1/3 1/2",
+        _box_options("1/3 1/2", _STEP_CHOICE, _HASH_SEED_WINDOW),
         "af2f6687dee7c9dd04f8f80e82bd4346277bcd24e2b8b13b08b90dffe66ccddc",
+    ),
+    "box-211": (
+        _box_body(2, 1, 1),
+        _box_options("1/3 1/5", "-6=T,-4=S,-3=T,-1=T,1=T,3=T,4=S,6=T",
+                     "-11/4 5/4 -3/2 5/2 -7/4 9/4"),
+        "532002021122d4d04ce3b04b9defec1443a1fd0be8a75662d455674cd0d30328",
+    ),
+    "box-111": (
+        _box_body(1, 1, 1),
+        _box_options("1/2 1/4", "-7=S,-5=T,-2=T,0=S,2=T,5=T,7=S",
+                     "-5/4 11/4 -9/4 7/4 -2 2"),
+        "5d443817bbc4d8022fa3e708e16554d508c7f50e36aa4bca48463af01c369ea7",
+    ),
+    "box-121": (
+        _box_body(1, 2, 1),
+        _box_options("1/5 1/3", "-6=T,-3=T,-1=S,0=T,1=S,3=T,6=T",
+                     "-7/4 9/4 -5/2 3/2 -5/4 11/4"),
+        "eb9b6df1e77169e9999b55b1489c8297c1aa1aced553ff803e44a304af632611",
+    ),
+    "box-112": (
+        _box_body(1, 1, 2),
+        _box_options("1/4 1/2", "-5=T,-4=T,-2=S,-1=T,1=T,2=S,4=T,5=T",
+                     "-2 2 -11/4 5/4 -9/4 7/4"),
+        "b33e1f82a7eff845519b04ceb0b6b7d2d7f20fa76ba9aa5cd76ec73531a15e80",
+    ),
+    "repeated": (
+        json.dumps({"generators": [["1", str(k), "0"] for k in range(6)] + [["0", "0", "1"]]}),
+        ("--v-indices", "0 1 2 3 4 5", "--choice", _STEP_CHOICE,
+         "--materialize", "--window", _HASH_SEED_WINDOW),
+        "c9f91d868d056b6b5c3480dd10c5535e21ed9ce4996e58862d6467166d9958f9",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_WEIRD_GEN))
 def test_weird_gen_materialize_output_is_pinned(tmp_path, name):
-    body, coefficients, digest = PINNED_WEIRD_GEN[name]
+    body, options, digest = PINNED_WEIRD_GEN[name]
     z, out = write(tmp_path, "z.json", body), tmp_path / "out.json"
-    argv = [
-        "weird-gen", z, "--v-indices", "0 1", "--coefficients", coefficients,
-        "--choice", "0=T,2=T,-1=T", "--materialize", "--window", "-2 3/2 -1 2 -3/2 7/3",
-    ]
-    assert main([*argv, "--out", str(out)]) == 0
+    assert main(["weird-gen", z, *options, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
