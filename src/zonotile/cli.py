@@ -17,7 +17,7 @@ from functools import cache
 
 from . import io as zio
 from .lattices import box_count, lattice_points_in_box
-from .linalg import Vec3, int_row, rat, rat_str
+from .linalg import Vec3, rat, rat_str
 from .spectral import leg_ft, leg_measure, zero_set_member
 from .structure import classify, intersection_property
 from .tiling import SlabChoice, translate_families, translate_multiplicity, verify_level
@@ -122,9 +122,11 @@ def _materialize(lam: SlabChoice, lo: Vec3, hi: Vec3) -> list[tuple[Vec3, int]]:
     """Every translate in [lo, hi] with its multiplicity, in ``Vec3`` order.
 
     ``lattice_points_in_box`` gives each family's points in the window. They
-    are deduped on their reduced numerators and denominator, which name a
-    ``Vec3`` uniquely, and a point is kept when ``translate_multiplicity``,
-    the sum of every family's count there, is not zero.
+    are deduped on their reduced numerators and denominator (``_nd``), which
+    name a ``Vec3`` uniquely, and a point is kept when
+    ``translate_multiplicity``, one residue lookup per lattice, is not zero.
+    The kept points are sorted on their numerators over one common
+    denominator, which orders them as ``Vec3`` comparison does.
     """
     families = translate_families(lam)
     count = sum(box_count(f.lattice, f.shift, lo, hi) for f in families)
@@ -132,13 +134,16 @@ def _materialize(lam: SlabChoice, lo: Vec3, hi: Vec3) -> list[tuple[Vec3, int]]:
         raise ValueError(
             f"window holds {count} candidate translates, more than {_MATERIALIZE_LIMIT}"
         )
-    cand: dict[tuple[int, int, int, int], Vec3] = {}
-    for f in families:
-        for p in lattice_points_in_box(f.lattice, f.shift, lo, hi):
-            (n0, n1, n2), d = int_row(p)
-            cand[n0, n1, n2, d] = p
+    cand = {p._nd: p for f in families for p in lattice_points_in_box(f.lattice, f.shift, lo, hi)}
     kept = [(p, m) for p in cand.values() if (m := translate_multiplicity(lam, p))]
-    return sorted(kept, key=lambda pm: pm[0])
+    den = math.lcm(*(p._nd[3] for p, _ in kept))
+
+    def key(pm: tuple[Vec3, int]) -> tuple[int, int, int]:
+        n0, n1, n2, d = pm[0]._nd
+        s = den // d
+        return n0 * s, n1 * s, n2 * s
+
+    return sorted(kept, key=key)
 
 
 def _cmd_weird_gen(args) -> int:

@@ -54,7 +54,13 @@ _INTEGER = re.compile(r"[-+]?[0-9]+")
 
 
 def vec_to_json(v: Vec3) -> list[str]:
-    return [rat_str(c) for c in v]
+    """The coordinates as ``rat_str`` renders them, from the vector's numerators."""
+    *nums, d = v._nd
+    out = []
+    for n in nums:
+        g = math.gcd(n, d)
+        out.append(str(n // g) if g == d else f"{n // g}/{d // g}")
+    return out
 
 
 def vec_from_json(arr) -> Vec3:

@@ -189,8 +189,9 @@ class CosetEnumeration:
         d1, d2 = self.d
         if not (isinstance(x, np.ndarray) and x.ndim == 2):
             c0, c1, c2 = map(int, x)
-            y0, y1, y2 = (r0 * c0 + r1 * c1 + r2 * c2 for r0, r1, r2 in self._u)
-            return y2 * self.torsion_order + (y0 % d1) * d2 + y1 % d2
+            (a0, a1, a2), (b0, b1, b2), (e0, e1, e2) = self._u
+            y0, y1 = a0 * c0 + a1 * c1 + a2 * c2, b0 * c0 + b1 * c1 + b2 * c2
+            return (e0 * c0 + e1 * c1 + e2 * c2) * self.torsion_order + (y0 % d1) * d2 + y1 % d2
         a = x
         if a.dtype != object and int(np.abs(a).max(initial=0)) * self._bound >= _INT64_SAFE:
             a = a.astype(object)  # int64 could overflow: use Python ints

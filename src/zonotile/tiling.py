@@ -5,8 +5,10 @@ union of shifted full-rank lattices, and a choice system that picks, per coset
 of a rank-2 sublattice, one of two finite offset families. Each multiset is
 read through ``TranslateFamily`` records, built once and kept on it: a shifted
 lattice with a constant weight per lattice point or a count per coset.
-``coverage``, ``verify_level``'s integer kernel, ``translate_multiplicity``
-and ``density`` all read them, taking integers from the lattice and the shift.
+``coverage``, ``verify_level``'s integer kernel and ``density`` read them,
+taking integers from the lattice and the shift; ``translate_multiplicity``
+reads them through a residue index, also kept on the multiset, that files
+each record under its lattice and the shift's lattice coordinates mod Z^3.
 
 Every full-rank multiset is counted by one integer kernel: ``verify_level``
 counts all samples at once, ``coverage`` one point as a width-0 window. In
@@ -81,9 +83,9 @@ _KERNEL_LIMIT = 200_000
 class TranslateFamily:
     """The translates shift + lattice. The translate at lattice coordinates k
     occurs counts[j] times if counts names its coset j of ``cosets``, else
-    ``weight`` times. The record keeps no integers of its own: readers take
-    the lattice's coordinate rows from ``lattice._coord_ints`` and the shift's
-    numerators from ``int_row(shift)``.
+    ``weight`` times (``count_coords``). The record keeps no integers of its
+    own: readers take the lattice's coordinate rows from
+    ``lattice._coord_ints`` and the shift's numerators from ``int_row(shift)``.
     """
 
     lattice: Lattice
@@ -93,11 +95,20 @@ class TranslateFamily:
     counts: Mapping[int, int] = field(default_factory=lambda: MappingProxyType({}))
 
     def count_at(self, nums: Sequence[int], den: int) -> int:
-        """How often the translate nums / den occurs (0 if off the lattice)."""
+        """How often the translate nums / den occurs (0 if off the lattice).
+
+        One lattice solve of nums / den - shift per call. The library counts
+        points through ``translate_multiplicity``'s residue index instead;
+        this is the per-family reference the tests' brute-force counter uses.
+        """
         (p0, p1, p2), ((s0, s1, s2), sden) = nums, int_row(self.shift)
         v = (sden * p0 - den * s0, sden * p1 - den * s1, sden * p2 - den * s2)
         if (k := self.lattice._point_coords(v, den * sden)) is None:
             return 0
+        return self.count_coords(k)
+
+    def count_coords(self, k: Sequence[int]) -> int:
+        """How often the translate at the lattice coordinates k occurs."""
         if not self.counts:
             return self.weight
         return self.counts.get(self.cosets.index_of_coords(k), self.weight)
@@ -134,6 +145,10 @@ class LatticeUnion:
     @cached_property
     def _families(self) -> tuple[TranslateFamily, ...]:
         return tuple(TranslateFamily(c.lattice, c.offset, c.weight) for c in self.components)
+
+    @cached_property
+    def _residues(self) -> dict[Lattice, _Residues]:
+        return _residue_index(self._families)
 
 
 @dataclass(frozen=True)
@@ -193,6 +208,10 @@ class SlabChoice:
             TranslateFamily(self.gamma, u, s[u], self.cosets, none if s[u] == t[u] else maps[t[u]])
             for u in s | t  # first-seen order, S before T
         )
+
+    @cached_property
+    def _residues(self) -> dict[Lattice, _Residues]:
+        return _residue_index(self._families)
 
 
 @dataclass(frozen=True)
@@ -318,10 +337,55 @@ def _coverage_counts(
     return counts, border
 
 
+# residue key -> (family, its shift's reduced coordinate numerators) per family
+_Residues = dict[tuple[int, int, int, int], list[tuple[TranslateFamily, tuple[int, int, int]]]]
+
+
+def _lattice_coords(
+    rows: Sequence[Sequence[int]], rden: int, nums: Sequence[int], den: int
+) -> tuple[tuple[int, int, int], int]:
+    """The lattice coordinates of nums / den as reduced numerators over d > 0."""
+    (a0, a1, a2), (b0, b1, b2), (e0, e1, e2) = rows
+    p0, p1, p2 = nums
+    c0 = a0 * p0 + a1 * p1 + a2 * p2
+    c1 = b0 * p0 + b1 * p1 + b2 * p2
+    c2 = e0 * p0 + e1 * p1 + e2 * p2
+    d = rden * den
+    g = math.gcd(c0, c1, c2, d)
+    return (c0 // g, c1 // g, c2 // g), d // g
+
+
+def _residue_index(families: Sequence[TranslateFamily]) -> dict[Lattice, _Residues]:
+    """The families grouped by lattice, each filed under its shift's residue key.
+
+    The key of reduced coordinates c / d is (c mod d, d), the unique reduced
+    form of c / d mod Z^3; shifts that differ by a lattice vector share it.
+    """
+    index: dict[Lattice, _Residues] = {}
+    for fam in families:
+        u, d = _lattice_coords(*fam.lattice._coord_ints, *int_row(fam.shift))
+        key = (u[0] % d, u[1] % d, u[2] % d, d)
+        index.setdefault(fam.lattice, {}).setdefault(key, []).append((fam, u))
+    return index
+
+
 def translate_multiplicity(lam: LatticeUnion | SlabChoice, point: Vec3) -> int:
-    """How many times the point itself occurs in the translate multiset."""
+    """How many times the point itself occurs in the translate multiset.
+
+    p lies in shift + L iff p and the shift have the same lattice coordinates
+    mod Z^3. So per distinct lattice one coordinate solve gives p's reduced
+    coordinates c / d, and one lookup of their residue key in the multiset's
+    residue index gives every family p lies in, with its shift's numerators
+    u over the same d; the family counts p at the integer coordinates
+    (c - u) / d. The cost does not grow with the number of families.
+    """
     nums, den = int_row(point)
-    return sum(fam.count_at(nums, den) for fam in translate_families(lam))
+    total = 0
+    for lat, families in lam._residues.items():
+        (c0, c1, c2), d = _lattice_coords(*lat._coord_ints, nums, den)
+        for fam, (u0, u1, u2) in families.get((c0 % d, c1 % d, c2 % d, d), ()):
+            total += fam.count_coords(((c0 - u0) // d, (c1 - u1) // d, (c2 - u2) // d))
+    return total
 
 
 class _OffsetBox(NamedTuple):

@@ -342,9 +342,10 @@ def irregularity_certificate(
     the T family exactly on the black cosets of that line must make the
     multiset contain gamma1 * l once when l is red and not at all when l is
     black. Any mismatch is an implementation error and raises. It makes one
-    ``translate_multiplicity`` call per line index (about 11 us each on a
-    2-core x86 box), so the cost is linear in hi - lo and in the coloring's
-    size; a range of more than ``_LINE_LIMIT`` indices is refused.
+    ``translate_multiplicity`` call per line index (about 2 us each on the
+    cube's construction, one residue lookup on a 2-core x86 box), so the
+    cost is linear in hi - lo and in the coloring's size; a range of more
+    than ``_LINE_LIMIT`` indices is refused.
     """
     if lo > hi:
         raise ValueError("coset line range needs lo <= hi")

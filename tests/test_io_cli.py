@@ -430,7 +430,8 @@ _STEP_CHOICE = "0=T,2=T,-1=T"
 
 
 def _box_body(a1, a2, a3):
-    return json.dumps({"generators": [[str(a1), "0", "0"], ["0", str(a2), "0"], ["0", "0", str(a3)]]})
+    gens = [[str(a1), "0", "0"], ["0", str(a2), "0"], ["0", "0", str(a3)]]
+    return json.dumps({"generators": gens})
 
 
 def _box_options(coefficients, choice, window):

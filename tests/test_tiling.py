@@ -662,25 +662,48 @@ def on_lattice(lat, v):
     return c is not None and all(t.denominator == 1 for t in c)
 
 
+# far and fine moves of a whole union: offsets near 1e25, and denominators past 2^62
+UNION_MOVES = (
+    ZERO,
+    Vec3(Fraction(FAR, 3), Fraction(-FAR, 7), FAR + HALF),
+    Vec3(Fraction(1, 2**62 + 1), Fraction(-5, 2**63 + 3), Fraction(2**64 + 1, 3 * 2**62)),
+)
+# steps off Z^3 and off the non-diagonal lattice
+OFF_LATTICE = (E1 * HALF, E2 * THIRD + E3 * HALF, Vec3(0, 0, Fraction(1, 2**63)))
+
+
 @st.composite
 def union_points(draw):
-    """A union of Z^3 and a non-diagonal lattice, and points on, near and off it."""
+    """A union of Z^3 and a non-diagonal lattice, and points on, near and off it.
+
+    Two more components reuse those lattices: one's offset differs from the
+    non-diagonal component's by a lattice vector, so the two share a residue
+    key, and the other's differs from the Z^3 component's by a vector off
+    both lattices. A drawn move then shifts every offset.
+    """
     lats = [z3(), lattice_from_vectors([E1 * 2, E2 + E3 * THIRD, E3 + E1 * HALF])]
-    comps = tuple(
-        LatticeComponent(lat, draw(rat_vec), draw(st.integers(1, 3))) for lat in lats
-    )
+    weights = st.integers(1, 3)
+    comps = [LatticeComponent(lat, draw(rat_vec), draw(weights)) for lat in lats]
+    k = draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+    comps.append(LatticeComponent(lats[1], comps[1].offset + lats[1].point(k), draw(weights)))
+    comps.append(LatticeComponent(lats[0], comps[0].offset + draw(st.sampled_from(OFF_LATTICE)),
+                                  draw(weights)))
+    move = draw(st.sampled_from(UNION_MOVES))
+    comps = [LatticeComponent(c.lattice, c.offset + move, c.weight) for c in comps]
     pts = []
     for _ in range(draw(st.integers(1, 6))):
         c = draw(st.sampled_from(comps))
         k = draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))
         pts.append(c.lattice.point(k) + c.offset + draw(st.sampled_from([ZERO, ZERO, E1 * HALF])))
-    return LatticeUnion(comps), pts + draw(points)
+    return LatticeUnion(tuple(comps)), pts + draw(points)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(union_points())
 def test_translate_multiplicity_matches_coords_union(case):
     lam, pts = case
+    # the components a lattice vector apart file under one key of one lattice
+    assert max(len(fams) for keys in lam._residues.values() for fams in keys.values()) >= 2
     for p in pts:
         want = coords_multiplicity(lam, p)
         assert translate_multiplicity(lam, p) == want == pointwise_multiplicity(lam, p)
@@ -706,6 +729,58 @@ def test_translate_multiplicity_matches_coords_slab_choice(choice, families, ks,
         assert translate_multiplicity(lam, p) == want == pointwise_multiplicity(lam, p)
         hits += want > 0
     assert hits or not ks
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    choice=st.dictionaries(st.integers(-6, 6), st.sampled_from("ST"), max_size=6),
+    s_offsets=st.lists(rat_vec, min_size=2, max_size=2),
+    step=st.lists(st.integers(-3, 3), min_size=3, max_size=3).filter(any),
+    ks=st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), max_size=6),
+    xs=points,
+)
+def test_translate_multiplicity_counts_offsets_a_gamma_vector_apart(
+    choice, s_offsets, step, ks, xs
+):
+    # the first T offset is the first S offset plus a nonzero vector of gamma:
+    # two records under one residue key, both counted where the point lies
+    base = build_weird(_CUBE_CONSTRUCTION, choice)
+    u = s_offsets[0]
+    t_offsets = (u + base.gamma.point(step), s_offsets[1])
+    lam = SlabChoice(base.gamma, base.sub, tuple(s_offsets), t_offsets, choice)
+    (keys,) = lam._residues.values()
+    assert max(len(fams) for fams in keys.values()) >= 2
+    for p in [base.gamma.point(k) + v for k in ks for v in (u, *t_offsets)] + xs:
+        want = coords_multiplicity(lam, p)
+        assert translate_multiplicity(lam, p) == want == pointwise_multiplicity(lam, p)
+
+
+def test_translate_multiplicity_solves_once_per_lattice(monkeypatch):
+    # 13 in-plane generators (1, k, 0) with coefficients 2^i / 8209 give 2^13
+    # distinct offsets, one family record each, all on gamma
+    z = Zonotope(tuple(Vec3(1, k, 0) for k in range(13)) + (E3,))
+    con = construction_from_indices(z, range(13), [Fraction(2**i, 8209) for i in range(13)])
+    lam = build_weird(con, {0: "T", 2: "T", -1: "T"})
+    assert len(translate_families(lam)) == 8192
+    rng = random.Random(3)
+    offsets = con.s_offsets + con.t_offsets
+    pts = [
+        rng.choice(offsets) + lam.gamma.point([rng.randint(-3, 3) for _ in range(3)])
+        for _ in range(16)
+    ] + [Vec3(0, 0, 0), Vec3(HALF, 0, 0), Vec3(0, THIRD, 1), offsets[5] + E1 * HALF]
+    want = [pointwise_multiplicity(lam, p) for p in pts]
+    assert any(want) and not all(want)
+    lam._residues  # the index solves each shift once, when it is built
+    solves = []
+    solve = tiling._lattice_coords
+    monkeypatch.setattr(tiling, "_lattice_coords", lambda *a: solves.append(1) or solve(*a))
+    monkeypatch.setattr(
+        tiling.TranslateFamily, "count_at", lambda *a: pytest.fail("count_at called")
+    )
+    for p, m in zip(pts, want):
+        solves.clear()
+        assert translate_multiplicity(lam, p) == m
+        assert len(solves) == len(lam._residues) == 1
 
 
 # -- slab-choice family records against the rescanning oracle ----------------
