@@ -344,7 +344,8 @@ _Residues = dict[tuple[int, int, int, int], list[tuple[TranslateFamily, tuple[in
 def _lattice_coords(
     rows: Sequence[Sequence[int]], rden: int, nums: Sequence[int], den: int
 ) -> tuple[tuple[int, int, int], int]:
-    """The lattice coordinates of nums / den as reduced numerators over d > 0."""
+    """The coordinates of nums / den in a full-rank lattice with ``_coord_ints``
+    (rows, rden), as reduced numerators over d > 0."""
     (a0, a1, a2), (b0, b1, b2), (e0, e1, e2) = rows
     p0, p1, p2 = nums
     c0 = a0 * p0 + a1 * p1 + a2 * p2
@@ -372,12 +373,13 @@ def _residue_index(families: Sequence[TranslateFamily]) -> dict[Lattice, _Residu
 def translate_multiplicity(lam: LatticeUnion | SlabChoice, point: Vec3) -> int:
     """How many times the point itself occurs in the translate multiset.
 
-    p lies in shift + L iff p and the shift have the same lattice coordinates
-    mod Z^3. So per distinct lattice one coordinate solve gives p's reduced
-    coordinates c / d, and one lookup of their residue key in the multiset's
-    residue index gives every family p lies in, with its shift's numerators
-    u over the same d; the family counts p at the integer coordinates
-    (c - u) / d. The cost does not grow with the number of families.
+    The point p lies in shift + L iff p and the shift have the same lattice
+    coordinates mod Z^3. So per distinct lattice one coordinate solve gives
+    p's reduced coordinates c / d, and one lookup of their residue key in the
+    multiset's residue index gives every family p lies in, with its shift's
+    numerators u over the same d; the family counts p at the integer
+    coordinates (c - u) / d. The cost does not grow with the number of
+    families.
     """
     nums, den = int_row(point)
     total = 0
