@@ -407,17 +407,29 @@ def test_slab_identity_check_caps_boundary_resamples(cube, monkeypatch):
         slab_identity_check(cube_construction(cube), window=(ZERO, Vec3(1, 1, 1)), samples=5)
 
 
+def far_window(c):
+    """c's default slab window, shifted by (10^25 / 3, -10^25 / 7, 0): its
+    samples and the differences the check forms from them take Python ints."""
+    lo, hi = c.zonotope.bounding_box()
+    shift, pad = Vec3(Fraction(10**25, 3), Fraction(-(10**25), 7), 0), Vec3(1, 1, 1)
+    return (lo - pad + shift, hi + pad + shift)
+
+
 def pinned_slab_cases():
     cube = Zonotope((E1, E2, E3))
     con = cube_construction(cube)
-    skew = Zonotope((Vec3(1, 1, 0), Vec3(1, -1, 0), E3, Vec3(1, 0, 1)))
+    skew = build_construction(Zonotope((Vec3(1, 1, 0), Vec3(1, -1, 0), E3, Vec3(1, 0, 1))))
     wide = (Vec3(-2, Fraction(-1, 3), 0), Vec3(3, 2, Fraction(5, 7)))
+    broken = moved_construction(con)
     return {
         "cube": (con, None, 3, 200),
         "singleton": (construction_from_indices(cube, [2]), None, 4, 100),
-        "skew": (build_construction(skew), None, 2, 64),
+        "skew": (skew, None, 2, 64),
         "window": (con, wide, 9, 64),
-        "broken": (moved_construction(con), None, 5, 64),
+        "broken": (broken, None, 5, 64),
+        "far_cube": (con, far_window(con), 3, 200),
+        "far_skew": (skew, far_window(skew), 2, 64),
+        "far_broken": (broken, far_window(broken), 5, 64),
     }
 
 
@@ -430,6 +442,7 @@ PINNED_SLAB_REPORTS = {
     "skew": (True, 0, "ad3b31db935d92f3349609a9286e76a65d7249dccaf988b7bdab687904a07abe"),
     "window": (True, 0, "48d170c66251bec9caae7f2217d19d0bf846e4a928ea21ada0b598a768d4226f"),
     "broken": (False, 18, "5936fd7cb5e9debc354fbc9931dd560b74def5b2e2649eeb3eebcd33980bb43f"),
+    "far_broken": (False, 18, "5c34cd58f44f8114442ad6d82e8dc80a8a4f054d4dfa6977c55252f7282ae909"),
 }
 
 
@@ -487,7 +500,9 @@ def test_slab_identity_reports_on_repeated_offsets_are_pinned(name, monkeypatch)
 
 # sha256 of repr([(counts.tolist(), border.tolist()), ...]) over the calls of
 # weird._coverage_counts, in call order, per pinned slab case: a passing
-# report's digest pins only passed, samples and seed, these pin every count
+# report's digest pins only passed, samples and seed, these pin every count.
+# The cube constructions' counts depend on z alone, which the far window does
+# not shift, so their far cases pin the digests of the near ones
 PINNED_SLAB_COUNTS = {
     "cube": "a9feb666b69d086b6596b50c2cd29b5cdbc978fe4435e69c6045d196864489da",
     "singleton": "c919f932f71218ade255801dadac5a740dcd45ee71a84f193ce421b126881d67",
@@ -496,6 +511,9 @@ PINNED_SLAB_COUNTS = {
     "broken": "ef8715861ed5717c4707322ecce0b4eb9e5e6f65e0ef626219e91212b4469b3c",
     "repeated": "29a3551b7d20396f924cd80ad5db07af2bbba406a75c07fc7d851a3df0e3363f",
     "moved": "0253e0ae3ff55658f0ed57833572a25749df64473937300f02923e102938b61e",
+    "far_cube": "a9feb666b69d086b6596b50c2cd29b5cdbc978fe4435e69c6045d196864489da",
+    "far_skew": "5ec5ee0456a5bd89899fa13ba8f184735ca65a3f41dde92bf1680f08a99efb72",
+    "far_broken": "ef8715861ed5717c4707322ecce0b4eb9e5e6f65e0ef626219e91212b4469b3c",
 }
 
 
