@@ -25,8 +25,9 @@ about |G_f|_1 2^-P of one; those rows take the exact formula on Python
 ints. Otherwise, and where facet offsets or the coordinates of x - shift
 reach 2^61, every row of the lattice takes the exact formula. No float
 decides a count. ``_coverage_counts`` counts the slab identity check's
-rank-2 offset records, a sampling round at once, by box walks and an
-integer facet prefilter.
+rank-2 offset records, a sampling round at once, by box walks, an integer
+facet prefilter and one strict test per batch of the pairs it keeps, on the
+integer differences of points and translates.
 Points on a contributing translate's boundary raise BoundaryHit in
 ``coverage`` and are resampled by ``verify_level`` and the slab check.
 """
@@ -273,20 +274,20 @@ def _coverage_counts(
     A facet m . y <= h / zden holds at y = x - T / dt iff
     m . T >= ceil(dt (m . x - h / zden)), a Python-int ceiling per point and
     facet; the compare runs on int64 while every value is below _INT64_SAFE,
-    else on object arrays. Only the pairs with x in the closed body z + t
-    reach ``interior_mask``, which tells interior from boundary; a
-    BoundaryHit marks the point it came from, and the family's other pairs
-    are tested again.
+    else on object arrays. Both read the body's cached ``_facet_rows``. Only
+    the pairs with x in the closed body z + t reach ``interior_mask``, which
+    tells interior from boundary: their differences x - t, one integer
+    array over den dt, go in one call per batch. A BoundaryHit marks the
+    point its row came from, and the family's other pairs are tested again.
     """
     n = len(nums)
     counts = np.zeros(n, dtype=np.int64)
     border = np.zeros(n, dtype=bool)
-    zden, sides = z._den, z._facet_sides
-    ms = np.array([m for m, *_ in sides], dtype=object)
-    g1 = int(np.abs(ms).sum(axis=1).max())
+    facets = z._facet_rows
+    ms, g1 = facets.n, facets.g1
     # ceil(dt (m . x - h / zden)) = ceil(dt p / q), (facets, N); one table per dt
-    p = zden * (ms @ nums.T) - np.array([[h] for _, h, *_ in sides], dtype=object) * den
-    q = den * zden
+    p = facets.zn @ nums.T - facets.h[:, None] * den
+    q = den * z._den
     rhs: dict[int, np.ndarray] = {}
     lo_z, hi_z = z.bounding_box()
     for fam in families:
@@ -319,18 +320,14 @@ def _coverage_counts(
                 si.append(rows[s + c0])
                 tj.append(j)
             si, tj = np.concatenate(si), np.concatenate(tj)
-            diffs = [
-                Vec3.from_ints(x0 * dt - t0 * den, x1 * dt - t1 * den, x2 * dt - t2 * den, den * dt)
-                for (x0, x1, x2), (t0, t1, t2) in zip(nums[si], t[tj])
-            ]
-            while diffs:
+            diffs = nums[si] * dt - t[tj] * den
+            while len(si):
                 try:
-                    inside = np.array(z.interior_mask(diffs), dtype=bool)
+                    inside = np.array(z.interior_mask(diffs, den * dt), dtype=bool)
                 except BoundaryHit as hit:
-                    keep = si != si[diffs.index(hit.point)]
+                    keep = si != si[hit.index]
                     border[si[~keep]] = True
-                    si = si[keep]
-                    diffs = [d for d, k in zip(diffs, keep) if k]
+                    si, diffs = si[keep], diffs[keep]
                     continue
                 np.add.at(counts, si[inside], fam.weight)
                 break

@@ -13,7 +13,10 @@ on first read, ``Frame`` fields and polygon vertices on each read, so the
 deciders, which read only integers, never build them.
 Membership in the body and in a paving cell is one integer half-space test
 per facet or cell face: the point is cleared to X / d, and its excess over
-the face's integer row is compared with 0. No float takes part in a verdict.
+the face's integer row is compared with 0. ``interior_mask`` also takes many
+points at once as one numerator array, and tests them all with one product
+against the facet rows, which are kept as arrays on first use. No float
+takes part in a verdict.
 """
 
 from __future__ import annotations
@@ -21,10 +24,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
+from .lattices import _INT64_SAFE
 from .linalg import (
     Vec3,
     VEC_ZERO,
@@ -45,11 +52,31 @@ class Location(enum.Enum):
 
 
 class BoundaryHit(Exception):
-    """A queried point lies exactly on a boundary; callers should resample."""
+    """A queried point lies exactly on a boundary; callers should resample.
 
-    def __init__(self, point: Vec3):
+    ``index`` is the point's position among the points queried at once, or
+    None for a single point.
+    """
+
+    def __init__(self, point: Vec3, index: int | None = None):
         super().__init__(f"boundary point {point}")
         self.point = point
+        self.index = index
+
+
+class _FacetRows(NamedTuple):
+    """The facet half-spaces (n . x) den <= h as arrays over the body's den.
+
+    n and zn = den n are the (F, 3) normals and h the (F,) support
+    numerators, object arrays of Python ints; g1 is the largest |n|_1 and
+    hmax the largest |h|. These bound a product before it is taken on int64.
+    """
+
+    n: np.ndarray
+    zn: np.ndarray
+    h: np.ndarray
+    g1: int
+    hmax: int
 
 
 @dataclass(frozen=True)
@@ -221,9 +248,9 @@ class Zonotope:
 
     Generators must be nonzero and span R^3. The direction classes, the
     facets' integer half-spaces and the bounding box are computed at
-    construction; the ``Facet`` tuple, the frames, the paving and the counting
-    kernel's offset boxes are built on first use and cached. Treat instances
-    as immutable.
+    construction; the ``Facet`` tuple, the facet rows as arrays, the frames,
+    the paving and the counting kernel's offset boxes are built on first use
+    and cached. Treat instances as immutable.
     """
 
     def __init__(self, generators: Iterable[Vec3], translate: Vec3 = VEC_ZERO):
@@ -292,6 +319,14 @@ class Zonotope:
                 sides.append((m, h, o, tuple(plane), opp))
         self._facet_sides = tuple(sides)
 
+    @cached_property
+    def _facet_rows(self) -> _FacetRows:
+        """The facet half-spaces as integer arrays, for tests of many points."""
+        n = np.array([m for m, *_ in self._facet_sides], dtype=object)
+        h = np.array([h for _m, h, *_ in self._facet_sides], dtype=object)
+        g1 = int(np.abs(n).sum(axis=1).max())
+        return _FacetRows(n, self._den * n, h, g1, int(np.abs(h).max()))
+
     @property
     def facets(self) -> tuple[Facet, ...]:
         if self._facets is None:
@@ -329,15 +364,43 @@ class Zonotope:
     def bounding_box(self) -> tuple[Vec3, Vec3]:
         return self._bounding_box
 
-    def interior_mask(self, points: Sequence[Vec3]) -> list[bool]:
-        """Per-point strict-interior flags; raises BoundaryHit."""
-        mask = []
-        for p in points:
-            loc = self.contains(p)
-            if loc is Location.BOUNDARY:
-                raise BoundaryHit(p)
-            mask.append(loc is Location.INTERIOR)
-        return mask
+    def interior_mask(self, points, den: int | None = None) -> list[bool]:
+        """Per-point strict-interior flags, as a list of bools.
+
+        points is a sequence of ``Vec3``s, each tested by ``contains``, or,
+        with den > 0 given, one (N, 3) integer array (int64 or object) of
+        numerators over den. The array form tests every row X at once: its
+        excesses den_z (n . X) - h den over the facet rows are one product
+        against ``_facet_rows``, taken on int64 while
+        den_z |n|_1 max|X| + max|h| den stays below 2^62 and on Python ints
+        past it. Either form raises BoundaryHit, with the point as a
+        ``Vec3`` and its index, at the first point on a facet and beyond
+        none.
+        """
+        if den is None:
+            mask = []
+            for i, p in enumerate(points):
+                loc = self.contains(p)
+                if loc is Location.BOUNDARY:
+                    raise BoundaryHit(p, i)
+                mask.append(loc is Location.INTERIOR)
+            return mask
+        if den <= 0:
+            raise ValueError("denominator must be positive")
+        facets = self._facet_rows
+        xmax = int(np.abs(points).max(initial=1))
+        if facets.g1 * self._den * xmax + facets.hmax * den < _INT64_SAFE:
+            zn, h = facets.zn.astype(np.int64), facets.h.astype(np.int64)
+            x = points.astype(np.int64, copy=False)
+        else:
+            zn, h, x = facets.zn, facets.h, points.astype(object, copy=False)
+        excess = x @ zn.T - h * den
+        interior = (excess < 0).all(axis=1)
+        rest = np.flatnonzero(~interior)
+        if len(on := rest[(excess[rest] <= 0).all(axis=1)]):
+            i = int(on[0])
+            raise BoundaryHit(Vec3.from_ints(*(int(c) for c in points[i]), den), i)
+        return interior.tolist()
 
     # -- volume and paving -----------------------------------------------------
 

@@ -455,6 +455,26 @@ def test_slab_identity_reports_are_pinned(name):
     assert hashlib.sha256(repr(rep).encode()).hexdigest() == digest
 
 
+def test_slab_check_tests_pairs_without_scalar_membership(monkeypatch):
+    # _coverage_counts hands its closed-body pairs to interior_mask as one
+    # integer array per batch, never one point at a time through contains
+    real, calls = Zonotope.interior_mask, []
+
+    def contains(self, x):
+        raise AssertionError("Zonotope.contains called in the slab check")
+
+    def interior_mask(self, points, den=None):
+        calls.append(den)
+        return real(self, points, den)
+
+    monkeypatch.setattr(Zonotope, "contains", contains)
+    monkeypatch.setattr(Zonotope, "interior_mask", interior_mask)
+    c, window, seed, samples = pinned_slab_cases()["cube"]
+    rep = slab_identity_check(c, window=window, samples=samples, seed=seed)
+    assert hashlib.sha256(repr(rep).encode()).hexdigest() == PINNED_SLAB_REPORTS["cube"][2]
+    assert calls and None not in calls
+
+
 def repeated_offsets_construction():
     """Generators (1, k, 0) for k < 6 in one plane, plus e3 across it: 32
     subset sums per side, of which 20 (S) and 22 (T) are distinct."""

@@ -5,12 +5,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zonotile.io import export_off
-from zonotile.linalg import VEC_ZERO, Vec3, primitive, rank_of, rat
+from zonotile.linalg import VEC_ZERO, Vec3, int_triples, primitive, rank_of, rat
 from zonotile.zonotope import BoundaryHit, Facet, Frame, Location, Zonotope
 
 from conftest import (
@@ -454,6 +455,64 @@ def test_integer_membership_matches_fraction_oracles(data):
                 z.interior_mask([p])
         else:
             assert z.interior_mask([p]) == [loc is Location.INTERIOR]
+
+
+def mask_or_hit(z, *args):
+    """z.interior_mask(*args), or the (point, index) of the BoundaryHit it raises."""
+    try:
+        return z.interior_mask(*args)
+    except BoundaryHit as hit:
+        return hit.point, hit.index
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.data())
+def test_interior_mask_on_numerator_arrays_matches_contains(data):
+    z = data.draw(rational_bodies())
+    points = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        if data.draw(st.booleans()):
+            # on a facet's plane: on the facet (a boundary row) or beyond its edges
+            f = data.draw(st.sampled_from(z.facets))
+            vecs = [z.generators[i] for i in f.plane_generators]
+            base = f.offset
+        else:
+            vecs, base = z.generators, z.translate
+        ts = data.draw(st.lists(coeffs, min_size=len(vecs), max_size=len(vecs)))
+        points.append(combination(base, vecs, ts))
+    rows, den = int_triples(points)
+    # the same points over den scaled past 2^62 take the object route at any body
+    scale = data.draw(st.sampled_from([1, 2**62 + 1]))
+    nums = np.array(rows, dtype=object) * scale
+    den *= scale
+    facets = z._facet_rows
+    xmax = max(abs(c) for row in rows for c in row) * scale
+    if facets.g1 * z._den * xmax + facets.hmax * den < 2**62:
+        nums = nums.astype(np.int64)  # the int64 route
+    # the same flags, or the same raised point and index, as the Vec3 form
+    mask = mask_or_hit(z, nums, den)
+    assert mask == mask_or_hit(z, points)
+    if isinstance(mask, list):
+        assert all(type(b) is bool for b in mask) and type(sum(mask)) is int
+    for i, p in enumerate(points):
+        loc = z.contains(p)
+        hit = (p, 0) if loc is Location.BOUNDARY else [loc is Location.INTERIOR]
+        assert mask_or_hit(z, nums[i : i + 1], den) == hit
+    assert z.interior_mask(nums[:0], den) == []
+
+
+def test_interior_mask_on_numerator_arrays_takes_both_routes(cube):
+    # the cube's facets at 0 and 1; rows over 4, and over 4 (2^62 + 1) past the int64 bound
+    pts = [(2, 2, 2), (1, 3, 2), (0, 2, 2), (5, 2, 2), (2, 2, -1)]
+    for k in (1, 2**62 + 1):
+        nums = np.array(pts, dtype=object) * k
+        assert cube.interior_mask(nums[:2], 4 * k) == [True, True]
+        assert cube.interior_mask(nums[3:], 4 * k) == [False, False]
+        with pytest.raises(BoundaryHit) as hit:
+            cube.interior_mask(nums, 4 * k)
+        assert (hit.value.point, hit.value.index) == (Vec3(0, Fraction(1, 2), Fraction(1, 2)), 2)
+    with pytest.raises(ValueError, match="positive"):
+        cube.interior_mask(np.array(pts), -4)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
