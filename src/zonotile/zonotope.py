@@ -31,7 +31,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .lattices import _INT64_SAFE
 from .linalg import (
     Vec3,
     VEC_ZERO,
@@ -68,15 +67,13 @@ class _FacetRows(NamedTuple):
     """The facet half-spaces (n . x) den <= h as arrays over the body's den.
 
     n and zn = den n are the (F, 3) normals and h the (F,) support
-    numerators, object arrays of Python ints; g1 is the largest |n|_1 and
-    hmax the largest |h|. These bound a product before it is taken on int64.
+    numerators, object arrays of Python ints; g1 is the largest |n|_1.
     """
 
     n: np.ndarray
     zn: np.ndarray
     h: np.ndarray
     g1: int
-    hmax: int
 
 
 @dataclass(frozen=True)
@@ -325,7 +322,7 @@ class Zonotope:
         n = np.array([m for m, *_ in self._facet_sides], dtype=object)
         h = np.array([h for _m, h, *_ in self._facet_sides], dtype=object)
         g1 = int(np.abs(n).sum(axis=1).max())
-        return _FacetRows(n, self._den * n, h, g1, int(np.abs(h).max()))
+        return _FacetRows(n, self._den * n, h, g1)
 
     @property
     def facets(self) -> tuple[Facet, ...]:
@@ -371,11 +368,9 @@ class Zonotope:
         with den > 0 given, one (N, 3) integer array (int64 or object) of
         numerators over den. The array form tests every row X at once: its
         excesses den_z (n . X) - h den over the facet rows are one product
-        against ``_facet_rows``, taken on int64 while
-        den_z |n|_1 max|X| + max|h| den stays below 2^62 and on Python ints
-        past it. Either form raises BoundaryHit, with the point as a
-        ``Vec3`` and its index, at the first point on a facet and beyond
-        none.
+        on Python ints against ``_facet_rows``. Either form raises
+        BoundaryHit, with the point as a ``Vec3`` and its index, at the
+        first point on a facet and beyond none.
         """
         if den is None:
             mask = []
@@ -388,13 +383,7 @@ class Zonotope:
         if den <= 0:
             raise ValueError("denominator must be positive")
         facets = self._facet_rows
-        xmax = int(np.abs(points).max(initial=1))
-        if facets.g1 * self._den * xmax + facets.hmax * den < _INT64_SAFE:
-            zn, h = facets.zn.astype(np.int64), facets.h.astype(np.int64)
-            x = points.astype(np.int64, copy=False)
-        else:
-            zn, h, x = facets.zn, facets.h, points.astype(object, copy=False)
-        excess = x @ zn.T - h * den
+        excess = points.astype(object, copy=False) @ facets.zn.T - facets.h * den
         interior = (excess < 0).all(axis=1)
         rest = np.flatnonzero(~interior)
         if len(on := rest[(excess[rest] <= 0).all(axis=1)]):

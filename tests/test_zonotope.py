@@ -481,14 +481,12 @@ def test_interior_mask_on_numerator_arrays_matches_contains(data):
         ts = data.draw(st.lists(coeffs, min_size=len(vecs), max_size=len(vecs)))
         points.append(combination(base, vecs, ts))
     rows, den = int_triples(points)
-    # the same points over den scaled past 2^62 take the object route at any body
+    # the same points as an int64 array, or over den scaled past 2^62
     scale = data.draw(st.sampled_from([1, 2**62 + 1]))
     nums = np.array(rows, dtype=object) * scale
     den *= scale
-    facets = z._facet_rows
-    xmax = max(abs(c) for row in rows for c in row) * scale
-    if facets.g1 * z._den * xmax + facets.hmax * den < 2**62:
-        nums = nums.astype(np.int64)  # the int64 route
+    if scale == 1 and max(abs(c) for row in rows for c in row) < 2**62:
+        nums = nums.astype(np.int64)
     # the same flags, or the same raised point and index, as the Vec3 form
     mask = mask_or_hit(z, nums, den)
     assert mask == mask_or_hit(z, points)
@@ -501,11 +499,11 @@ def test_interior_mask_on_numerator_arrays_matches_contains(data):
     assert z.interior_mask(nums[:0], den) == []
 
 
-def test_interior_mask_on_numerator_arrays_takes_both_routes(cube):
-    # the cube's facets at 0 and 1; rows over 4, and over 4 (2^62 + 1) past the int64 bound
+def test_interior_mask_on_numerator_arrays_near_and_far(cube):
+    # the cube's facets at 0 and 1; int64 rows over 4, and object rows over 4 (2^62 + 1)
     pts = [(2, 2, 2), (1, 3, 2), (0, 2, 2), (5, 2, 2), (2, 2, -1)]
-    for k in (1, 2**62 + 1):
-        nums = np.array(pts, dtype=object) * k
+    for k, dtype in ((1, np.int64), (2**62 + 1, object)):
+        nums = np.array(pts, dtype=object).astype(dtype) * k
         assert cube.interior_mask(nums[:2], 4 * k) == [True, True]
         assert cube.interior_mask(nums[3:], 4 * k) == [False, False]
         with pytest.raises(BoundaryHit) as hit:
