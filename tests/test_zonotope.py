@@ -588,6 +588,28 @@ PINNED_STRUCTURE = {
             ((1, 1, 1), (4,)), ((0, 2, -1), (6,)),
         ),
     ),
+    # 40 rational generators in 32 classes, some of whose members point
+    # against their class direction: 8,775 cells
+    "forty": (
+        tuple(
+            Vec3.of(*(Fraction(a, 1 + k % 3) for a in (k % 5 - 2, 3 * k % 7 - 3, k * k % 5 - 2)))
+            for k in range(40)
+        ),
+        Vec3.of("1/3", "-5/2", "7"),
+        ("7b8775030f438732", "3be24cf271bea1b3", "365c5692f3409f8b", "bf1d3296ea34e4f2",
+         "2c8329b8aedf161f"), 8775,
+        (
+            ((2, 3, 2), (0, 35)), ((1, 0, 1), (1, 15, 36)), ((0, 3, 2), (2, 37)),
+            ((1, -1, 2), (3, 38)), ((2, 2, -1), (4, 39)), ((1, 1, 1), (5, 31)),
+            ((1, -1, 1), (6, 25)), ((0, 3, -2), (7,)), ((1, 0, 2), (8,)), ((2, 3, -1), (9,)),
+            ((2, 1, 2), (10,)), ((1, -2, 1), (11,)), ((0, 1, -1), (12,)), ((1, 1, 2), (13,)),
+            ((2, -3, -1), (14,)), ((1, -3, 1), (16,)), ((0, 1, -2), (17,)), ((1, 2, 2), (18,)),
+            ((2, -2, -1), (19,)), ((2, -1, 2), (20,)), ((1, 3, 1), (21,)), ((0, 0, 1), (22,)),
+            ((1, 3, 2), (23,)), ((2, -1, -1), (24,)), ((1, 2, 1), (26,)), ((0, 1, 2), (27,)),
+            ((1, -3, 2), (28,)), ((2, 0, -1), (29,)), ((2, -3, 2), (30,)), ((0, 1, 1), (32,)),
+            ((1, -2, 2), (33,)), ((2, 1, -1), (34,)),
+        ),
+    ),
 }
 
 
