@@ -77,17 +77,24 @@ class Lattice:
     def __repr__(self) -> str:
         return f"Lattice({list(self.basis)!r})"
 
+    def _solve(self, nums: Sequence[int], den: int) -> tuple[tuple[int, int, int], int]:
+        """The coordinates R_i . p / (rden den) of the point nums / den, den > 0,
+        as reduced numerators c over d > 0; past the rank they vanish on the span."""
+        (a0, a1, a2), (b0, b1, b2), (e0, e1, e2) = self._coord_ints[0]
+        p0, p1, p2 = nums
+        c0 = a0 * p0 + a1 * p1 + a2 * p2
+        c1 = b0 * p0 + b1 * p1 + b2 * p2
+        c2 = e0 * p0 + e1 * p1 + e2 * p2
+        d = self._coord_ints[1] * den
+        g = math.gcd(c0, c1, c2, d)
+        return (c0 // g, c1 // g, c2 // g), d // g
+
     def _point_coords(self, nums: Sequence[int], den: int) -> list[int] | None:
         """Integer coordinates of the point nums / den, or None off the lattice."""
-        (rows, rden), (p0, p1, p2) = self._coord_ints, nums
-        big = den * rden
-        k = []
-        for i, (r0, r1, r2) in enumerate(rows):
-            c, rem = divmod(r0 * p0 + r1 * p1 + r2 * p2, big)
-            if rem or (c and i >= self.rank):
-                return None
-            k.append(c)
-        return k[: self.rank]
+        c, d = self._solve(nums, den)
+        if d != 1 or any(c[self.rank :]):
+            return None
+        return list(c[: self.rank])
 
     def contains(self, p: Vec3) -> bool:
         return self._point_coords(*int_row(p)) is not None

@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 import numbers
 import random
-from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
@@ -86,7 +85,8 @@ class TranslateFamily:
     occurs counts[j] times if counts names its coset j of ``cosets``, else
     ``weight`` times (``count_coords``). The record keeps no integers of its
     own: readers take the lattice's coordinate rows from
-    ``lattice._coord_ints`` and the shift's numerators from ``int_row(shift)``.
+    ``lattice._coord_ints`` or its solve ``lattice._solve``, and the shift's
+    numerators from ``int_row(shift)``.
     """
 
     lattice: Lattice
@@ -94,19 +94,6 @@ class TranslateFamily:
     weight: int
     cosets: CosetEnumeration | None = None
     counts: Mapping[int, int] = field(default_factory=lambda: MappingProxyType({}))
-
-    def count_at(self, nums: Sequence[int], den: int) -> int:
-        """How often the translate nums / den occurs (0 if off the lattice).
-
-        One lattice solve of nums / den - shift per call. The library counts
-        points through ``translate_multiplicity``'s residue index instead;
-        this is the per-family reference the tests' brute-force counter uses.
-        """
-        (p0, p1, p2), ((s0, s1, s2), sden) = nums, int_row(self.shift)
-        v = (sden * p0 - den * s0, sden * p1 - den * s1, sden * p2 - den * s2)
-        if (k := self.lattice._point_coords(v, den * sden)) is None:
-            return 0
-        return self.count_coords(k)
 
     def count_coords(self, k: Sequence[int]) -> int:
         """How often the translate at the lattice coordinates k occurs."""
@@ -200,19 +187,30 @@ class SlabChoice:
 
     @cached_property
     def _families(self) -> tuple[TranslateFamily, ...]:
-        s, t = Counter(self.s_offsets), Counter(self.t_offsets)
+        counts = _offset_counts(self.s_offsets, self.t_offsets)
         t_keys = [j for j, v in self.choice.items() if v == "T"]
         # one read-only {T coset: k} map per distinct T count k, shared by its families
-        maps = {k: MappingProxyType(dict.fromkeys(t_keys, k)) for k in {0, *t.values()}}
+        maps = {k: MappingProxyType(dict.fromkeys(t_keys, k)) for k in {t for *_, t in counts}}
         none = MappingProxyType({})
         return tuple(
-            TranslateFamily(self.gamma, u, s[u], self.cosets, none if s[u] == t[u] else maps[t[u]])
-            for u in s | t  # first-seen order, S before T
+            TranslateFamily(self.gamma, u, s, self.cosets, none if s == t else maps[t])
+            for u, s, t in counts
         )
 
     @cached_property
     def _residues(self) -> dict[Lattice, _Residues]:
         return _residue_index(self._families)
+
+
+def _offset_counts(*sides: Sequence[Vec3]) -> list[list]:
+    """[u, its count in each side] per distinct offset u, first-seen, earlier
+    sides first. Counted on u's numerators, whose hash takes no modular
+    inverse, unlike a ``Vec3``'s."""
+    counts: dict[tuple[int, int, int, int], list] = {}
+    for i, side in enumerate(sides, 1):
+        for u in side:
+            counts.setdefault(u._nd, [u] + [0] * len(sides))[i] += 1
+    return list(counts.values())
 
 
 @dataclass(frozen=True)
@@ -338,21 +336,6 @@ def _coverage_counts(
 _Residues = dict[tuple[int, int, int, int], list[tuple[TranslateFamily, tuple[int, int, int]]]]
 
 
-def _lattice_coords(
-    rows: Sequence[Sequence[int]], rden: int, nums: Sequence[int], den: int
-) -> tuple[tuple[int, int, int], int]:
-    """The coordinates of nums / den in a full-rank lattice with ``_coord_ints``
-    (rows, rden), as reduced numerators over d > 0."""
-    (a0, a1, a2), (b0, b1, b2), (e0, e1, e2) = rows
-    p0, p1, p2 = nums
-    c0 = a0 * p0 + a1 * p1 + a2 * p2
-    c1 = b0 * p0 + b1 * p1 + b2 * p2
-    c2 = e0 * p0 + e1 * p1 + e2 * p2
-    d = rden * den
-    g = math.gcd(c0, c1, c2, d)
-    return (c0 // g, c1 // g, c2 // g), d // g
-
-
 def _residue_index(families: Sequence[TranslateFamily]) -> dict[Lattice, _Residues]:
     """The families grouped by lattice, each filed under its shift's residue key.
 
@@ -361,7 +344,7 @@ def _residue_index(families: Sequence[TranslateFamily]) -> dict[Lattice, _Residu
     """
     index: dict[Lattice, _Residues] = {}
     for fam in families:
-        u, d = _lattice_coords(*fam.lattice._coord_ints, *int_row(fam.shift))
+        u, d = fam.lattice._solve(*int_row(fam.shift))
         key = (u[0] % d, u[1] % d, u[2] % d, d)
         index.setdefault(fam.lattice, {}).setdefault(key, []).append((fam, u))
     return index
@@ -381,7 +364,7 @@ def translate_multiplicity(lam: LatticeUnion | SlabChoice, point: Vec3) -> int:
     nums, den = int_row(point)
     total = 0
     for lat, families in lam._residues.items():
-        (c0, c1, c2), d = _lattice_coords(*lat._coord_ints, nums, den)
+        (c0, c1, c2), d = lat._solve(nums, den)
         for fam, (u0, u1, u2) in families.get((c0 % d, c1 % d, c2 % d, d), ()):
             total += fam.count_coords(((c0 - u0) // d, (c1 - u1) // d, (c2 - u2) // d))
     return total

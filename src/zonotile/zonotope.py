@@ -6,11 +6,14 @@ translate are kept as integer triples over one denominator D, and the
 direction classes, facet normals, offsets and supports, the bounding box, the
 volume, the frames, the facet polygons and the half-open paving are all
 computed on Python ints. The paving takes one sign pass over the generators
-per generator pair, O(n^3) in all; a cell's faces are its edges' ``adjugate``
-rows. ``Fraction`` and ``Vec3`` values are built only at the API edge: the
-``direction_classes`` at construction, the paving cells' anchors, ``facets``
-on first read, ``Frame`` fields and polygon vertices on each read, so the
-deciders, which read only integers, never build them.
+per generator pair, O(n^3) in all, and gives each cell its faces and volume
+from the integers of that pass: the adjugate rows g_j x g_l, g_l x g_i and
+g_i x g_j of the cell's generators and the determinant the pass reads. A
+facet's polygon and frames read one sum per in-plane direction class
+(``_in_plane``). ``Fraction`` and ``Vec3`` values are built only at the API
+edge: the ``direction_classes`` at construction, the paving cells' anchors,
+``facets`` on first read, ``Frame`` fields and polygon vertices on each read,
+so the deciders, which read only integers, never build them.
 Membership in the body and in a paving cell is one integer half-space test
 per facet or cell face: the point is cleared to X / d, and its excess over
 the face's integer row is compared with 0. ``interior_mask`` also takes many
@@ -34,7 +37,6 @@ import numpy as np
 from .linalg import (
     Vec3,
     VEC_ZERO,
-    adjugate,
     cross_int,
     det_int,
     int_row,
@@ -180,35 +182,39 @@ class PavingCell:
     """Half-open parallelepiped anchor + {t1 e1 + t2 e2 + t3 e3 : 0 <= t_i <= 1}.
 
     include_zero_face[i] tells whether the face t_i = 0 belongs to the cell
-    (then t_i = 1 does not), so the paving is an exact partition. Each face is
-    an integer half-space (n, h, closed) from an ``adjugate`` row of the edges,
-    and the volume is |det| / den^3.
+    (then t_i = 1 does not), so the paving is an exact partition. Cells come
+    from ``Zonotope.pave``, which derives each face, an integer half-space
+    (n, h, closed), and the volume |det| / den^3 from the integers it already
+    holds for the cell's generators.
     """
 
     anchor: Vec3
     edges: tuple[Vec3, Vec3, Vec3]
     include_zero_face: tuple[bool, bool, bool]
-    _faces: tuple[tuple[int, int, int, int, bool], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    _volume: Fraction = field(init=False, repr=False, compare=False)
+    _faces: tuple[tuple[int, int, int, int, bool], ...] = field(repr=False, compare=False)
+    _volume: Fraction = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        (p, *edges), den = int_triples((self.anchor, *self.edges))
-        rows, det = adjugate(edges)
-        sign, s = (1, det) if det > 0 else (-1, -det)
-        faces = []
-        for r, inc in zip(rows, self.include_zero_face):
-            # for edges E / den and anchor P / den, t_i = den r . (x - P / den) / det
-            # with r the i-th row above; that is (a . x - c) / s for
-            # (a, c, s) = (sign den r, sign r . P, |det|) over their gcd
-            a1, a2, a3 = (sign * den * rk for rk in r)
+    @classmethod
+    def _from_ints(cls, edges, p, den: int, rows, det: int, q) -> PavingCell:
+        """The cell P / den + edges whose edge numerators over den have the
+        adjugate rows r_i and determinant det, half-open along q.
+
+        t_i = den r_i . (x - P / den) / det, that is (a . x - c) / s for
+        (a, c, s) = (sign den r_i, sign r_i . P, |det|) over their gcd. The
+        face t_i = 0 is included iff r_i . q / det > 0.
+        """
+        up = det > 0
+        sign, s = (1, det) if up else (-1, -det)
+        faces, flags = [], []
+        for r in rows:
+            inc = (_dot(r, q) > 0) == up
+            a1, a2, a3 = sign * den * r[0], sign * den * r[1], sign * den * r[2]
             c = sign * _dot(r, p)
             g = gcd(a1, a2, a3, c, s)
             a1, a2, a3, c = a1 // g, a2 // g, a3 // g, c // g
             faces += [(-a1, -a2, -a3, -c, inc), (a1, a2, a3, c + s // g, not inc)]
-        object.__setattr__(self, "_faces", tuple(faces))
-        object.__setattr__(self, "_volume", Fraction(s, den**3))
+            flags.append(inc)
+        return cls(_vec(p, den), edges, tuple(flags), tuple(faces), Fraction(s, den**3))
 
     def volume(self) -> Fraction:
         return self._volume
@@ -421,21 +427,18 @@ class Zonotope:
         while any(n0 + n1 * t + n2 * t * t == 0 for _i, _j, (n0, n1, n2) in pairs):
             t += 1
         q = (1, t, t * t)
-        cells: list[PavingCell] = []
+        den, cells = self._den, []
         for i, j, n in pairs:
-            gi = ig[i]
+            gi, gj = ig[i], ig[j]
             w = cross_int(n, gi)  # in-plane normal of g_i, on g_j's side
-            # flag k of cell (i, j, m) is r_k . q > 0 for the rows r_k of the
-            # inverse of (g_i, g_j, g_m): (g_j x g_m, g_m x g_i, n) / det with
-            # det = g_m . n, and the first two dot q as g_m . u and g_m . v
-            u, v, nq = cross_int(q, ig[j]), cross_int(gi, q), _dot(n, q) > 0
             sums = [self._t, self._t]  # the running anchors below and above the plane
             for l, x in enumerate(ig):
                 if s := _dot(x, n):
                     o = sums[up := s > 0]
                     if l > j:
-                        flags = ((_dot(x, u) > 0) == up, (_dot(x, v) > 0) == up, nq == up)
-                        cells.append(PavingCell(_vec(o, self._den), (g[i], g[j], g[l]), flags))
+                        # the adjugate rows of (g_i, g_j, g_l), whose determinant is s
+                        rows = (cross_int(gj, x), cross_int(x, gi), n)
+                        cells.append(PavingCell._from_ints((g[i], g[j], g[l]), o, den, rows, s, q))
                     sums[up] = (o[0] + x[0], o[1] + x[1], o[2] + x[2])
                 # in the plane: off g_i's line when l < j on g_j's side, on it
                 # when l < i along g_i; both come before every m > j, and
@@ -447,22 +450,33 @@ class Zonotope:
 
     # -- facet polygons --------------------------------------------------------
 
+    def _in_plane(self, n: Sequence[int], o: Sequence[int]) -> tuple[tuple[int, int, int], list]:
+        """(vertex, [(d, e), ...]) for the facet with normal n and support point o.
+
+        Per direction class d in the plane n . x = 0, in class order, e is the
+        sum of the members oriented along d, a positive multiple of d. A member
+        v against d moves the vertex by v, since [0, v] == v + [0, -v], so the
+        facet is the vertex plus the segments [0, e].
+        """
+        classes = []
+        for d, members in self._classes:
+            if not _dot(d, n):
+                e = (0, 0, 0)
+                for v in (self._g[i] for i in members):
+                    if _dot(v, d) > 0:
+                        e = _add(e, v)
+                    else:
+                        e, o = _add(e, v, -1), _add(o, v)
+                classes.append((d, e))
+        return tuple(o), classes
+
     def facet_polygon(self, facet_index: int) -> list[Vec3]:
         """Vertices of a facet in order, oriented counterclockwise seen from
         outside (right-hand rule about the outward normal). Walked on the
         integers over ``_den``; a ``Vec3`` is built only for each vertex."""
-        n, _h, base, _plane, _opp = self._facet_sides[facet_index]
-        segs = []
-        for d, members in self._classes:
-            if _dot(d, n):
-                continue
-            seg = (0, 0, 0)
-            for v in (self._g[i] for i in members):
-                if _dot(v, d) > 0:
-                    seg = _add(seg, v)
-                else:
-                    seg, base = _add(seg, v, -1), _add(base, v)  # [0, v] == v + [0, -v]
-            segs.append(seg)
+        n, _h, o, _plane, _opp = self._facet_sides[facet_index]
+        base, classes = self._in_plane(n, o)
+        segs = [e for _d, e in classes]
         u1 = segs[0]
         u2 = cross_int(n, u1)
         keyed = []
@@ -506,35 +520,24 @@ class Zonotope:
         (e, tau1, tau2) is triangular with a nonzero diagonal, so
         det(e, tau1, tau2) != 0.
         """
-        den, g, c2 = self._den, self._g, self._c2
+        den, c2 = self._den, self._c2
         frames: list[Frame] = []
         # the first facet of each pair (n, -n)
         for fi in range(0, len(self._facet_sides), 2):
             n, _h, o, _plane, _opp = self._facet_sides[fi]
-            in_plane = [(d, members) for d, members in self._classes if not _dot(d, n)]
-            for d, members in in_plane:
-                e, neg = [0, 0, 0], [0, 0, 0]
-                for idx in members:
-                    v = g[idx]
-                    if v[0] * d[0] + v[1] * d[1] + v[2] * d[2] > 0:
-                        e = [e[k] + v[k] for k in range(3)]
-                    else:
-                        e = [e[k] - v[k] for k in range(3)]
-                        neg = [neg[k] + v[k] for k in range(3)]
-                w0, w1, w2 = cross_int(n, d)
-                base_a = [o[k] + neg[k] for k in range(3)]
-                base_b = list(base_a)
-                for dc, mem in in_plane:
-                    if dc is d:
-                        continue
-                    for idx in mem:
-                        v = g[idx]
-                        side = base_a if v[0] * w0 + v[1] * w1 + v[2] * w2 > 0 else base_b
-                        side[0] += v[0]
-                        side[1] += v[1]
-                        side[2] += v[2]
+            vertex, in_plane = self._in_plane(n, o)
+            for d, e in in_plane:
+                w = cross_int(n, d)
+                # the other classes' sums, split by the side of w they point to
+                base_a = base_b = vertex
+                for dc, ec in in_plane:
+                    if dc is not d:
+                        if _dot(dc, w) > 0:
+                            base_a = _add(base_a, ec)
+                        else:
+                            base_b = _add(base_b, ec)
                 base, other = (base_a, base_b) if base_a < base_b else (base_b, base_a)
-                tau1 = [other[k] - base[k] for k in range(3)]
+                tau1 = _add(other, base, -1)
                 tau2 = [c2[k] - 2 * base[k] - tau1[k] - e[k] for k in range(3)]
                 if det_int((e, tau1, tau2)) == 0:
                     raise AssertionError("degenerate frame: implementation bug")

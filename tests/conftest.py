@@ -171,6 +171,16 @@ def fraction_coords(lat, p):
     return c if q == p else None
 
 
+def count_at(fam, nums, den: int) -> int:
+    """How often the translate nums / den occurs in the family record fam (0 if
+    off its lattice), by one ``_point_coords`` solve of nums / den - shift."""
+    (p0, p1, p2), ((s0, s1, s2), sden) = nums, int_row(fam.shift)
+    v = (sden * p0 - den * s0, sden * p1 - den * s1, sden * p2 - den * s2)
+    if (k := fam.lattice._point_coords(v, den * sden)) is None:
+        return 0
+    return fam.count_coords(k)
+
+
 def brute_coverage(z: Zonotope, families, x: Vec3) -> tuple[int, bool]:
     """(count, on_border) at x over family records, by brute force.
 
@@ -185,7 +195,7 @@ def brute_coverage(z: Zonotope, families, x: Vec3) -> tuple[int, bool]:
     total, on_border = 0, False
     for fam in families:
         for t in corner_box_points(fam.lattice, fam.shift, x - hi, x - lo):
-            if not (m := fam.count_at(*int_row(t))):
+            if not (m := count_at(fam, *int_row(t))):
                 continue
             loc = z.contains(x - t)
             on_border = on_border or loc is Location.BOUNDARY

@@ -37,7 +37,7 @@ from zonotile.tiling import LatticeComponent, LatticeUnion, verify_level
 from zonotile.weird import build_weird, construction_from_indices
 from zonotile.zonotope import Zonotope
 
-from conftest import E1, E2, E3, ZERO
+from conftest import E1, E2, E3, ZERO, count_at
 
 HALF = Fraction(1, 2)
 
@@ -390,7 +390,7 @@ def test_materialize_sums_families_that_share_points(k):
     assert got == brute_force_materialize(lam, sides, shear, lo, hi)
     fam = {f.shift: f for f in tiling.translate_families(lam)}
     shared = [(p, m) for p, m in got if lam.gamma.contains(p - u)]
-    both = [m for p, m in shared if all(fam[w].count_at(*int_row(p)) for w in (u, v))]
+    both = [m for p, m in shared if all(count_at(fam[w], *int_row(p)) for w in (u, v))]
     assert shared and all(m == 2 for m in both)
     assert bool(both) == (k3 % 2 == 1)
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zonotile import tiling
-from zonotile.lattices import CosetEnumeration, box_ranges, lattice_from_vectors
+from zonotile.lattices import CosetEnumeration, Lattice, box_ranges, lattice_from_vectors
 from zonotile.linalg import Vec3, int_row, int_triples, rank_of
 from zonotile.tiling import (
     LatticeComponent,
@@ -772,11 +772,8 @@ def test_translate_multiplicity_solves_once_per_lattice(monkeypatch):
     assert any(want) and not all(want)
     lam._residues  # the index solves each shift once, when it is built
     solves = []
-    solve = tiling._lattice_coords
-    monkeypatch.setattr(tiling, "_lattice_coords", lambda *a: solves.append(1) or solve(*a))
-    monkeypatch.setattr(
-        tiling.TranslateFamily, "count_at", lambda *a: pytest.fail("count_at called")
-    )
+    solve = Lattice._solve
+    monkeypatch.setattr(Lattice, "_solve", lambda *a: solves.append(1) or solve(*a))
     for p, m in zip(pts, want):
         solves.clear()
         assert translate_multiplicity(lam, p) == m
@@ -834,6 +831,24 @@ def test_slab_choice_families_take_time_linear_in_offsets_and_keys():
     assert all(dict(f.counts) == dict.fromkeys(range(50), 1 - f.weight) for f in fams)
     # the records of one T count share one map
     assert len({id(f.counts) for f in fams}) == 2
+
+
+def test_slab_choice_families_hash_no_offset_vector(monkeypatch):
+    # generators (1, k, 0) for k < 6 and e3: each side repeats subset sums, and
+    # the sides share some; a with_choice copy builds its own records
+    z = Zonotope(tuple(Vec3(1, k, 0) for k in range(6)) + (E3,))
+    base = build_weird(construction_from_indices(z, range(6)), {0: "T"})
+    translate_families(base)
+    copy = base.with_choice({0: "T", 2: "T"})
+    want = rescanning_families(copy)
+    hashes = []
+    vec_hash = Vec3.__hash__
+    monkeypatch.setattr(Vec3, "__hash__", lambda v: hashes.append(1) or vec_hash(v))
+    fams = translate_families(copy)
+    assert not hashes
+    monkeypatch.undo()
+    assert [(f.shift, f.weight, dict(f.counts)) for f in fams] == want
+    assert len(want) < len(base.s_offsets) + len(base.t_offsets)
 
 
 def test_verify_level_builds_each_offset_box_once(cube, monkeypatch):

@@ -2,7 +2,7 @@
 import dataclasses
 import hashlib
 import random
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 
 import numpy as np
@@ -224,6 +224,34 @@ def test_ap_coloring_defeats_every_processed_progression():
     for d, a in col.processed:
         colors = {col.color_of(a + k * d) for k in range(-200, 201)}
         assert colors == {RED, BLACK}
+
+
+def restarting_ap_coloring(num_steps: int) -> Coloring:
+    """``ap_coloring`` with each visit rescanning its progression from a."""
+    queue, fresh = deque(), weird._fresh_aps()
+    assigned, processed = {}, []
+    for _ in range(num_steps):
+        if not queue:
+            queue.append(next(fresh))
+        d, a = queue.popleft()
+        found = []
+        for val in weird._ap_members(d, a):
+            if val not in assigned:
+                found.append(val)
+                if len(found) == 2:
+                    break
+        assigned[found[0]], assigned[found[1]] = RED, BLACK
+        processed.append((d, a))
+        queue.append((d, a))
+        queue.append(next(fresh))
+    return Coloring(assigned, tuple(processed))
+
+
+@pytest.mark.parametrize("num_steps", [0, 1, 2, 7, 200, 1000, 5000])
+def test_ap_coloring_matches_the_restarting_scan(num_steps):
+    got = ap_coloring(num_steps)
+    want = restarting_ap_coloring(num_steps)
+    assert got == want and list(got.assigned.items()) == list(want.assigned.items())
 
 
 def test_ap_coloring_deterministic_and_total():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from zonotile import zonotope
 from zonotile.io import export_off
 from zonotile.linalg import VEC_ZERO, Vec3, int_triples, primitive, rank_of, rat
 from zonotile.zonotope import BoundaryHit, Facet, Frame, Location, Zonotope
@@ -627,3 +628,20 @@ def test_pinned_facets_frames_and_classes(name):
     assert (*map(digest, reprs), digest(export_off(z, 6))) == digests
     assert len(paving.cells) == n_cells
     assert repr(z.direction_classes) == repr(tuple((Vec3.of(*d), m) for d, m in classes))
+
+
+def test_pave_builds_cells_without_clearing_vectors_again(monkeypatch):
+    # every cell takes its faces and volume from the integers pave already holds
+    gens, translate, _digests, n_cells, _classes = PINNED_STRUCTURE["forty"]
+    z = Zonotope(gens, translate)
+    want = Zonotope(gens, translate).pave()
+
+    def fail(*_args):
+        pytest.fail("pave cleared a vector or took an adjugate again")
+
+    monkeypatch.setattr(zonotope, "int_triples", fail)
+    monkeypatch.setattr(zonotope, "adjugate", fail, raising=False)
+    paving = z.pave()
+    assert len(paving.cells) == n_cells and paving == want
+    assert [c._faces for c in paving.cells] == [c._faces for c in want.cells]
+    assert paving.total_volume() == z.volume()
