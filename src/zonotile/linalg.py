@@ -4,7 +4,7 @@ Every geometric predicate downstream (incidence, membership, independence)
 reduces to exact arithmetic in this module, so verdicts are exact rather than
 correct up to a floating tolerance. A ``Vec3`` holds integer numerators over
 one positive denominator, reduced, so its sums, differences, products, dot
-and cross products and comparisons are integer arithmetic, and
+and cross products, comparisons and hash are integer arithmetic, and
 ``int_row(v)`` hands out those integers as they are; ``Vec3.from_ints`` builds
 a vector from numerators without any ``Fraction``. ``int_row`` also clears any
 row of rationals to integers over their least common denominator, and
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import numbers
 import re
-import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd, lcm
@@ -83,14 +82,16 @@ class Vec3:
     The vector (x, y, z) is kept as (n0, n1, n2) / d with d > 0 and
     gcd(n0, n1, n2, d) == 1, so d is the least common denominator of the
     coordinates and every vector has exactly one representation. Arithmetic,
-    ``dot``, ``cross``, equality and ordering run on those integers, and
-    ``int_row(v)`` returns them without any work. ``x``, ``y`` and ``z`` are
-    ``Fraction``s built on each read. Equality, hashing, ordering and ``repr``
+    ``dot``, ``cross``, equality, ordering and hashing run on those integers,
+    and ``int_row(v)`` returns them without any work. ``x``, ``y`` and ``z``
+    are ``Fraction``s built on each read. Equality, ordering and ``repr``
     agree with a frozen dataclass over the three ``Fraction`` coordinates:
-    ``Vec3(1, 0, 0)`` equals and hashes like ``Vec3.of(1, 0, 0)``, and both
-    show ``x=Fraction(1, 1)``. Comparison order is lexicographic. It is not a
-    dataclass: assigning an attribute raises ``FrozenInstanceError``, and
-    pickling and copying keep the numerators.
+    ``Vec3(1, 0, 0)`` equals ``Vec3.of(1, 0, 0)``, and both show
+    ``x=Fraction(1, 1)``. The hash is that of the reduced numerators and
+    denominator, not of the ``Fraction`` triple; equal vectors hash equal.
+    Comparison order is lexicographic. It is not a dataclass: assigning an
+    attribute raises ``FrozenInstanceError``, and pickling and copying keep
+    the numerators.
     """
 
     __slots__ = ("_nd",)
@@ -156,15 +157,8 @@ class Vec3:
         return self._nd == other._nd
 
     def __hash__(self) -> int:
-        # hash((x, y, z)) of the Fraction coordinates: a rational p / q hashes
-        # to p * q^-1 modulo the hash modulus (sys.hash_info)
-        n0, n1, n2, d = self._nd
-        if d == 1:
-            return hash((n0, n1, n2))
-        if not d % _HASH_MODULUS:
-            return hash(tuple(self))
-        inv = pow(d, -1, _HASH_MODULUS)
-        return hash(tuple(_rational_hash(n, inv) for n in (n0, n1, n2)))
+        # the reduced numerators are unique, so equal vectors hash equal
+        return hash(self._nd)
 
     def _cmp_keys(self, other: "Vec3"):
         # both sides over the product of the denominators, which is positive
@@ -248,7 +242,6 @@ class Vec3:
         return (n0 / d, n1 / d, n2 / d)
 
 
-_HASH_MODULUS = sys.hash_info.modulus
 _new = object.__new__
 _set_nd = Vec3._nd.__set__  # the slot's own setter, past the frozen __setattr__
 
@@ -271,13 +264,6 @@ def _reduced(n0: int, n1: int, n2: int, d: int) -> Vec3:
 
 def _rational(value) -> Fraction | int:
     return value if type(value) is int or type(value) is Fraction else rat(value)
-
-
-def _rational_hash(n: int, inv: int) -> int:
-    """hash(Fraction(n, d)), given the inverse of d modulo the hash modulus."""
-    h = abs(n) % _HASH_MODULUS * inv % _HASH_MODULUS
-    h = h if n >= 0 else -h
-    return -2 if h == -1 else h
 
 
 def int_triples(vectors: Iterable[Vec3]) -> tuple[tuple[tuple[int, int, int], ...], int]:

@@ -204,8 +204,8 @@ class SlabChoice:
 
 def _offset_counts(*sides: Sequence[Vec3]) -> list[list]:
     """[u, its count in each side] per distinct offset u, first-seen, earlier
-    sides first. Counted on u's numerators, whose hash takes no modular
-    inverse, unlike a ``Vec3``'s."""
+    sides first. Counted on u's numerator tuple, which hashes and compares as
+    a plain tuple, with no call into ``Vec3.__hash__`` or ``__eq__``."""
     counts: dict[tuple[int, int, int, int], list] = {}
     for i, side in enumerate(sides, 1):
         for u in side:

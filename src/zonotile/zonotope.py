@@ -11,7 +11,7 @@ from the integers of that pass: the adjugate rows g_j x g_l, g_l x g_i and
 g_i x g_j of the cell's generators and the determinant the pass reads. A
 facet's polygon and frames read one sum per in-plane direction class
 (``_in_plane``). ``Fraction`` and ``Vec3`` values are built only at the API
-edge: the ``direction_classes`` at construction, the paving cells' anchors,
+edge: the bounding box at construction, the paving cells' anchors,
 ``facets`` on first read, ``Frame`` fields and polygon vertices on each read,
 so the deciders, which read only integers, never build them.
 Membership in the body and in a paving cell is one integer half-space test
@@ -253,7 +253,9 @@ class Zonotope:
     facets' integer half-spaces and the bounding box are computed at
     construction; the ``Facet`` tuple, the facet rows as arrays, the frames,
     the paving and the counting kernel's offset boxes are built on first use
-    and cached. Treat instances as immutable.
+    and cached. The body is centrally symmetric about the midpoint of its
+    bounding box, and its direction classes group ``generators`` by
+    ``linalg.primitive``. Treat instances as immutable.
     """
 
     def __init__(self, generators: Iterable[Vec3], translate: Vec3 = VEC_ZERO):
@@ -270,7 +272,6 @@ class Zonotope:
             raise ValueError("degenerate zonotope: generators must span R^3")
         # twice the center, over den
         self._c2 = tuple(2 * t[k] + sum(v[k] for v in g) for k in range(3))
-        self.center = _vec(self._c2, 2 * den)
         lo = [t[k] + sum(v[k] for v in g if v[k] < 0) for k in range(3)]
         hi = [t[k] + sum(v[k] for v in g if v[k] > 0) for k in range(3)]
         self._bounding_box = (_vec(lo, den), _vec(hi, den))
@@ -278,7 +279,6 @@ class Zonotope:
         for i, v in enumerate(g):
             classes.setdefault(primitive_triple(v), []).append(i)
         self._classes = tuple((d, tuple(m)) for d, m in classes.items())
-        self.direction_classes = tuple((_vec(d), m) for d, m in self._classes)
         self._build_facets()
         self._facets: tuple[Facet, ...] | None = None
         self._frames: tuple[Frame, ...] | None = None
@@ -370,23 +370,19 @@ class Zonotope:
     def interior_mask(self, points, den: int | None = None) -> list[bool]:
         """Per-point strict-interior flags, as a list of bools.
 
-        points is a sequence of ``Vec3``s, each tested by ``contains``, or,
-        with den > 0 given, one (N, 3) integer array (int64 or object) of
-        numerators over den. The array form tests every row X at once: its
-        excesses den_z (n . X) - h den over the facet rows are one product
-        on Python ints against ``_facet_rows``. Either form raises
-        BoundaryHit, with the point as a ``Vec3`` and its index, at the
-        first point on a facet and beyond none.
+        points is a sequence of ``Vec3``s, or, with den > 0 given, one
+        (N, 3) integer array (int64 or object) of numerators over den. The
+        ``Vec3``s are cleared to such an array over their least common
+        denominator. Every row X is tested at once: its excesses
+        den_z (n . X) - h den over the facet rows are one product on Python
+        ints against ``_facet_rows``. Either form raises BoundaryHit, with
+        the point as a ``Vec3`` and its index, at the first point on a facet
+        and beyond none.
         """
         if den is None:
-            mask = []
-            for i, p in enumerate(points):
-                loc = self.contains(p)
-                if loc is Location.BOUNDARY:
-                    raise BoundaryHit(p, i)
-                mask.append(loc is Location.INTERIOR)
-            return mask
-        if den <= 0:
+            rows, den = int_triples(points)
+            points = np.array(rows, dtype=object).reshape(-1, 3)
+        elif den <= 0:
             raise ValueError("denominator must be positive")
         facets = self._facet_rows
         excess = points.astype(object, copy=False) @ facets.zn.T - facets.h * den

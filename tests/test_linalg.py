@@ -200,7 +200,7 @@ def test_rat_bounds_decimal_exponents():
 
 
 # Vec3 against Fraction-triple arithmetic: numerators beyond 2^64, mixed
-# denominators (including the hash modulus, where a Fraction hashes to inf)
+# denominators (including the hash modulus and its double)
 _HASH_P = sys.hash_info.modulus
 big_ints = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
 dens = st.one_of(st.integers(1, 6), st.integers(1, 2**66), st.just(_HASH_P), st.just(2 * _HASH_P))
@@ -221,7 +221,7 @@ def assert_is(v, t):
     # the same coordinates, and the one reduced form: equal to a fresh vector
     nums, den = int_row(v)
     assert fields(v) == t and den > 0 and math.gcd(*nums, den) == 1
-    assert v == Vec3(*t) and hash(v) == hash(t)
+    assert v == Vec3(*t) and hash(v) == hash(Vec3(*t))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -244,8 +244,9 @@ def test_vec3_matches_fraction_triple_arithmetic(ta, tb, s, ia, ib):
     assert (a == b) == (ta == tb) and (a != b) == (ta != tb)
     assert (a < b) == (ta < tb) and (a <= b) == (ta <= tb)
     assert (a > b) == (ta > tb) and (a >= b) == (ta >= tb)
-    # a frozen dataclass over (x, y, z) hashes the tuple and shows each Fraction
-    assert hash(a) == hash(ta)
+    # equal vectors hash equal, however they were built
+    assert hash(a) == hash(Vec3.of(*map(str, ta))) == hash(as_vec(ta, not ia))
+    # a frozen dataclass over (x, y, z) shows each Fraction
     assert repr(a) == f"Vec3(x={ta[0]!r}, y={ta[1]!r}, z={ta[2]!r})"
     assert int_row(a) == int_row(ta)
     nums, den = int_row(a)
@@ -255,8 +256,9 @@ def test_vec3_matches_fraction_triple_arithmetic(ta, tb, s, ia, ib):
         assert twin == a and hash(twin) == hash(a) and repr(twin) == repr(a)
     # the same vector built from unreduced numerators is the same vector
     k = 3 + abs(nums[0]) % 5
-    assert Vec3.from_ints(*(n * k for n in nums), den * k) == a
-    assert Vec3.from_ints(*(-n for n in nums), -den) == a
+    for nd in ((*(n * k for n in nums), den * k), (*(-n for n in nums), -den)):
+        twin = Vec3.from_ints(*nd)
+        assert twin == a and hash(twin) == hash(a)
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
@@ -280,7 +282,8 @@ def test_vec3_is_immutable():
 def test_vec3_from_integers_equals_vec3_of_fractions():
     # Vec3(1, 0, 0) reads its coordinates as Fractions, like Vec3.of(1, 0, 0)
     a, b = Vec3(1, 0, 0), Vec3.of(1, 0, 0)
-    assert a == b and hash(a) == hash(b) == hash((1, 0, 0))
+    twins = (Vec3.of("1", "0", "0"), Vec3.from_ints(2, 0, 0, 2), Vec3(Fraction(1), Fraction(0), 0))
+    assert all(a == b == t and hash(a) == hash(b) == hash(t) for t in twins)
     assert repr(a) == repr(b) == "Vec3(x=Fraction(1, 1), y=Fraction(0, 1), z=Fraction(0, 1))"
     assert a.x == 1 and type(a.x) is Fraction
     assert Vec3.of("1/2", "-3", 2) == Vec3(Fraction(1, 2), -3, 2)

@@ -58,7 +58,7 @@ def oracle_intersection_property(frames) -> bool:
 
 def oracle_two_flat(z) -> bool:
     """Try every split of the direction classes into two rank <= 2 sides."""
-    dirs = [d for d, _ in z.direction_classes]
+    dirs = [Vec3(*d) for d, _ in z._classes]
     n = len(dirs)
     for mask in range(2**n):
         side1 = [dirs[i] for i in range(n) if mask >> i & 1]
@@ -437,8 +437,8 @@ def oracle_two_flat_scan(z) -> TwoFlatVerdict:
     on ``Vec3``s, independent of the integer plane test in ``two_flat``, and
     with the single-class loop that ``two_flat`` proves it does not need.
     """
-    classes = z.direction_classes
-    dirs = [d for d, _ in classes]
+    classes = z._classes
+    dirs = [Vec3(*d) for d, _ in classes]
 
     def verdict(h1_cls):
         h2_cls = [k for k in range(len(dirs)) if k not in h1_cls]
@@ -474,7 +474,7 @@ def test_two_flat_verdict_matches_rank_scan():
     for z in [*seeded_bodies(29, 320), *HAND_BUILT_CASES.values()]:
         tf = two_flat(z)
         assert tf == oracle_two_flat_scan(z)
-        if tf.is_two_flat and len(z.direction_classes) >= 5:
+        if tf.is_two_flat and len(z._classes) >= 5:
             kinds["two-flat, 5+ classes"] += 1
         elif not tf.is_two_flat:
             kinds["not two-flat"] += 1

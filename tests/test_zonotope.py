@@ -36,7 +36,7 @@ def zonotope_from_rows(generators, translate=None) -> Zonotope:
 def oracle_contains(z: Zonotope, x: Vec3) -> Location:
     """Fraction facet test, independent of the integer half-spaces."""
     on_boundary = False
-    for f in z.facets:
+    for f in oracle_facets(z):
         s = x.dot(f.normal)
         if s > f.support:
             return Location.OUTSIDE
@@ -89,7 +89,7 @@ def oracle_frames(z: Zonotope) -> tuple[Frame, ...]:
     """Frames by Fraction vector sums over the generators, with no degeneracy test."""
     center = z.translate + sum(z.generators, VEC_ZERO) * Fraction(1, 2)
     frames = []
-    for fi, f in enumerate(z.facets):
+    for fi, f in enumerate(oracle_facets(z)):
         if fi > f.opposite_index:
             continue
         in_plane = [(d, m) for d, m in oracle_classes(z).items() if d.dot(f.normal) == 0]
@@ -118,9 +118,9 @@ def oracle_frames(z: Zonotope) -> tuple[Frame, ...]:
 def oracle_facet_polygon(z: Zonotope, facet_index: int) -> list[Vec3]:
     """A facet's vertices by ``Vec3`` sums over the ``Facet`` and the direction
     classes, oriented and angle-sorted on Fraction dot products."""
-    f = z.facets[facet_index]
+    f = oracle_facets(z)[facet_index]
     segs, base = [], f.offset
-    for d, members in z.direction_classes:
+    for d, members in oracle_classes(z).items():
         if d.dot(f.normal) != 0:
             continue
         vec = VEC_ZERO
@@ -152,6 +152,12 @@ def oracle_facet_polygon(z: Zonotope, facet_index: int) -> list[Vec3]:
     return verts
 
 
+def midpoint(z: Zonotope) -> Vec3:
+    """The center of the centrally symmetric body: its bounding box's midpoint."""
+    lo, hi = z.bounding_box()
+    return (lo + hi) * Fraction(1, 2)
+
+
 def independent_triple_volume(gens):
     """Independent volume oracle: sum |det| over linearly independent triples."""
     total = Fraction(0)
@@ -168,9 +174,9 @@ def test_construction_rejects_degenerate_input():
 
 
 def test_center_is_translate_plus_half_generator_sum(rd4):
-    assert rd4.center == Vec3(1, 1, 1)
+    assert midpoint(rd4) == Vec3(1, 1, 1)
     shifted = Zonotope(rd4.generators, Vec3(1, 0, 0))
-    assert shifted.center == rd4.center + Vec3(1, 0, 0)
+    assert midpoint(shifted) == midpoint(rd4) + Vec3(1, 0, 0)
 
 
 def test_cube_combinatorics(cube):
@@ -304,7 +310,7 @@ def test_frames_satisfy_leg_relation(cube, rd4):
     for z in (cube, rd4):
         assert z.frames()
         for fr in z.frames():
-            assert fr.tau2 == z.center * 2 - fr.base * 2 - fr.tau1 - fr.e
+            assert fr.tau2 == midpoint(z) * 2 - fr.base * 2 - fr.tau1 - fr.e
             assert not fr.e.cross(fr.tau1).is_zero()
 
 
@@ -497,7 +503,21 @@ def test_interior_mask_on_numerator_arrays_matches_contains(data):
         loc = z.contains(p)
         hit = (p, 0) if loc is Location.BOUNDARY else [loc is Location.INTERIOR]
         assert mask_or_hit(z, nums[i : i + 1], den) == hit
-    assert z.interior_mask(nums[:0], den) == []
+        assert mask_or_hit(z, points[i : i + 1]) == hit
+    assert z.interior_mask(nums[:0], den) == [] == z.interior_mask([])
+
+
+def test_interior_mask_on_vec3s_runs_the_array_test(cube, monkeypatch):
+    monkeypatch.setattr(Zonotope, "contains", lambda *_: pytest.fail("contains called"))
+    h = Fraction(1, 2)
+    # mixed denominators, a point beyond a facet's plane, then two on the boundary
+    pts = [Vec3(h, Fraction(1, 3), Fraction(1, 7)), Vec3(2, 2, 2), Vec3(0, h, h), Vec3(1, 1, 1)]
+    assert cube.interior_mask(pts[:2]) == [True, False]
+    assert cube.interior_mask([]) == []
+    with pytest.raises(BoundaryHit) as hit:
+        cube.interior_mask(pts)
+    assert (hit.value.point, hit.value.index) == (Vec3(0, h, h), 2)
+    assert repr(hit.value.point) == repr(pts[2]) and str(hit.value) == f"boundary point {pts[2]}"
 
 
 def test_interior_mask_on_numerator_arrays_near_and_far(cube):
@@ -517,13 +537,14 @@ def test_interior_mask_on_numerator_arrays_near_and_far(cube):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(rational_bodies())
 def test_integer_structure_matches_fraction_oracles(z):
-    assert z.direction_classes == tuple((d, tuple(m)) for d, m in oracle_classes(z).items())
+    classes = tuple((Vec3(*d), m) for d, m in z._classes)
+    assert classes == tuple((d, tuple(m)) for d, m in oracle_classes(z).items())
     assert z.facets == oracle_facets(z)
     frames = oracle_frames(z)
     # no oracle frame is degenerate, and the body keeps every one
     assert all(det3(*f.vectors()) != 0 for f in frames)
     assert z.frames() == frames
-    assert z.center == z.translate + sum(z.generators, VEC_ZERO) * Fraction(1, 2)
+    assert midpoint(z) == z.translate + sum(z.generators, VEC_ZERO) * Fraction(1, 2)
     lo, hi = z.bounding_box()
     for t, a, b, *coords in zip(z.translate, lo, hi, *z.generators):
         assert a == t + sum(c for c in coords if c < 0)
@@ -627,7 +648,7 @@ def test_pinned_facets_frames_and_classes(name):
     reprs = map(repr, (z.frames(), z.facets, paving, faces))
     assert (*map(digest, reprs), digest(export_off(z, 6))) == digests
     assert len(paving.cells) == n_cells
-    assert repr(z.direction_classes) == repr(tuple((Vec3.of(*d), m) for d, m in classes))
+    assert z._classes == classes
 
 
 def test_pave_builds_cells_without_clearing_vectors_again(monkeypatch):
